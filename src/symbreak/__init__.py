@@ -36,7 +36,7 @@ from .conditions import (
     suborbit_classes,
     suborbit_equivalence,
 )
-from .errors import CapExceededError, GraphFormatError, SymbreakError
+from .errors import CapExceededError, GraphFormatError, InvariantError, SymbreakError
 from .graphs import (
     FamilySpec,
     Graph,

@@ -9,6 +9,7 @@ tree-specific search for colour-preserving automorphisms.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -18,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .autsearch import automorphism_group
-from .errors import CapExceededError
+from .errors import CapExceededError, InvariantError
 from .graphs import Graph
 from .groups import DEFAULT_ENUMERATION_CAP, PermGroup
 from .perms import Perm
@@ -175,11 +176,50 @@ def fix_probability(gamma: Perm, k: int = 2) -> Fraction:
     return Fraction(1, k ** (gamma.degree - gamma.cycle_count()))
 
 
-def _colouring_index(colours, k):
-    idx = 0
-    for c in reversed(colours):
-        idx = idx * k + c
-    return idx
+#: Memory budget, in bytes, for one block of array work: a block of Monte
+#: Carlo trials checked against the cycle partitions, or a block of elements.
+BLOCK_BYTES = 1 << 24
+
+
+def _prime_order_partitions(aut: PermGroup, enum_cap: int) -> np.ndarray:
+    """One row per distinct cycle partition of the prime-order elements.
+
+    Row entry v is the smallest vertex on v's cycle, so a colouring c is
+    preserved by an element with that partition iff c[row] == c.  A
+    non-trivial stabiliser contains an element of prime order (Cauchy) and
+    an element preserves c iff c is constant on its cycles, so these rows
+    detect exactly the colourings that some non-identity element preserves.
+    """
+    n = aut.degree
+    elements = (gamma.images for gamma in aut.elements(enum_cap) if not gamma.is_identity())
+    per_block = max(1, BLOCK_BYTES // (8 * max(n, 1)))
+    found = [np.empty((0, n), dtype=np.intp)]
+    while batch := list(itertools.islice(elements, per_block)):
+        found.append(_prime_cycle_labels(np.array(batch, dtype=np.intp)))
+    return np.unique(np.concatenate(found), axis=0)
+
+
+def _prime_cycle_labels(images):
+    """Distinct cycle-minimum label rows of the prime-order rows of `images`."""
+    count, n = images.shape
+    rows = np.arange(count)[:, None]
+    # pointer doubling: after j steps, label[v] is the least vertex among
+    # v's first 2^j successors, and jump[v] is its 2^j-th successor
+    label, jump = np.broadcast_to(np.arange(n), images.shape), images
+    for _ in range(max(1, (n - 1).bit_length())):
+        label = np.minimum(label, label[rows, jump])
+        jump = jump[rows, jump]
+    sizes = np.bincount((label + rows * n).ravel(), minlength=count * n)
+    cycle_len = sizes.reshape(count, n)[rows, label]
+    # the order is the lcm of the cycle lengths: prime iff they are 1 or one prime
+    longest = cycle_len.max(axis=1)
+    uniform = ((cycle_len == 1) | (cycle_len == longest[:, None])).all(axis=1)
+    primes = [p for p in np.unique(longest).tolist() if _is_prime(p)]
+    return np.unique(label[uniform & np.isin(longest, primes)], axis=0)
+
+
+def _is_prime(p):
+    return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
 
 
 def distinguishing_probability_exact(
@@ -190,8 +230,11 @@ def distinguishing_probability_exact(
 ) -> Fraction:
     """Exact fraction of k-colourings with trivial stabiliser.
 
-    Marks, for every non-identity automorphism, the colourings it preserves
-    (constant on its cycles); unmarked colourings are distinguishing.
+    Colouring c has index sum_v c(v) k^v.  For one element per cycle
+    partition of the prime-order automorphisms (enough, by Cauchy's
+    theorem), marks the colourings constant on its cycles: the indices
+    sum_j a_j w_j with a_j in 0..k-1 and w_j = sum_{v in cycle j} k^v.
+    Unmarked colourings are distinguishing.
     """
     n = g.vertex_count
     total = k**n
@@ -200,30 +243,18 @@ def distinguishing_probability_exact(
             f"{total} colourings exceed cap {colour_cap}", required=total, cap=colour_cap
         )
     aut = automorphism_group(g)
-    fixed = bytearray(total)
-    for gamma in aut.elements(enum_cap):
-        if gamma.is_identity():
-            continue
-        cycs = gamma.cycles(include_fixed=True)
-        # enumerate colourings constant on each cycle
-        assignment = [0] * len(cycs)
-        while True:
-            colours = [0] * n
-            for ci, cyc in enumerate(cycs):
-                col = assignment[ci]
-                for v in cyc:
-                    colours[v] = col
-            fixed[_colouring_index(colours, k)] = 1
-            pos = 0
-            while pos < len(cycs):
-                assignment[pos] += 1
-                if assignment[pos] < k:
-                    break
-                assignment[pos] = 0
-                pos += 1
-            if pos == len(cycs):
-                break
-    return Fraction(total - sum(fixed), total)
+    fixed = np.zeros(total, dtype=bool)
+    powers = [k**v for v in range(n)]
+    steps = np.arange(k, dtype=np.int64)
+    for label in _prime_order_partitions(aut, enum_cap):
+        weights = {}
+        for v, head in enumerate(label.tolist()):
+            weights[head] = weights.get(head, 0) + powers[v]
+        index = np.zeros(1, dtype=np.int64)
+        for w in weights.values():
+            index = (index[:, None] + steps * w).ravel()
+        fixed[index] = True
+    return Fraction(total - int(fixed.sum()), total)
 
 
 def distinguishing_probability_mc(
@@ -238,6 +269,12 @@ def distinguishing_probability_mc(
     Trial t draws its colouring from rng.trial_stream(t), so results do not
     depend on execution order.  The standard error is the binomial
     sqrt(p(1-p)/trials) at the estimated p.
+
+    When |Aut| is within `enum_cap`, blocks of trials are drawn at once
+    (``SeededRng.trial_block``) and checked against one element per cycle
+    partition of the prime-order automorphisms; a block's arrays stay
+    within about ``BLOCK_BYTES``.  Above the cap each trial runs one
+    colour-constrained automorphism search.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -245,21 +282,22 @@ def distinguishing_probability_mc(
     aut = automorphism_group(g)
     successes = 0
     if aut.order() <= enum_cap:
-        elems = [gamma for gamma in aut.elements(enum_cap) if not gamma.is_identity()]
-        if not elems:
+        labels = _prime_order_partitions(aut, enum_cap)
+        if not len(labels):
             successes = trials
         else:
-            images = np.array([list(gamma.images) for gamma in elems], dtype=np.int64)
-            batch = 4096
-            done = 0
-            while done < trials:
-                size = min(batch, trials - done)
-                block = np.empty((size, n), dtype=np.int8)
-                for row in range(size):
-                    block[row] = rng.trial_stream(done + row).integers_below(k, n)
-                preserved = (block[:, images] == block[:, None, :]).all(axis=2)
-                successes += int((~preserved.any(axis=1)).sum())
-                done += size
+            dtype = np.min_scalar_type(k - 1)  # holds every colour 0..k-1
+            # rows x labels x n comparisons, and the rows' 64-bit draws, per block
+            per_chunk = max(1, min(len(labels), BLOCK_BYTES // n))
+            rows = max(1, BLOCK_BYTES // (max(per_chunk, 8) * n))
+            for done in range(0, trials, rows):
+                size = min(rows, trials - done)
+                block = rng.trial_block(k, done, size, n).astype(dtype)
+                hit = np.zeros(size, dtype=bool)
+                for lo in range(0, len(labels), per_chunk):
+                    chunk = labels[lo : lo + per_chunk]
+                    hit |= (block[:, chunk] == block[:, None, :]).all(axis=2).any(axis=1)
+                successes += int((~hit).sum())
     else:
         for t in range(trials):
             c = random_colouring(g, k, rng.trial_stream(t))
@@ -395,9 +433,11 @@ def find_tree_automorphism(g: Graph, root: int, c: Colouring) -> Optional[Perm]:
 
     swap_subtrees(*swap_pair)
     perm = Perm(images)
-    assert not perm.is_identity()
-    assert perm(root) == root
+    if perm.is_identity() or perm(root) != root:
+        raise InvariantError("subtree swap is the identity or moves the root")
     for v in range(g.vertex_count):
-        assert c[perm(v)] == c[v]
-        assert frozenset(perm(u) for u in g.adjacency[v]) == frozenset(g.adjacency[perm(v)])
+        if c[perm(v)] != c[v]:
+            raise InvariantError(f"subtree swap changes the colour of vertex {v}")
+        if frozenset(perm(u) for u in g.adjacency[v]) != frozenset(g.adjacency[perm(v)]):
+            raise InvariantError(f"subtree swap breaks the edges at vertex {v}")
     return perm

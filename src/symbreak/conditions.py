@@ -17,6 +17,7 @@ from typing import Optional
 
 from .autsearch import automorphism_group
 from .colourings import Colouring, colouring_stabiliser
+from .errors import InvariantError
 from .graphs import Graph, cartesian_product, growth_sequence
 from .groups import DEFAULT_ENUMERATION_CAP, PermGroup
 
@@ -323,7 +324,8 @@ def _suborbit_mismatch_count(group: PermGroup, s, t, cap):
 
     The count is the same for every such phi (phi' = phi * sigma with sigma
     stabilising s permutes each suborbit within itself); computed for all
-    candidates and asserted equal.  None when no element maps s to t.
+    candidates and checked equal (else `InvariantError`).  None when no
+    element maps s to t.
     """
     if t not in group.orbit(s):
         return None
@@ -337,7 +339,10 @@ def _suborbit_mismatch_count(group: PermGroup, s, t, cap):
             if frozenset(phi(x) for x in cls) != cls:
                 mismatch += len(cls)
         counts.add(mismatch)
-    assert len(counts) == 1, "mismatch count depended on the mapping element"
+    if len(counts) != 1:
+        raise InvariantError(
+            f"mismatch count depended on the mapping element: {sorted(counts)}"
+        )
     return counts.pop()
 
 

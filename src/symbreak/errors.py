@@ -17,6 +17,14 @@ class CapExceededError(SymbreakError):
         self.cap = cap
 
 
+class InvariantError(SymbreakError):
+    """An internal consistency check failed: a bug, not a bad input.
+
+    Raised where a computed result contradicts an identity it must satisfy,
+    so the check survives ``python -O``, which strips ``assert``.
+    """
+
+
 class GraphFormatError(SymbreakError):
     """A graph file or graph JSON object could not be parsed.
 

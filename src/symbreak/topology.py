@@ -14,8 +14,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+import numpy as np
+
 from .autsearch import automorphism_group
-from .errors import CapExceededError
+from .errors import CapExceededError, InvariantError
 from .graphs import Graph
 from .groups import DEFAULT_ENUMERATION_CAP, PermGroup
 from .perms import Perm
@@ -315,9 +317,11 @@ def expected_stabiliser_measure(
 ) -> StabiliserMeasureReport:
     """Average stabiliser fraction of a uniform random 2-colouring, both ways.
 
-    Colour-first: for each of the 2^n colourings, count the elements that
-    preserve it explicitly.  Group-first: sum 2^cycles(gamma) over the group.
-    The two exact rationals must coincide; both are returned.
+    Colour-first: count the (colouring, element) pairs with c(gamma(v)) =
+    c(v) for all v, one comparison per element over the (2^n, n) matrix of
+    all colourings.  Group-first: sum 2^cycles(gamma) over the group.  The
+    two exact rationals must coincide (else `InvariantError`); both are
+    returned.
     """
     n = g.vertex_count
     if n > vertex_cap:
@@ -330,12 +334,12 @@ def expected_stabiliser_measure(
     order = aut.order()
     elems = aut.element_list(enum_cap)
 
+    # row i is the colouring whose vertex v has colour bit v of i
+    colourings = ((np.arange(2**n)[:, None] >> np.arange(n)) & 1).astype(np.int8)
     preserved_total = 0
-    for bits in range(2**n):
-        colours = [(bits >> v) & 1 for v in range(n)]
-        for gamma in elems:
-            if all(colours[gamma(v)] == colours[v] for v in range(n)):
-                preserved_total += 1
+    for gamma in elems:
+        preserved = (colourings[:, list(gamma.images)] == colourings).all(axis=1)
+        preserved_total += int(preserved.sum())
     colour_first = Fraction(preserved_total, (2**n) * order)
 
     group_first = Fraction(
@@ -343,5 +347,8 @@ def expected_stabiliser_measure(
     )
 
     report = StabiliserMeasureReport(colour_first, group_first)
-    assert report.agree, "summation-order identity violated"
+    if not report.agree:
+        raise InvariantError(
+            f"summation-order identity violated: {colour_first} != {group_first}"
+        )
     return report

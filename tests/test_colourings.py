@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from symbreak import colourings
 from symbreak.autsearch import automorphism_group
 from symbreak.colourings import (
     Colouring,
@@ -18,16 +19,57 @@ from symbreak.colourings import (
     random_colouring,
     russel_sundaram_bound,
 )
+from symbreak.errors import InvariantError
 from symbreak.graphs import (
     FamilySpec,
+    complete_bipartite,
     complete_graph,
     cycle_graph,
     generate_family,
+    hypercube,
     path_graph,
     star_graph,
 )
 from symbreak.perms import Perm
 from symbreak.rng import SeededRng
+
+ORACLE_GRAPHS = {
+    "C8": cycle_graph(8),
+    "Q3": hypercube(3),
+    "K4": complete_graph(4),
+    "K33": complete_bipartite(3, 3),
+    "P6": path_graph(6),
+}
+
+
+def exact_oracle(g, k=2):
+    """Distinguishing fraction by marking, for every non-identity element,
+    each colouring constant on its cycles."""
+    n = g.vertex_count
+    fixed = set()
+    for gamma in automorphism_group(g).elements():
+        if gamma.is_identity():
+            continue
+        cycs = gamma.cycles(include_fixed=True)
+        for assignment in itertools.product(range(k), repeat=len(cycs)):
+            colours = [0] * n
+            for col, cyc in zip(assignment, cycs):
+                for v in cyc:
+                    colours[v] = col
+            fixed.add(tuple(colours))
+    return Fraction(k**n - len(fixed), k**n)
+
+
+def mc_oracle(g, k, trials, rng):
+    """MC success count: each trial's scalar stream, checked against every element."""
+    n = g.vertex_count
+    elems = [e for e in automorphism_group(g).elements() if not e.is_identity()]
+    successes = 0
+    for t in range(trials):
+        c = rng.trial_stream(t).integers_below(k, n)
+        if all(any(c[e(v)] != c[v] for v in range(n)) for e in elems):
+            successes += 1
+    return successes
 
 
 def preserves_partial_oracle(gamma, pc, n):
@@ -174,6 +216,26 @@ class TestExactProbability:
         # distinguishing 3-colourings of K3 are exactly the 6 rainbow ones
         assert distinguishing_probability_exact(complete_graph(3), 3) == Fraction(6, 27)
 
+    @pytest.mark.parametrize(
+        "g,k",
+        [
+            (hypercube(4), 2),
+            (cycle_graph(16), 2),
+            (path_graph(16), 2),
+            (complete_bipartite(3, 3), 2),
+            # 012012012 is fixed by a rotation of order 3 and by no involution
+            (cycle_graph(9), 3),
+        ],
+    )
+    def test_matches_all_elements_oracle(self, g, k):
+        assert distinguishing_probability_exact(g, k) == exact_oracle(g, k)
+
+    def test_matches_all_elements_oracle_on_corpus(self, corpus):
+        for name, g in corpus.items():
+            for k in (2, 3):
+                if k**g.vertex_count <= 2**14:
+                    assert distinguishing_probability_exact(g, k) == exact_oracle(g, k), (name, k)
+
     def test_union_bound(self, corpus):
         for name, g in corpus.items():
             failure = 1 - distinguishing_probability_exact(g)
@@ -216,6 +278,32 @@ class TestMonteCarloEstimate:
                 assert est.estimate == exact, name
             else:
                 assert abs(est.estimate - exact) <= 5 * se, name
+
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_GRAPHS))
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_matches_all_elements_recount(self, name, k):
+        g = ORACLE_GRAPHS[name]
+        for seed, stream in ((0, 0), (17, 3), (2**64 - 1, 2**32 - 1)):
+            rng = SeededRng(seed, stream)
+            got = distinguishing_probability_mc(g, k, 300, rng).successes
+            assert got == mc_oracle(g, k, 300, rng), seed
+
+    def test_small_memory_budget_gives_same_count(self, monkeypatch):
+        g = hypercube(3)
+        want = distinguishing_probability_mc(g, 2, 500, SeededRng(4, 2)).successes
+        monkeypatch.setattr(colourings, "BLOCK_BYTES", 1)
+        assert distinguishing_probability_mc(g, 2, 500, SeededRng(4, 2)).successes == want
+
+    def test_many_colours(self):
+        # colours above 127 overflowed an int8 block
+        est = distinguishing_probability_mc(cycle_graph(6), k=200, trials=300)
+        assert est.successes == mc_oracle(cycle_graph(6), 200, 300, SeededRng(0))
+
+    @pytest.mark.parametrize("d,count", [(3, 23), (5, 447)])
+    def test_one_check_per_prime_order_cycle_partition(self, d, count):
+        labels = colourings._prime_order_partitions(automorphism_group(hypercube(d)), 10**6)
+        assert labels.shape == (count, 2**d)
 
 
 class TestRusselSundaram:
@@ -347,6 +435,13 @@ class TestTreeAutomorphism:
     def test_rejects_non_tree(self):
         with pytest.raises(ValueError):
             find_tree_automorphism(cycle_graph(4), 0, Colouring((0, 0, 0, 0)))
+
+    def test_broken_swap_raises_invariant_error(self, monkeypatch):
+        # a subtree swap that comes out as the identity must not be returned
+        monkeypatch.setattr(colourings, "Perm", lambda images: Perm.identity(len(images)))
+        g = star_graph(3)
+        with pytest.raises(InvariantError):
+            find_tree_automorphism(g, 0, Colouring((0, 0, 0, 1)))
 
     def test_agrees_with_stabiliser_triviality(self):
         g = generate_family(FamilySpec("regular_tree", {"degree": 3}, 2))

@@ -16,7 +16,9 @@ from symbreak.conditions import (
     match_probability,
     sphere_classes,
     sphere_equivalence,
+    suborbit_equivalence,
 )
+from symbreak.errors import InvariantError
 from symbreak.graphs import (
     FamilySpec,
     cartesian_product,
@@ -26,6 +28,7 @@ from symbreak.graphs import (
     path_graph,
     star_graph,
 )
+from symbreak.groups import PermGroup
 from symbreak.rng import SeededRng
 
 
@@ -172,6 +175,13 @@ class TestGammaEquivalence:
             )
             counts.add(mismatch)
         assert counts == {6}
+
+    def test_mismatch_count_depending_on_phi_raises(self, monkeypatch):
+        # {0, 1} is no suborbit of 0 in C4: the rotation 0 -> 1 moves it and
+        # the reflection 0 <-> 1 keeps it, so the two counts differ
+        monkeypatch.setattr(PermGroup, "suborbits", lambda self, s: [(0, 1), (2,), (3,)])
+        with pytest.raises(InvariantError):
+            suborbit_equivalence(cycle_graph(4), 0, 1, 0)
 
     def test_budget_monotone_refinement(self):
         g = cycle_graph(6)

@@ -1,0 +1,66 @@
+import numpy as np
+import pytest
+
+from symbreak.rng import SeededRng, _philox_words
+
+SEEDS = [0, 2**64 - 1]
+# stream 2^32 - 1 with trials from 2^32 - 2 on: s * 2^32 + t wraps past 2^64
+STREAMS = [(5, 0), (2**32 - 1, 2**32 - 2)]
+BOUNDS = [2, 3, 7, 2**63 + 1]  # 2^63 + 1 rejects about half of all words
+COUNTS = [1, 3, 4, 5, 17]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("stream_id,start", STREAMS)
+def test_philox_words_match_numpy(seed, stream_id, start):
+    rng = SeededRng(seed, stream_id)
+    keys = np.array(
+        [rng.trial_stream(start + t).stream_id for t in range(4)], dtype=np.uint64
+    )
+    words = _philox_words(seed, keys, 5)
+    for row, key in zip(words, keys):
+        bg = np.random.Philox(key=np.array([seed, key], dtype=np.uint64))
+        assert list(row) == list(bg.random_raw(20))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("stream_id,start", STREAMS)
+@pytest.mark.parametrize("bound", BOUNDS)
+@pytest.mark.parametrize("count", COUNTS)
+def test_trial_block_matches_scalar_streams(seed, stream_id, start, bound, count):
+    rng = SeededRng(seed, stream_id)
+    block = rng.trial_block(bound, start, 6, count)
+    assert block.shape == (6, count)
+    for t in range(6):
+        want = rng.trial_stream(start + t).integers_below(bound, count)
+        assert [int(x) for x in block[t]] == want
+
+
+def test_trial_block_fallback_is_exercised():
+    # bound 2^63 + 1 accepts only words below 2^63 + 1, so most rows of 17
+    # words hold a rejected word and are redrawn by the scalar path
+    rng = SeededRng(3, 4)
+    words = _philox_words(3, np.arange(64, dtype=np.uint64) + np.uint64(4 << 32), 5)
+    assert (words[:, :17] >= np.uint64(2**63 + 1)).any(axis=1).sum() > 32
+    block = rng.trial_block(2**63 + 1, 0, 64, 17)
+    assert all(
+        [int(x) for x in block[t]] == rng.trial_stream(t).integers_below(2**63 + 1, 17)
+        for t in range(64)
+    )
+
+
+def test_trial_block_edge_shapes():
+    rng = SeededRng(1, 2)
+    assert rng.trial_block(2, 0, 0, 5).shape == (0, 5)
+    assert rng.trial_block(2, 0, 3, 0).shape == (3, 0)
+    assert not rng.trial_block(1, 0, 4, 9).any()
+    full = rng.trial_block(2**64, 10, 2, 4)
+    assert [int(x) for x in full[1]] == [int(w) for w in rng.trial_stream(11).raw_words(4)]
+
+
+@pytest.mark.parametrize("bound", [0, 2**64 + 1])
+def test_bound_out_of_range(bound):
+    with pytest.raises(ValueError):
+        SeededRng(0).trial_block(bound, 0, 1, 1)
+    with pytest.raises(ValueError):
+        SeededRng(0).integers_below(bound, 1)

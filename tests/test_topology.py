@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from symbreak.autsearch import automorphism_group
-from symbreak.errors import CapExceededError
+from symbreak.errors import CapExceededError, InvariantError
 from symbreak.graphs import complete_graph, cycle_graph, hypercube, path_graph
 from symbreak.perms import Perm
 from symbreak.rng import SeededRng
@@ -322,6 +322,27 @@ class TestExpectedStabiliserMeasure:
                 c = Colouring(tuple((bits >> v) & 1 for v in range(n)))
                 total += F(colouring_stabiliser(g, c).order(), order)
             assert total / 2**n == expected_stabiliser_measure(g).value
+
+    def test_colour_first_matches_pair_count(self, corpus):
+        # the colour-first numerator counts (colouring, element) pairs
+        for name, g in corpus.items():
+            n = g.vertex_count
+            if n > 8:
+                continue
+            elems = automorphism_group(g).element_list()
+            pairs = sum(
+                all((bits >> e(v)) & 1 == (bits >> v) & 1 for v in range(n))
+                for bits in range(2**n)
+                for e in elems
+            )
+            want = Fraction(pairs, 2**n * len(elems))
+            assert expected_stabiliser_measure(g).colour_first == want, name
+
+    def test_fubini_mismatch_raises_invariant_error(self, monkeypatch):
+        # a wrong cycle count breaks the group-first route only
+        monkeypatch.setattr(Perm, "cycle_count", lambda self: 0)
+        with pytest.raises(InvariantError):
+            expected_stabiliser_measure(cycle_graph(4))
 
     def test_vertex_cap(self):
         g = path_graph(4)
