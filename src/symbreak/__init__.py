@@ -24,8 +24,6 @@ from .colourings import (
 from .autsearch import automorphism_group
 from .conditions import (
     dsc_check,
-    gamma_classes,
-    gamma_equivalence,
     gamma_refinement_iterate,
     growth_bound,
     growth_classifier,
@@ -41,7 +39,6 @@ from .graphs import (
     FamilySpec,
     Graph,
     GrowthProfile,
-    bfs_distances,
     cartesian_product,
     complete_bipartite,
     complete_graph,
@@ -51,12 +48,11 @@ from .graphs import (
     hypercube,
     path_graph,
     rooted_tree,
-    sphere,
     star_graph,
     truncate_to_ball,
 )
-from .groups import MotionReport, PermGroup, schreier_sims
-from .perms import Perm, compose, cycles, inverse
+from .groups import MotionReport, PermGroup
+from .perms import Perm
 from .rng import SeededRng
 from .topology import (
     BallDecomposition,

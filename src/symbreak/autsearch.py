@@ -147,9 +147,11 @@ class _RootedTree:
 
     def map_subtree(self, a, b, images):
         """Extend images by the code-matched bijection subtree(a) -> subtree(b)."""
-        images[a] = b
-        for ua, ub in zip(self.sorted_children(a), self.sorted_children(b)):
-            self.map_subtree(ua, ub, images)
+        stack = [(a, b)]
+        while stack:
+            a, b = stack.pop()
+            images[a] = b
+            stack.extend(zip(self.sorted_children(a), self.sorted_children(b)))
 
     def swap_generators(self):
         """Transpositions of adjacent code-equal sibling subtrees.

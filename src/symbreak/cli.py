@@ -324,7 +324,7 @@ def _run(args):
         return group.to_json_dict(), source, options, None, None
 
     if cmd == "motion":
-        report = automorphism_group(g).motion(args.enumeration_cap)
+        report = automorphism_group(g).motion()
         return report.to_json_dict(), source, options, None, None
 
     if cmd == "distinguish":
@@ -348,7 +348,7 @@ def _run(args):
         return est.to_json_dict(), source, options, None, None
 
     if cmd == "rs-bound":
-        report = russel_sundaram_bound(g, rng, enum_cap=args.enumeration_cap)
+        report = russel_sundaram_bound(g, rng)
         return report.to_json_dict(), source, options, None, None
 
     if cmd == "metric":

@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import itertools
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
-from .autsearch import automorphism_group
+from .autsearch import _RootedTree, automorphism_group
 from .errors import CapExceededError, InvariantError
 from .graphs import Graph
 from .groups import DEFAULT_ENUMERATION_CAP, PermGroup
@@ -310,7 +309,6 @@ def distinguishing_probability_mc(
 def russel_sundaram_bound(
     g: Graph,
     rng: SeededRng = SeededRng(0),
-    enum_cap: int = DEFAULT_ENUMERATION_CAP,
     search_attempts: int = 1000,
 ) -> RusselSundaramReport:
     """Bound P[random 2-colouring not distinguishing] <= (|Aut|-1) * 2^-ceil(m/2).
@@ -328,7 +326,7 @@ def russel_sundaram_bound(
         return RusselSundaramReport(
             Fraction(0), True, Colouring((0,) * g.vertex_count), None, 1
         )
-    m = aut.motion(enum_cap).motion
+    m = aut.motion().motion
     half_up = (m + 1) // 2
     bound = Fraction(order - 1, 2**half_up)
     applicable = 2**half_up >= order
@@ -393,45 +391,21 @@ def find_tree_automorphism(g: Graph, root: int, c: Colouring) -> Optional[Perm]:
     g._check_vertex(root)
     if len(c) != g.vertex_count:
         raise ValueError("colouring must be total")
-    if g.vertex_count > 200:
-        sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * g.vertex_count + 1000))
-
-    dist = g.distances(root)
-    children = [[] for _ in range(g.vertex_count)]
-    bfs_order = sorted(range(g.vertex_count), key=lambda v: (dist[v], v))
-    for v in bfs_order:
-        for u in g.adjacency[v]:
-            if dist[u] == dist[v] + 1:
-                children[v].append(u)
-
-    code = {}
-    for v in reversed(bfs_order):
-        code[v] = (c[v], tuple(sorted(code[u] for u in children[v])))
-
-    swap_pair = None
-    for v in bfs_order:
+    tree = _RootedTree(g, root, c.colours)
+    for v in tree.order:
         by_code = {}
-        for u in children[v]:
-            by_code.setdefault(code[u], []).append(u)
-        for members in by_code.values():
-            if len(members) >= 2:
-                swap_pair = (members[0], members[1])
-                break
-        if swap_pair:
+        for u in tree.children[v]:
+            by_code.setdefault(tree.code[u], []).append(u)
+        pair = next((members[:2] for members in by_code.values() if len(members) >= 2), None)
+        if pair is not None:
             break
-    if swap_pair is None:
+    else:
         return None
 
+    a, b = pair
     images = list(range(g.vertex_count))
-
-    def swap_subtrees(a, b):
-        images[a], images[b] = b, a
-        ka = sorted(children[a], key=lambda u: (code[u], u))
-        kb = sorted(children[b], key=lambda u: (code[u], u))
-        for ua, ub in zip(ka, kb):
-            swap_subtrees(ua, ub)
-
-    swap_subtrees(*swap_pair)
+    tree.map_subtree(a, b, images)
+    tree.map_subtree(b, a, images)
     perm = Perm(images)
     if perm.is_identity() or perm(root) != root:
         raise InvariantError("subtree swap is the identity or moves the root")

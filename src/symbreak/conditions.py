@@ -352,7 +352,6 @@ def suborbit_equivalence(
     t: int,
     budget: int,
     cap: int = DEFAULT_ENUMERATION_CAP,
-    group: Optional[PermGroup] = None,
 ) -> bool:
     """s ~ t: some element maps s to t moving at most `budget` points across
     stabiliser suborbits (the finite surrogate for 'all but finitely many')."""
@@ -360,7 +359,7 @@ def suborbit_equivalence(
         raise ValueError("budget must be non-negative")
     if isinstance(g_or_group, PermGroup):
         group = g_or_group
-    elif group is None:
+    else:
         group = automorphism_group(g_or_group)
     count = _suborbit_mismatch_count(group, s, t, cap)
     return count is not None and count <= budget
@@ -370,14 +369,12 @@ def suborbit_classes(
     g_or_group,
     budget: int,
     cap: int = DEFAULT_ENUMERATION_CAP,
-    group: Optional[PermGroup] = None,
 ) -> EquivalenceClasses:
     if isinstance(g_or_group, PermGroup):
         group = g_or_group
         degree = group.degree
     else:
-        if group is None:
-            group = automorphism_group(g_or_group)
+        group = automorphism_group(g_or_group)
         degree = g_or_group.vertex_count
 
     def pair_fn(s, t):
@@ -385,11 +382,6 @@ def suborbit_classes(
         return count is not None and count <= budget
 
     return _classes_from_pairwise(degree, pair_fn, "suborbit", {"budget": budget})
-
-
-# spec-facing aliases: the relation is written ~_Gamma in the literature
-gamma_equivalence = suborbit_equivalence
-gamma_classes = suborbit_classes
 
 
 @dataclass(frozen=True)

@@ -152,15 +152,6 @@ class Graph:
         return f"Graph(n={self.vertex_count}, m={self.edge_count})"
 
 
-def bfs_distances(g: Graph, v: int):
-    """Hop distances from v to every vertex (-1 when unreachable)."""
-    return g.distances(v)
-
-
-def sphere(g: Graph, v: int, n: int):
-    return g.sphere(v, n)
-
-
 # ---------------------------------------------------------------------------
 # Named finite graphs
 

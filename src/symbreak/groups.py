@@ -339,26 +339,17 @@ class PermGroup:
     def motion(self, cap=DEFAULT_ENUMERATION_CAP) -> MotionReport:
         """Exact minimal support of a non-identity element.
 
-        Enumerates when the order is within the cap, otherwise runs an exact
-        depth-first search over the stabiliser chain, pruning by the number
-        of already-determined moved points.
+        Pruned backtracking over the stabiliser chain: a depth-first walk
+        over products of coset representatives, in the order elements()
+        yields them, that abandons a partial product once the points it has
+        already decided move as many as the best support found.  The witness
+        is the first element of least support in that order.  `cap` is
+        accepted for compatibility and ignored; the search enumerates
+        nothing up front.
         """
         self._ensure_chain()
         if self.is_trivial():
             return MotionReport(None, None, "none")
-        if self.order() <= cap:
-            best = None
-            witness = None
-            for g in self.elements(cap):
-                if g.is_identity():
-                    continue
-                supp = len(g.support())
-                if best is None or supp < best:
-                    best, witness = supp, g
-            return MotionReport(best, witness, "enumeration")
-        return self._motion_backtrack()
-
-    def _motion_backtrack(self) -> MotionReport:
         levels = self._levels
         n = self.degree
         k = len(levels)
@@ -412,13 +403,3 @@ class PermGroup:
 
     def __repr__(self):
         return f"PermGroup(degree={self.degree}, order={self.order()})"
-
-
-def schreier_sims(generators, degree=None) -> PermGroup:
-    """Build a PermGroup (with its stabiliser chain) from generators."""
-    gens = list(generators)
-    if degree is None:
-        if not gens:
-            raise ValueError("degree required for the trivial group")
-        degree = gens[0].degree
-    return PermGroup(degree, gens)

@@ -111,17 +111,3 @@ class Perm:
         if not isinstance(data, list):
             raise ValueError("expected a JSON array of images")
         return cls(data)
-
-
-def compose(a: Perm, b: Perm) -> Perm:
-    """Composition with b acting first: compose(a, b)(s) = a(b(s))."""
-    return a * b
-
-
-def inverse(a: Perm) -> Perm:
-    return a.inverse()
-
-
-def cycles(a: Perm):
-    """Nontrivial cycles of a; together with fixed points they partition 0..n-1."""
-    return a.cycles()

@@ -27,3 +27,65 @@ def brute_force_automorphisms(g: Graph, colours=None):
         if all(frozenset(images[u] for u in adj_sets[v]) == adj_sets[images[v]] for v in range(n)):
             out.append(Perm(images, validate=False))
     return out
+
+
+def motion_by_enumeration(group):
+    """(motion, witness) by scanning every element in `elements()` order.
+
+    The first element of least support wins, as in `PermGroup.motion`; the
+    library's former enumeration path, kept here as the oracle.
+    """
+    best = witness = None
+    for g in group.elements():
+        if g.is_identity():
+            continue
+        supp = len(g.support())
+        if best is None or supp < best:
+            best, witness = supp, g
+    return best, witness
+
+
+def tree_automorphism_by_nested_codes(g: Graph, root, c):
+    """The library's former `find_tree_automorphism`, on nested-tuple codes.
+
+    Swaps the first pair of equal-coded siblings met in BFS order (the first
+    code group with two members, in order of first appearance); None when
+    every sibling code is distinct.
+    """
+    dist = g.distances(root)
+    children = [[] for _ in range(g.vertex_count)]
+    bfs_order = sorted(range(g.vertex_count), key=lambda v: (dist[v], v))
+    for v in bfs_order:
+        for u in g.adjacency[v]:
+            if dist[u] == dist[v] + 1:
+                children[v].append(u)
+
+    code = {}
+    for v in reversed(bfs_order):
+        code[v] = (c[v], tuple(sorted(code[u] for u in children[v])))
+
+    swap_pair = None
+    for v in bfs_order:
+        by_code = {}
+        for u in children[v]:
+            by_code.setdefault(code[u], []).append(u)
+        for members in by_code.values():
+            if len(members) >= 2:
+                swap_pair = (members[0], members[1])
+                break
+        if swap_pair:
+            break
+    if swap_pair is None:
+        return None
+
+    images = list(range(g.vertex_count))
+
+    def swap_subtrees(a, b):
+        images[a], images[b] = b, a
+        ka = sorted(children[a], key=lambda u: (code[u], u))
+        kb = sorted(children[b], key=lambda u: (code[u], u))
+        for ua, ub in zip(ka, kb):
+            swap_subtrees(ua, ub)
+
+    swap_subtrees(*swap_pair)
+    return Perm(images)

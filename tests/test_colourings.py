@@ -1,8 +1,11 @@
 import itertools
+import random
+import sys
 from fractions import Fraction
 
 import pytest
 
+from conftest import tree_automorphism_by_nested_codes
 from symbreak import colourings
 from symbreak.autsearch import automorphism_group
 from symbreak.colourings import (
@@ -22,6 +25,7 @@ from symbreak.colourings import (
 from symbreak.errors import InvariantError
 from symbreak.graphs import (
     FamilySpec,
+    Graph,
     complete_bipartite,
     complete_graph,
     cycle_graph,
@@ -451,6 +455,51 @@ class TestTreeAutomorphism:
             found = find_tree_automorphism(g, 0, c)
             trivial = colouring_stabiliser(g, c).is_trivial()
             assert (found is None) == trivial, i
+
+    def test_matches_nested_code_oracle_on_random_trees(self):
+        rnd = random.Random(2424)
+        for case in range(600):
+            n = rnd.randint(2, 59)
+            labels = list(range(n))
+            rnd.shuffle(labels)
+            edges = [(labels[v], labels[rnd.randrange(v)]) for v in range(1, n)]
+            g = Graph.from_edges(n, edges)
+            k = rnd.choice((2, 3))
+            c = Colouring(tuple(rnd.randrange(k) for _ in range(n)), k)
+            root = rnd.randrange(n)
+            want = tree_automorphism_by_nested_codes(g, root, c)
+            assert find_tree_automorphism(g, root, c) == want, case
+
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            generate_family(FamilySpec("regular_tree", {"degree": 3}, 4)),
+            generate_family(FamilySpec("regular_tree", {"degree": 3}, 6)),
+            generate_family(FamilySpec("regular_tree", {"degree": 4}, 3)),
+            path_graph(301),
+        ],
+        ids=["d3R4", "d3R6", "d4R3", "P301"],
+    )
+    def test_matches_nested_code_oracle_on_balls(self, graph):
+        n = graph.vertex_count
+        rnd = random.Random(n)
+        for k in (2, 3):
+            for _ in range(6):
+                c = Colouring(tuple(rnd.randrange(k) for _ in range(n)), k)
+                root = rnd.randrange(n)
+                want = tree_automorphism_by_nested_codes(graph, root, c)
+                assert find_tree_automorphism(graph, root, c) == want
+        constant = Colouring((0,) * n)
+        assert find_tree_automorphism(graph, 0, constant) == (
+            tree_automorphism_by_nested_codes(graph, 0, constant)
+        )
+
+    def test_long_path_needs_no_recursion_limit(self):
+        limit = sys.getrecursionlimit()
+        g = path_graph(5001)
+        result = find_tree_automorphism(g, 2500, Colouring((0,) * 5001))
+        assert result == Perm([5000 - v for v in range(5001)])
+        assert sys.getrecursionlimit() == limit
 
 
 class TestSerialization:

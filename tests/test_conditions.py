@@ -7,8 +7,6 @@ from symbreak.autsearch import automorphism_group
 from symbreak.colourings import Colouring, random_colouring
 from symbreak.conditions import (
     dsc_check,
-    gamma_classes,
-    gamma_equivalence,
     gamma_refinement_iterate,
     growth_bound,
     growth_classifier,
@@ -16,6 +14,7 @@ from symbreak.conditions import (
     match_probability,
     sphere_classes,
     sphere_equivalence,
+    suborbit_classes,
     suborbit_equivalence,
 )
 from symbreak.errors import InvariantError
@@ -151,18 +150,18 @@ class TestSphereEquivalence:
 
 class TestGammaEquivalence:
     def test_reflexive(self):
-        assert gamma_equivalence(cycle_graph(6), 2, 2, 0)
+        assert suborbit_equivalence(cycle_graph(6), 2, 2, 0)
 
     def test_full_budget_collapses_to_orbits(self, corpus):
         for name, g in corpus.items():
             n = g.vertex_count
             aut = automorphism_group(g)
-            classes = gamma_classes(aut, n)
+            classes = suborbit_classes(aut, n)
             assert classes.classes == aut.orbits(), name
 
     def test_c6_budget_zero(self):
         g = cycle_graph(6)
-        assert not gamma_equivalence(g, 0, 1, 0)
+        assert not suborbit_equivalence(g, 0, 1, 0)
         # exhaustive cross-check against the definition
         aut = automorphism_group(g)
         suborbits = [frozenset(c) for c in aut.suborbits(0)]
@@ -188,7 +187,7 @@ class TestGammaEquivalence:
         aut = automorphism_group(g)
         prev = None
         for budget in range(0, 7):
-            classes = gamma_classes(aut, budget).classes
+            classes = suborbit_classes(aut, budget).classes
             if prev is not None:
                 # classes can only merge as the budget grows
                 for cls in prev:
@@ -200,7 +199,7 @@ class TestGammaEquivalence:
         for budget in (0, 2, 4):
             for s in range(4):
                 for t in range(4):
-                    assert gamma_equivalence(g, s, t, budget) == gamma_equivalence(
+                    assert suborbit_equivalence(g, s, t, budget) == suborbit_equivalence(
                         g, t, s, budget
                     )
 
@@ -238,7 +237,7 @@ class TestGammaEquivalence:
                     }
                     for budget in range(n + 1):
                         expected = bool(counts) and min(counts) <= budget
-                        assert gamma_equivalence(g, s, t, budget) == expected, (
+                        assert suborbit_equivalence(g, s, t, budget) == expected, (
                             s, t, budget,
                         )
 
@@ -259,7 +258,7 @@ class TestGammaIteration:
     def test_first_step_is_intersection_of_setwise_stabilisers(self):
         for g in [cycle_graph(6), complete_graph(4), path_graph(5)]:
             aut = automorphism_group(g)
-            classes = gamma_classes(aut, 0)
+            classes = suborbit_classes(aut, 0)
             expected = [
                 e
                 for e in aut.elements()

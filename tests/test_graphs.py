@@ -8,7 +8,6 @@ from symbreak.errors import GraphFormatError
 from symbreak.graphs import (
     FamilySpec,
     Graph,
-    bfs_distances,
     cartesian_product,
     complete_graph,
     cycle_graph,
@@ -20,7 +19,6 @@ from symbreak.graphs import (
     parse_graph_text,
     path_graph,
     rooted_tree,
-    sphere,
     star_graph,
     truncate_to_ball,
 )
@@ -28,17 +26,17 @@ from symbreak.graphs import (
 
 def test_bfs_distances_on_path():
     g = path_graph(3)
-    assert bfs_distances(g, 0) == (0, 1, 2)
+    assert g.distances(0) == (0, 1, 2)
 
 
 def test_bfs_distance_zero_at_source():
     g = cycle_graph(5)
     for v in range(5):
-        assert bfs_distances(g, v)[v] == 0
+        assert g.distances(v)[v] == 0
 
 
 def test_bfs_distances_on_c6():
-    assert bfs_distances(cycle_graph(6), 0) == (0, 1, 2, 3, 2, 1)
+    assert cycle_graph(6).distances(0) == (0, 1, 2, 3, 2, 1)
 
 
 def test_bfs_symmetry():
@@ -50,26 +48,26 @@ def test_bfs_symmetry():
 
 def test_bfs_invalid_vertex():
     with pytest.raises(ValueError):
-        bfs_distances(path_graph(3), 5)
+        path_graph(3).distances(5)
 
 
 def test_bfs_unreachable_sentinel():
     g = Graph.from_edges(3, [(0, 1)])
-    assert bfs_distances(g, 0) == (0, 1, -1)
+    assert g.distances(0) == (0, 1, -1)
 
 
 def test_sphere_zero_is_centre():
     g = cycle_graph(6)
-    assert sphere(g, 2, 0) == (2,)
+    assert g.sphere(2, 0) == (2,)
 
 
 def test_sphere_c6():
-    assert sphere(cycle_graph(6), 0, 3) == (3,)
+    assert cycle_graph(6).sphere(0, 3) == (3,)
 
 
 def test_sphere_double_ray_by_label():
     g = generate_family(FamilySpec("double_ray", {}, 3))
-    labels = {g.labels[v] for v in sphere(g, 0, 2)}
+    labels = {g.labels[v] for v in g.sphere(0, 2)}
     assert labels == {-2, 2}
 
 
@@ -77,7 +75,7 @@ def test_spheres_partition_component():
     g = cycle_graph(8)
     seen = set()
     for n in range(g.eccentricity(0) + 1):
-        s = set(sphere(g, 0, n))
+        s = set(g.sphere(0, n))
         assert not (s & seen)
         seen |= s
     assert seen == set(range(8))

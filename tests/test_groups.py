@@ -1,15 +1,18 @@
 import pytest
 
+from conftest import motion_by_enumeration
 from symbreak.autsearch import automorphism_group
 from symbreak.errors import CapExceededError
 from symbreak.graphs import (
     FamilySpec,
+    complete_bipartite,
     complete_graph,
     cycle_graph,
     generate_family,
+    hypercube,
     path_graph,
 )
-from symbreak.groups import PermGroup, schreier_sims
+from symbreak.groups import PermGroup
 from symbreak.perms import Perm
 
 
@@ -28,13 +31,13 @@ def test_trivial_group():
 
 
 def test_dihedral_order():
-    assert schreier_sims(dihedral_generators(6)).order() == 12
+    assert PermGroup(6, dihedral_generators(6)).order() == 12
 
 
 def test_symmetric_group_order():
     n = 6
     gens = [Perm([1, 0] + list(range(2, n))), Perm([(i + 1) % n for i in range(n)])]
-    assert schreier_sims(gens).order() == 720
+    assert PermGroup(n, gens).order() == 720
 
 
 def test_contains_rejects_non_member():
@@ -45,7 +48,7 @@ def test_contains_rejects_non_member():
 
 
 def test_elements_are_distinct_and_complete():
-    g = schreier_sims(dihedral_generators(5))
+    g = PermGroup(5, dihedral_generators(5))
     elems = list(g.elements())
     assert len(elems) == g.order() == 10
     assert len({e.images for e in elems}) == 10
@@ -54,7 +57,7 @@ def test_elements_are_distinct_and_complete():
 
 
 def test_elements_cap_is_explicit():
-    g = schreier_sims(dihedral_generators(8))
+    g = PermGroup(8, dihedral_generators(8))
     with pytest.raises(CapExceededError):
         list(g.elements(cap=10))
 
@@ -62,7 +65,7 @@ def test_elements_cap_is_explicit():
 def test_order_matches_element_closure():
     # close the generator set by brute force and compare counts
     for gens in [dihedral_generators(6), dihedral_generators(7)]:
-        group = schreier_sims(gens)
+        group = PermGroup(gens[0].degree, gens)
         closure = {Perm.identity(gens[0].degree).images}
         frontier = list(closure)
         while frontier:
@@ -154,7 +157,7 @@ class TestMotion:
     def test_examples(self, graph, expected):
         report = automorphism_group(graph).motion()
         assert report.motion == expected
-        assert report.method == "enumeration"
+        assert report.method == "backtrack"
         assert len(report.witness.support()) == expected
 
     def test_trivial_group_has_no_motion(self):
@@ -175,31 +178,48 @@ class TestMotion:
     def test_backtrack_agrees_with_enumeration(self, corpus):
         for name, g in corpus.items():
             aut = automorphism_group(g)
-            enum = aut.motion()
-            back = aut.motion(cap=1)
+            back = aut.motion()
             assert back.method == "backtrack"
-            assert back.motion == enum.motion, name
+            assert (back.motion, back.witness) == motion_by_enumeration(aut), name
             assert len(back.witness.support()) == back.motion
             assert aut.contains(back.witness)
+
+    @pytest.mark.parametrize(
+        "graph",
+        [hypercube(4), hypercube(5), complete_graph(8), complete_bipartite(4, 4)],
+        ids=["Q4", "Q5", "K8", "K44"],
+    )
+    def test_witness_matches_enumeration(self, graph):
+        aut = automorphism_group(graph)
+        report = aut.motion()
+        assert (report.motion, report.witness) == motion_by_enumeration(aut)
+
+    def test_cap_is_accepted_and_ignored(self):
+        # bench/workloads.py calls motion(0): the cap is accepted and changes nothing
+        aut = automorphism_group(hypercube(4))
+        assert aut.motion(0) == aut.motion()
 
     def test_backtrack_on_large_tree_group(self):
         g = generate_family(FamilySpec("regular_tree", {"degree": 3}, 3))
         aut = automorphism_group(g)
         assert aut.order() == 3072
-        report = aut.motion(cap=100)
+        report = aut.motion()
         assert report.method == "backtrack"
         assert report.motion == 2  # swapping two sibling leaves
+        assert (report.motion, report.witness) == motion_by_enumeration(aut)
 
     def test_backtrack_on_long_cycle(self):
         aut = automorphism_group(cycle_graph(50))
-        report = aut.motion(cap=1)
+        report = aut.motion()
         assert report.method == "backtrack"
         assert report.motion == 48  # a reflection through two vertices
+        assert (report.motion, report.witness) == motion_by_enumeration(aut)
 
     def test_backtrack_on_grid_truncation(self):
         g = generate_family(FamilySpec("grid", {"dimension": 2}, 3))
         aut = automorphism_group(g)
-        assert aut.motion(cap=1).motion == aut.motion().motion
+        report = aut.motion()
+        assert (report.motion, report.witness) == motion_by_enumeration(aut)
 
 
 def test_random_generator_sets_match_closure():
@@ -218,7 +238,7 @@ def test_random_generator_sets_match_closure():
                 k = picks[j] % (j + 1)
                 images[j], images[k] = images[k], images[j]
             gens.append(Perm(images))
-        group = schreier_sims(gens, degree=n)
+        group = PermGroup(n, gens)
         closure = {Perm.identity(n).images}
         frontier = list(closure)
         while frontier:
@@ -231,11 +251,10 @@ def test_random_generator_sets_match_closure():
         assert group.order() == len(closure), (n, gens)
         elems = {e.images for e in group.elements()}
         assert elems == closure
-        # motion: backtrack agrees with enumeration
+        # motion: backtrack agrees with enumeration, witness included
         if len(closure) > 1:
-            enum = group.motion()
-            back = group.motion(cap=1)
-            assert enum.motion == back.motion
+            report = group.motion()
+            assert (report.motion, report.witness) == motion_by_enumeration(group)
 
 
 def test_order_is_product_of_transversal_sizes():
