@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-import numpy as np
-
 from .autsearch import _RootedTree, automorphism_group
 from .errors import CapExceededError, InvariantError
 from .graphs import Graph
@@ -180,8 +178,8 @@ def fix_probability(gamma: Perm, k: int = 2) -> Fraction:
 BLOCK_BYTES = 1 << 24
 
 
-def _prime_order_partitions(aut: PermGroup, enum_cap: int) -> np.ndarray:
-    """One row per distinct cycle partition of the prime-order elements.
+def _prime_order_partitions(aut: PermGroup, enum_cap: int):
+    """One array row per distinct cycle partition of the prime-order elements.
 
     Row entry v is the smallest vertex on v's cycle, so a colouring c is
     preserved by an element with that partition iff c[row] == c.  A
@@ -189,6 +187,8 @@ def _prime_order_partitions(aut: PermGroup, enum_cap: int) -> np.ndarray:
     an element preserves c iff c is constant on its cycles, so these rows
     detect exactly the colourings that some non-identity element preserves.
     """
+    import numpy as np
+
     n = aut.degree
     elements = (gamma.images for gamma in aut.elements(enum_cap) if not gamma.is_identity())
     per_block = max(1, BLOCK_BYTES // (8 * max(n, 1)))
@@ -200,6 +200,8 @@ def _prime_order_partitions(aut: PermGroup, enum_cap: int) -> np.ndarray:
 
 def _prime_cycle_labels(images):
     """Distinct cycle-minimum label rows of the prime-order rows of `images`."""
+    import numpy as np
+
     count, n = images.shape
     rows = np.arange(count)[:, None]
     # pointer doubling: after j steps, label[v] is the least vertex among
@@ -235,6 +237,8 @@ def distinguishing_probability_exact(
     sum_j a_j w_j with a_j in 0..k-1 and w_j = sum_{v in cycle j} k^v.
     Unmarked colourings are distinguishing.
     """
+    import numpy as np
+
     n = g.vertex_count
     total = k**n
     if total > colour_cap:
@@ -275,6 +279,8 @@ def distinguishing_probability_mc(
     within about ``BLOCK_BYTES``.  Above the cap each trial runs one
     colour-constrained automorphism search.
     """
+    import numpy as np
+
     if trials < 1:
         raise ValueError("trials must be >= 1")
     n = g.vertex_count

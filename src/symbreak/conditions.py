@@ -9,6 +9,7 @@ equal-colour-count matching probability, and the growth-bound report.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -81,7 +82,13 @@ class DscReport:
 
 
 def dsc_check(g: Graph, v0: int = 0, radius: Optional[int] = None) -> DscReport:
-    """Compare spheres of equidistant vertex pairs within the safe horizon."""
+    """Compare spheres of equidistant vertex pairs within the safe horizon.
+
+    Each vertex's spheres come from a BFS that stops at its safe horizon
+    radius - d(root, v), or earlier at its first empty sphere; they are
+    kept only while that vertex's depth is being compared, and no distance
+    row other than the root's is computed or cached.
+    """
     if g.truncation is not None:
         if v0 != g.truncation.root:
             raise ValueError(
@@ -100,41 +107,29 @@ def dsc_check(g: Graph, v0: int = 0, radius: Optional[int] = None) -> DscReport:
         if dist[v] >= 0:
             by_depth.setdefault(dist[v], []).append(v)
 
-    # sphere table: spheres[v][n] for n up to the largest needed horizon
-    spheres = {}
-
-    def sphere_of(v, n):
-        rows = spheres.get(v)
-        if rows is None:
-            row = g.distances(v)
-            rows = {}
-            for u, d in enumerate(row):
-                if d >= 0:
-                    rows.setdefault(d, []).append(u)
-            spheres[v] = rows
-        return rows.get(n, [])
-
     violations = []
     at_horizon = []
     first_sep = {}
     checked = 0
     for depth, group_vertices in sorted(by_depth.items()):
+        if len(group_vertices) < 2:
+            continue
         safe_max = radius - depth
+        spheres = {v: _spheres_within(g, v, safe_max) for v in group_vertices}
         for i, x in enumerate(group_vertices):
             for y in group_vertices[i + 1 :]:
                 checked += 1
                 if safe_max < 1:
                     at_horizon.append((x, y))
                     continue
-                sep = None
-                for n in range(1, safe_max + 1):
-                    if sphere_of(x, n) != sphere_of(y, n):
-                        sep = n
+                # each list ends before its first empty sphere; pad with empties
+                pairs = itertools.zip_longest(spheres[x], spheres[y], fillvalue=frozenset())
+                for n, (sx, sy) in enumerate(pairs, 1):
+                    if sx != sy:
+                        first_sep[(x, y)] = n
                         break
-                if sep is None:
-                    violations.append((x, y))
                 else:
-                    first_sep[(x, y)] = sep
+                    violations.append((x, y))
     rule = (
         "S_x(n) trusted iff n + d(root, x) <= radius; "
         "pairs compared over 1 <= n <= radius - depth"
@@ -142,6 +137,23 @@ def dsc_check(g: Graph, v0: int = 0, radius: Optional[int] = None) -> DscReport:
     return DscReport(
         v0, radius, rule, checked, tuple(violations), tuple(at_horizon), first_sep
     )
+
+
+def _spheres_within(g: Graph, v, horizon):
+    """[S_v(1), ..., S_v(m)] as frozensets, m = min(horizon, v's eccentricity)."""
+    seen, frontier, spheres = {v}, [v], []
+    while len(spheres) < horizon:
+        layer = []
+        for u in frontier:
+            for w in g.adjacency[u]:
+                if w not in seen:
+                    seen.add(w)
+                    layer.append(w)
+        if not layer:
+            break
+        spheres.append(frozenset(layer))
+        frontier = layer
+    return spheres
 
 
 # ---------------------------------------------------------------------------

@@ -12,17 +12,16 @@ stream id ``(s * 2**32 + t) mod 2**64``.
 ``SeededRng.trial_block`` draws many trial streams at once with a numpy
 Philox4x64-10 vectorised over the stream keys; it returns the same values
 as the per-trial streams, word for word.
+
+numpy is imported inside the functions that draw, not at module import,
+so importing this module (and the package, and the CLI) does not load it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 _MASK64 = (1 << 64) - 1
-_MASK32 = np.uint64((1 << 32) - 1)
-_SHIFT32 = np.uint64(32)
 
 # Philox4x64 multipliers and Weyl key increments (Salmon et al., SC'11)
 _PHILOX_M0 = 0xD2E7470EE14C6C93
@@ -34,12 +33,15 @@ _PHILOX_ROUNDS = 10
 
 def _mulhilo(const, x):
     """(low, high) 64-bit halves of const * x, from 32-bit partial products."""
+    import numpy as np
+
+    mask32, shift32 = np.uint64((1 << 32) - 1), np.uint64(32)
     c_lo, c_hi = np.uint64(const & 0xFFFFFFFF), np.uint64(const >> 32)
-    x_lo, x_hi = x & _MASK32, x >> _SHIFT32
+    x_lo, x_hi = x & mask32, x >> shift32
     t = c_lo * x_lo
-    m1 = c_hi * x_lo + (t >> _SHIFT32)
-    m2 = c_lo * x_hi + (m1 & _MASK32)
-    high = c_hi * x_hi + (m1 >> _SHIFT32) + (m2 >> _SHIFT32)
+    m1 = c_hi * x_lo + (t >> shift32)
+    m2 = c_lo * x_hi + (m1 & mask32)
+    high = c_hi * x_hi + (m1 >> shift32) + (m2 >> shift32)
     return np.uint64(const) * x, high
 
 
@@ -49,6 +51,8 @@ def _philox_words(key0, key1, blocks):
     Row i holds the first 4 * blocks words: numpy bumps the counter before
     each block, so block b is the Philox4x64-10 image of counter (b+1, 0, 0, 0).
     """
+    import numpy as np
+
     k0, k1 = key0, key1[:, None]
     x0 = np.broadcast_to(np.arange(1, blocks + 1, dtype=np.uint64), (len(key1), blocks))
     zero = np.zeros_like(x0)
@@ -70,6 +74,8 @@ class SeededRng:
     stream_id: int = 0
 
     def _bit_generator(self):
+        import numpy as np
+
         key = np.array(
             [self.master_seed & _MASK64, self.stream_id & _MASK64], dtype=np.uint64
         )
@@ -102,6 +108,8 @@ class SeededRng:
         words include one rejected by the sampler (possible only when
         `bound` is not a power of two) are redrawn through the scalar path.
         """
+        import numpy as np
+
         _check_bound(bound)
         if size < 0 or count < 0:
             raise ValueError("size and count must be non-negative")

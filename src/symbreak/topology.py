@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-import numpy as np
-
 from .autsearch import automorphism_group
 from .errors import CapExceededError, InvariantError
 from .graphs import Graph
@@ -323,6 +321,8 @@ def expected_stabiliser_measure(
     two exact rationals must coincide (else `InvariantError`); both are
     returned.
     """
+    import numpy as np
+
     n = g.vertex_count
     if n > vertex_cap:
         raise CapExceededError(

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from symbreak.conditions import DscReport
 from symbreak.graphs import Graph
 from symbreak.perms import Perm
 from symbreak.suites import standard_corpus
@@ -89,3 +90,52 @@ def tree_automorphism_by_nested_codes(g: Graph, root, c):
 
     swap_subtrees(*swap_pair)
     return Perm(images)
+
+
+def dsc_by_full_distances(g: Graph, v0=0, radius=None):
+    """The library's former `dsc_check`, on full BFS distance rows.
+
+    Every compared vertex gets its whole distance row (cached on the graph)
+    and a depth -> sphere table; pairs at equal depth are compared over
+    1 <= n <= radius - depth.
+    """
+    if radius is None:
+        radius = g.truncation.radius if g.truncation is not None else g.eccentricity(v0)
+
+    dist = g.distances(v0)
+    by_depth = {}
+    for v in range(g.vertex_count):
+        if dist[v] >= 0:
+            by_depth.setdefault(dist[v], []).append(v)
+
+    spheres = {}
+
+    def sphere_of(v, n):
+        rows = spheres.get(v)
+        if rows is None:
+            rows = {}
+            for u, d in enumerate(g.distances(v)):
+                if d >= 0:
+                    rows.setdefault(d, []).append(u)
+            spheres[v] = rows
+        return rows.get(n, [])
+
+    violations, at_horizon, first_sep, checked = [], [], {}, 0
+    for depth, group_vertices in sorted(by_depth.items()):
+        safe_max = radius - depth
+        for i, x in enumerate(group_vertices):
+            for y in group_vertices[i + 1 :]:
+                checked += 1
+                if safe_max < 1:
+                    at_horizon.append((x, y))
+                    continue
+                sep = None
+                for n in range(1, safe_max + 1):
+                    if sphere_of(x, n) != sphere_of(y, n):
+                        sep = n
+                        break
+                if sep is None:
+                    violations.append((x, y))
+                else:
+                    first_sep[(x, y)] = sep
+    return DscReport(v0, radius, "", checked, tuple(violations), tuple(at_horizon), first_sep)

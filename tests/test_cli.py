@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -210,11 +212,64 @@ def test_batch_mode(tmp_path, capsys):
     assert text.splitlines()[0] == "n,probability,at_most_half"
 
 
+# subprocesses import the package from this checkout's src, whatever the shell's PYTHONPATH
+SRC_ENV = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "symbreak", "growth", "--bound", "16", "1", "1", "0.25"],
         capture_output=True,
         text=True,
+        env=SRC_ENV,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["result"]["motion_lower"] == 32
+
+
+def cli_in_fresh_process(*argvs):
+    """Run `main` on each argv in a new interpreter.
+
+    Returns (stdout of the calls, exit codes, whether numpy got imported).
+    """
+    script = (
+        "import json, sys, symbreak, symbreak.cli\n"
+        f"codes = [symbreak.cli.main(argv) for argv in {list(argvs)!r}]\n"
+        "print(json.dumps({'codes': codes, 'numpy': 'numpy' in sys.modules}))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=SRC_ENV
+    )
+    assert proc.returncode == 0, proc.stderr
+    out, _, status = proc.stdout.rstrip("\n").rpartition("\n")
+    status = json.loads(status)
+    return out, status["codes"], status["numpy"]
+
+
+def test_array_free_subcommands_do_not_import_numpy():
+    ladder = json.dumps({"kind": "ladder", "params": {}, "radius": 3})
+    tree = json.dumps({"kind": "regular_tree", "params": {"degree": 3}, "radius": 2})
+    _, codes, numpy_loaded = cli_in_fresh_process(
+        ["--help"],
+        ["autgroup", "--family", ladder],
+        ["motion", "--family", ladder],
+        ["dsc", "--family", ladder],
+        ["treeauto", "--family", tree, "--colours", "0110100101"],
+        ["growth", "--bound", "16", "1", "1", "0.25"],
+    )
+    assert codes == [0] * 6
+    assert not numpy_loaded
+
+
+def test_monte_carlo_imports_numpy_on_first_use():
+    out, codes, numpy_loaded = cli_in_fresh_process(
+        ["--seed", "11", "--trials", "500", "prob-mc", "--family", C6_FAMILY, "--k", "3"]
+    )
+    assert codes == [0]
+    assert numpy_loaded
+    assert json.loads(out)["result"] == {
+        "successes": 297,
+        "trials": 500,
+        "estimate": 0.594,
+        "stderr": 0.021961967125009547,
+    }

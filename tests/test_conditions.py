@@ -1,7 +1,10 @@
 import math
+import random
+import time
 from fractions import Fraction
 
 import pytest
+from conftest import dsc_by_full_distances
 
 from symbreak.autsearch import automorphism_group
 from symbreak.colourings import Colouring, random_colouring
@@ -20,6 +23,7 @@ from symbreak.conditions import (
 from symbreak.errors import InvariantError
 from symbreak.graphs import (
     FamilySpec,
+    Graph,
     cartesian_product,
     complete_graph,
     cycle_graph,
@@ -31,7 +35,66 @@ from symbreak.groups import PermGroup
 from symbreak.rng import SeededRng
 
 
+DOUBLE_RAY = {"kind": "double_ray", "params": {}}
+
+DSC_FAMILIES = [
+    *(FamilySpec("regular_tree", {"degree": 3}, r) for r in range(3, 7)),
+    FamilySpec("regular_tree", {"degree": 4}, 3),
+    FamilySpec("double_ray", {}, 32),
+    *(FamilySpec("grid", {"dimension": 2}, r) for r in range(2, 9)),
+    FamilySpec("ladder", {}, 16),
+    FamilySpec("cartesian_product", {"left": DOUBLE_RAY, "right": DOUBLE_RAY}, 6),
+]
+
+
+def assert_same_dsc(report, oracle):
+    assert report.checked_pairs == oracle.checked_pairs
+    assert report.violations == oracle.violations
+    assert report.at_horizon == oracle.at_horizon
+    assert report.first_separating_n == oracle.first_separating_n
+
+
+def random_graph(rnd, connected):
+    """A seeded graph on 1-24 vertices; `connected` adds a spanning tree first."""
+    n = rnd.randint(1, 24)
+    edges = {(rnd.randrange(v), v) for v in range(1, n)} if connected else set()
+    p = rnd.choice((0.05, 0.1, 0.2, 0.4))
+    edges |= {(u, v) for u in range(n) for v in range(u + 1, n) if rnd.random() < p}
+    return Graph.from_edges(n, sorted(edges))
+
+
 class TestDsc:
+    @pytest.mark.parametrize("spec", DSC_FAMILIES, ids=lambda s: f"{s.kind}-R{s.radius}")
+    def test_matches_full_distance_oracle_on_families(self, spec):
+        report = dsc_check(generate_family(spec))
+        assert_same_dsc(report, dsc_by_full_distances(generate_family(spec)))
+
+    def test_matches_full_distance_oracle_on_star(self):
+        assert_same_dsc(dsc_check(star_graph(3), 0, 1), dsc_by_full_distances(star_graph(3), 0, 1))
+
+    @pytest.mark.parametrize("connected", [True, False])
+    def test_matches_full_distance_oracle_on_random_graphs(self, connected):
+        rnd = random.Random(5 + connected)
+        for _ in range(150):
+            g = random_graph(rnd, connected)
+            root = rnd.randrange(g.vertex_count)
+            ecc = g.eccentricity(root)
+            for radius in (None, 0, 1, rnd.randint(0, ecc), ecc + rnd.randint(1, 5)):
+                assert_same_dsc(dsc_check(g, root, radius), dsc_by_full_distances(g, root, radius))
+
+    @pytest.mark.parametrize("root", [0, 25])
+    def test_huge_radius_stops_at_the_first_empty_sphere(self, root):
+        g = path_graph(50)
+        start = time.perf_counter()
+        report = dsc_check(g, root, 10**9)
+        assert time.perf_counter() - start < 1.0
+        assert_same_dsc(report, dsc_by_full_distances(path_graph(50), root, 10**9))
+
+    def test_caches_no_distance_rows_but_the_roots(self):
+        g = generate_family(FamilySpec("grid", {"dimension": 2}, 6))
+        dsc_check(g)
+        assert set(g._dist_rows) == {0}
+
     def test_double_ray_pair_separates_at_one(self):
         g = generate_family(FamilySpec("double_ray", {}, 4))
         report = dsc_check(g)
