@@ -1,8 +1,10 @@
 """Command-line interface.
 
 Every run prints a JSON object with a ``config`` header (the resolved run
-configuration, for reproducibility) and a ``result`` payload.  Exact
-rationals are emitted as "p/q" strings, never floats.  Exit codes:
+configuration, for reproducibility) and a ``result`` payload; ``--format
+text`` and ``csv`` print the config as a ``#`` line and then the report's
+own ``to_text`` or ``to_csv``.  Exact rationals are emitted as "p/q"
+strings, never floats.  Exit codes:
 0 success, 2 input error, 3 cap exceeded.
 """
 
@@ -10,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import sys
@@ -60,13 +61,6 @@ from .topology import (
     ultrametric_distance,
 )
 
-SUBCOMMANDS = (
-    "autgroup", "motion", "distinguish", "prob-exact", "prob-mc", "rs-bound",
-    "metric", "balls", "haar", "dsc", "spheres", "gamma", "product", "layers",
-    "growth", "treeauto", "batch",
-)
-
-
 def _env_int(name, default):
     value = os.environ.get(name)
     if value is None:
@@ -91,7 +85,7 @@ def build_parser():
     parser.add_argument("--format", choices=("json", "csv", "text"), default=None)
     parser.add_argument("--output", default=None, help="write the report here instead of stdout")
 
-    sub = parser.add_subparsers(dest="command", required=True, metavar="|".join(SUBCOMMANDS))
+    sub = parser.add_subparsers(dest="command", required=True)
 
     def add_graph_flags(p):
         p.add_argument("--graph", help="graph file ('n m' text or .json)")
@@ -175,7 +169,8 @@ def build_parser():
 
     p = sub.add_parser("batch", help="run the named experiment suites, one CSV each")
     p.add_argument("--report-dir", required=True)
-    p.add_argument("--suites", nargs="*", default=sorted(suites.ALL_SUITES))
+    names = sorted(suites.ALL_SUITES)
+    p.add_argument("--suites", nargs="*", choices=names, default=names)
 
     return parser
 
@@ -250,11 +245,8 @@ def _parse_colours(text):
 
 
 def _colouring_from_args(args, g, rng):
-    if getattr(args, "colours", None):
-        c = _parse_colours(args.colours)
-        if len(c) != g.vertex_count:
-            raise GraphFormatError("colour string length differs from vertex count")
-        return c
+    if args.colours:
+        return _parse_colours(args.colours)
     return random_colouring(g, 2, rng)
 
 
@@ -267,7 +259,11 @@ def _json_default(obj):
 
 
 def _run(args):
-    """Returns (result_payload, graph_source, options, csv_text_or_None, text_or_None)."""
+    """Returns (report, graph_source, options).
+
+    The report is a library report object or a plain dict; `main` renders
+    it with its own `to_json_dict`, `to_csv` and `to_text` where it has them.
+    """
     rng = SeededRng(args.seed)
     cmd = args.command
     options = {}
@@ -276,8 +272,6 @@ def _run(args):
         os.makedirs(args.report_dir, exist_ok=True)
         written = []
         for name in args.suites:
-            if name not in suites.ALL_SUITES:
-                raise GraphFormatError(f"unknown suite {name!r}")
             header, rows = suites.run_suite(name)
             path = os.path.join(args.report_dir, f"{name}.csv")
             with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -286,70 +280,60 @@ def _run(args):
                 writer.writerows(rows)
             written.append(path)
         options["suites"] = list(args.suites)
-        return {"written": written}, None, options, None, None
+        return {"written": written}, None, options
 
     if cmd == "product":
         left, left_src = _load_spec_or_graph(args.left)
         right, right_src = _load_spec_or_graph(args.right)
         product = cartesian_product(left, right)
         options = {"left": left_src, "right": right_src}
-        return graph_to_json_dict(product), None, options, None, None
+        return graph_to_json_dict(product), None, options
 
     if cmd == "layers":
         left, left_src = _load_spec_or_graph(args.left)
         right, right_src = _load_spec_or_graph(args.right)
-        product = cartesian_product(left, right)
-        if args.colours:
-            c = _parse_colours(args.colours)
-            colour_source = args.colours
-        else:
-            c = random_colouring(product, 2, rng)
-            colour_source = "random"
+        c = _colouring_from_args(args, cartesian_product(left, right), rng)
         report = layer_fixing_report(left, right, c, cap=args.enumeration_cap)
-        options = {"left": left_src, "right": right_src, "colours": colour_source}
-        return report.to_json_dict(), None, options, None, report.to_text()
+        options = {"left": left_src, "right": right_src, "colours": args.colours or "random"}
+        return report, None, options
 
     if cmd == "growth" and args.bound is not None:
         n, j, c, eps = args.bound
         report = growth_bound(int(n), int(j), float(c), float(eps))
         options = {"bound": [int(n), int(j), float(c), float(eps)]}
-        return report.to_json_dict(), None, options, None, None
+        return report, None, options
 
     g, source = _graph_from_args(args)
 
     if cmd == "autgroup":
         colours = _parse_colours(args.colours).colours if args.colours else None
-        group = automorphism_group(g, vertex_colours=colours)
         options = {"colours": args.colours}
-        return group.to_json_dict(), source, options, None, None
+        return automorphism_group(g, vertex_colours=colours), source, options
 
     if cmd == "motion":
-        report = automorphism_group(g).motion()
-        return report.to_json_dict(), source, options, None, None
+        return automorphism_group(g).motion(), source, options
 
     if cmd == "distinguish":
         c = _colouring_from_args(args, g, rng)
-        report = is_distinguishing(g, c)
         options = {"colours": c.to_string()}
-        return report.to_json_dict(), source, options, None, None
+        return is_distinguishing(g, c), source, options
 
     if cmd == "prob-exact":
         p = distinguishing_probability_exact(
             g, args.k, colour_cap=args.colour_cap, enum_cap=args.enumeration_cap
         )
         options = {"k": args.k}
-        return {"probability": str(p)}, source, options, None, None
+        return {"probability": str(p)}, source, options
 
     if cmd == "prob-mc":
         est = distinguishing_probability_mc(
             g, args.k, args.trials, rng, enum_cap=args.enumeration_cap
         )
         options = {"k": args.k}
-        return est.to_json_dict(), source, options, None, None
+        return est, source, options
 
     if cmd == "rs-bound":
-        report = russel_sundaram_bound(g, rng)
-        return report.to_json_dict(), source, options, None, None
+        return russel_sundaram_bound(g, rng), source, options
 
     if cmd == "metric":
         seq = _sequence_from_args(args, g)
@@ -358,26 +342,22 @@ def _run(args):
         level = agreement_level(a, b, seq)
         dist = ultrametric_distance(a, b, seq)
         options = {"root": args.root, "sequence": args.sequence}
-        return (
-            {"agreement_level": "equal" if level is None else level, "distance": str(dist)},
-            source, options, None, None,
-        )
+        result = {"agreement_level": "equal" if level is None else level, "distance": str(dist)}
+        return result, source, options
 
     if cmd == "balls":
         seq = _sequence_from_args(args, g)
         group = automorphism_group(g)
         deco = ball_decomposition(group, seq, args.level, cap=args.enumeration_cap)
         options = {"level": args.level, "root": args.root, "sequence": args.sequence}
-        return deco.to_json_dict(), source, options, None, deco.to_text()
+        return deco, source, options
 
     if cmd == "haar":
-        report = expected_stabiliser_measure(g, enum_cap=args.enumeration_cap)
-        return report.to_json_dict(), source, options, None, None
+        return expected_stabiliser_measure(g, enum_cap=args.enumeration_cap), source, options
 
     if cmd == "dsc":
-        report = dsc_check(g, args.root, args.radius)
         options = {"root": args.root, "radius": args.radius}
-        return report.to_json_dict(), source, options, report.to_csv(), report.to_text()
+        return dsc_check(g, args.root, args.radius), source, options
 
     if cmd == "spheres":
         options = {"n0_max": args.n0_max, "horizon": args.horizon}
@@ -385,9 +365,8 @@ def _run(args):
             u, v = args.pair
             res = sphere_equivalence(g, u, v, n0_max=args.n0_max, horizon=args.horizon)
             options["pair"] = [u, v]
-            return res.to_json_dict(), source, options, None, None
-        classes = sphere_classes(g, n0_max=args.n0_max, horizon=args.horizon)
-        return classes.to_json_dict(), source, options, None, classes.to_text()
+            return res, source, options
+        return sphere_classes(g, n0_max=args.n0_max, horizon=args.horizon), source, options
 
     if cmd == "gamma":
         options = {"budget": args.budget}
@@ -396,14 +375,13 @@ def _run(args):
                 g, args.budget, max_levels=args.iterate, cap=args.enumeration_cap
             )
             options["iterate"] = args.iterate
-            return report.to_json_dict(), source, options, None, None
+            return report, source, options
         if args.pair:
             s, t = args.pair
             ok = suborbit_equivalence(g, s, t, args.budget, cap=args.enumeration_cap)
             options["pair"] = [s, t]
-            return {"equivalent": ok}, source, options, None, None
-        classes = suborbit_classes(g, args.budget, cap=args.enumeration_cap)
-        return classes.to_json_dict(), source, options, None, classes.to_text()
+            return {"equivalent": ok}, source, options
+        return suborbit_classes(g, args.budget, cap=args.enumeration_cap), source, options
 
     if cmd == "growth":
         radius = args.radius
@@ -414,18 +392,13 @@ def _run(args):
         options = {"root": args.root, "radius": radius, "epsilon": args.epsilon}
         if args.epsilon is not None:
             result["classifier"] = growth_classifier(g, args.root, radius, args.epsilon).to_json_dict()
-        return result, source, options, None, None
+        return result, source, options
 
     if cmd == "treeauto":
-        c = _parse_colours(args.colours)
-        if len(c) != g.vertex_count:
-            raise GraphFormatError("colour string length differs from vertex count")
-        perm = find_tree_automorphism(g, args.root, c)
+        perm = find_tree_automorphism(g, args.root, _parse_colours(args.colours))
         options = {"root": args.root, "colours": args.colours}
-        return (
-            {"found": perm is not None, "automorphism": None if perm is None else list(perm.images)},
-            source, options, None, None,
-        )
+        images = None if perm is None else list(perm.images)
+        return {"found": perm is not None, "automorphism": images}, source, options
 
     raise GraphFormatError(f"unknown subcommand {cmd!r}")
 
@@ -438,7 +411,8 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         _resolve(args)
-        result, source, options, csv_text, text = _run(args)
+        report, source, options = _run(args)
+        result = report if isinstance(report, dict) else report.to_json_dict()
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -455,19 +429,19 @@ def main(argv=None) -> int:
         "output": {"format": args.format, "path": args.output},
         "options": options,
     }
+    header = "# " + json.dumps(config, default=_json_default) + "\n"
 
     if args.format == "json":
         payload = json.dumps({"config": config, "result": result}, indent=2, default=_json_default)
     elif args.format == "csv":
-        if csv_text is None:
+        if not hasattr(report, "to_csv"):
             print(f"error: csv output not supported for {args.command}", file=sys.stderr)
             return 2
-        header = io.StringIO()
-        header.write("# " + json.dumps(config, default=_json_default) + "\n")
-        payload = header.getvalue() + csv_text.rstrip("\n")
+        payload = header + report.to_csv().rstrip("\n")
+    elif hasattr(report, "to_text"):
+        payload = header + report.to_text()
     else:
-        body = text if text is not None else json.dumps(result, indent=2, default=_json_default)
-        payload = "# " + json.dumps(config, default=_json_default) + "\n" + body
+        payload = header + json.dumps(result, indent=2, default=_json_default)
 
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:

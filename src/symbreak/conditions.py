@@ -18,7 +18,7 @@ from typing import Optional
 
 from .autsearch import automorphism_group
 from .colourings import Colouring, colouring_stabiliser
-from .errors import InvariantError
+from .errors import CapExceededError, InvariantError
 from .graphs import Graph, cartesian_product, growth_sequence
 from .groups import DEFAULT_ENUMERATION_CAP, PermGroup
 
@@ -81,13 +81,19 @@ class DscReport:
         return "\n".join(lines)
 
 
+#: The report lists every equidistant pair, so `dsc_check` refuses more than this many.
+DSC_PAIR_CAP = 10**7
+
+
 def dsc_check(g: Graph, v0: int = 0, radius: Optional[int] = None) -> DscReport:
     """Compare spheres of equidistant vertex pairs within the safe horizon.
 
     Each vertex's spheres come from a BFS that stops at its safe horizon
     radius - d(root, v), or earlier at its first empty sphere; they are
     kept only while that vertex's depth is being compared, and no distance
-    row other than the root's is computed or cached.
+    row other than the root's is computed or cached.  The pairs are counted
+    first: above `DSC_PAIR_CAP` it raises `CapExceededError` before any
+    sphere is built.
     """
     if g.truncation is not None:
         if v0 != g.truncation.root:
@@ -106,6 +112,13 @@ def dsc_check(g: Graph, v0: int = 0, radius: Optional[int] = None) -> DscReport:
     for v in range(g.vertex_count):
         if dist[v] >= 0:
             by_depth.setdefault(dist[v], []).append(v)
+    pairs = sum(len(vs) * (len(vs) - 1) // 2 for vs in by_depth.values())
+    if pairs > DSC_PAIR_CAP:
+        raise CapExceededError(
+            f"{pairs} equidistant pairs exceed the dsc pair cap {DSC_PAIR_CAP}",
+            required=pairs,
+            cap=DSC_PAIR_CAP,
+        )
 
     violations = []
     at_horizon = []

@@ -8,7 +8,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .colourings import distinguishing_probability_exact, russel_sundaram_bound
+from .autsearch import automorphism_group
+from .colourings import (
+    distinguishing_probability_exact,
+    distinguishing_probability_mc,
+    russel_sundaram_bound,
+)
 from .conditions import dsc_check, growth_bound, match_probability
 from .graphs import (
     FamilySpec,
@@ -20,6 +25,7 @@ from .graphs import (
     path_graph,
     star_graph,
 )
+from .rng import SeededRng
 from .topology import expected_stabiliser_measure
 
 
@@ -109,8 +115,7 @@ def growth_identity_suite():
     rows = []
     for n in (8, 12, 16, 24, 32):
         for j in (1, 2, 3, 4):
-            for c, eps in ((1.0, 0.25), ("1.5", 0.125), (2.0, 0.375), (0.5, 0.2), (1.0, 0.1)):
-                c = float(c)
+            for c, eps in ((1.0, 0.25), (1.5, 0.125), (2.0, 0.375), (0.5, 0.2), (1.0, 0.1)):
                 report = growth_bound(n, j, c, eps)
                 residual = report.log2_failure_bound - (
                     report.log2_pi_bound - report.motion_lower / 2
@@ -130,12 +135,39 @@ def growth_identity_suite():
     return header, rows
 
 
+def truncations_suite():
+    """Monte Carlo distinguishing probability of the double ray's balls, R = 1..8.
+
+    Truncations can behave very differently from their limit, so radii are
+    reported side by side rather than extrapolated.  Radius R runs 2000
+    trials from stream (0, R).
+    """
+    header = ["radius", "vertices", "order", "successes", "trials", "estimate", "stderr"]
+    rows = []
+    for radius in range(1, 9):
+        g = generate_family(FamilySpec("double_ray", {}, radius))
+        est = distinguishing_probability_mc(g, 2, 2000, SeededRng(0, radius))
+        rows.append(
+            [
+                radius,
+                g.vertex_count,
+                automorphism_group(g).order(),
+                est.successes,
+                est.trials,
+                est.estimate,
+                est.stderr,
+            ]
+        )
+    return header, rows
+
+
 ALL_SUITES = {
     "russel_sundaram": russel_sundaram_suite,
     "stabiliser_measure": stabiliser_measure_suite,
     "match_probability": match_probability_suite,
     "dsc_families": dsc_suite,
     "growth_identity": growth_identity_suite,
+    "truncations": truncations_suite,
 }
 
 

@@ -95,7 +95,7 @@ def agreement_level(g1: Perm, g2: Perm, seq: ExhaustionSequence) -> Optional[int
         if any(diff(s) != s for s in s_i):
             return i - 1
     # unreachable: the final set covers all points, so diff = id means g1 == g2
-    raise AssertionError("exhaustion sequence failed to separate distinct permutations")
+    raise InvariantError("exhaustion sequence failed to separate distinct permutations")
 
 
 def ultrametric_distance(g1: Perm, g2: Perm, seq: ExhaustionSequence) -> Fraction:
@@ -192,22 +192,11 @@ def ball_decomposition(
     radius = Fraction(1, 2**level)
     order = group.order()
 
-    if within is not None:
-        if within.members is None:
-            raise CapExceededError("parent ball was not materialized")
+    if within is not None and within.members is None:
+        raise CapExceededError("parent ball was not materialized")
+    if within is not None or materialize:
         groups = {}
-        for m in within.members:
-            groups.setdefault(_preimage_key(m, points), []).append(m)
-        balls = []
-        for key in sorted(groups):
-            members = tuple(groups[key])
-            rep = min(members, key=lambda m: m.images)
-            balls.append(Ball(key, rep, len(members), members))
-        return BallDecomposition(level, radius, tuple(balls), order)
-
-    if materialize:
-        groups = {}
-        for m in group.elements(cap):
+        for m in group.elements(cap) if within is None else within.members:
             groups.setdefault(_preimage_key(m, points), []).append(m)
         balls = []
         for key in sorted(groups):
@@ -233,7 +222,7 @@ def ball_decomposition(
     count = len(reps)
     size, rem = divmod(order, count)
     if rem:
-        raise AssertionError("coset count does not divide group order")
+        raise InvariantError("coset count does not divide group order")
     balls = tuple(Ball(key, reps[key], size, None) for key in sorted(reps))
     return BallDecomposition(level, radius, balls, order)
 

@@ -1,13 +1,31 @@
+import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from symbreak.cli import main
-from symbreak.graphs import cycle_graph, format_graph_text, path_graph
+from symbreak.autsearch import automorphism_group
+from symbreak.cli import build_parser, main
+from symbreak.colourings import Colouring
+from symbreak.conditions import (
+    dsc_check,
+    layer_fixing_report,
+    sphere_classes,
+    suborbit_classes,
+)
+from symbreak.graphs import (
+    FamilySpec,
+    cycle_graph,
+    format_graph_text,
+    generate_family,
+    path_graph,
+)
+from symbreak.suites import ALL_SUITES
+from symbreak.topology import ExhaustionSequence, ball_decomposition
 
 
 @pytest.fixture
@@ -210,6 +228,122 @@ def test_batch_mode(tmp_path, capsys):
     assert code == 0
     text = (tmp_path / "match_probability.csv").read_text()
     assert text.splitlines()[0] == "n,probability,at_most_half"
+
+
+SUITE_HEADERS = {
+    "russel_sundaram": "graph,order,motion,bound,exact_failure,within_bound",
+    "stabiliser_measure": "graph,colour_first,group_first,fubini_check",
+    "match_probability": "n,probability,at_most_half",
+    "dsc_families": "family,radius,checked_pairs,violations,at_horizon",
+    "growth_identity": "n,j,c,eps,log2_pi,motion_lower,log2_failure,identity_residual",
+    "truncations": "radius,vertices,order,successes,trials,estimate,stderr",
+}
+
+
+@pytest.fixture(scope="module")
+def batch_reports(tmp_path_factory):
+    """Every suite through `symbreak batch` once, with its default (all) suites."""
+    report_dir = tmp_path_factory.mktemp("reports")
+    assert main(["batch", "--report-dir", str(report_dir)]) == 0
+    return report_dir
+
+
+@pytest.mark.parametrize("name", sorted(ALL_SUITES))
+def test_batch_writes_every_suite_with_its_header(batch_reports, name):
+    lines = (batch_reports / f"{name}.csv").read_text().splitlines()
+    assert lines[0] == SUITE_HEADERS[name]
+    assert len(lines) > 1
+
+
+def test_truncations_suite_matches_the_double_ray_sweep(batch_reports):
+    with open(batch_reports / "truncations.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [int(r["radius"]) for r in rows] == list(range(1, 9))
+    assert [int(r["vertices"]) for r in rows] == [2 * r + 1 for r in range(1, 9)]
+    assert {r["order"] for r in rows} == {"2"}
+    assert {r["trials"] for r in rows} == {"2000"}
+    assert [f"{float(r['estimate']):.4f}" for r in rows] == [
+        "0.4915", "0.7430", "0.8785", "0.9380", "0.9605", "0.9835", "0.9920", "0.9975",
+    ]
+    assert all(int(r["successes"]) == 2000 * float(r["estimate"]) for r in rows)
+
+
+def test_unknown_suite_exits_2_before_any_suite_runs(tmp_path, capsys):
+    code = main(
+        ["batch", "--report-dir", str(tmp_path), "--suites", "match_probability", "bogus"]
+    )
+    assert code == 2
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_dsc_pair_cap_exits_3(capsys):
+    spec = json.dumps({"kind": "regular_tree", "params": {"degree": 3}, "radius": 12})
+    assert main(["dsc", "--family", spec]) == 3
+    assert "dsc pair cap" in capsys.readouterr().err
+
+
+def text_body(capsys, *argv):
+    """The report body of a `--format text` run, below its config line."""
+    code, out = run_cli(capsys, "--format", "text", *argv)
+    assert code == 0, out
+    config, _, body = out.partition("\n")
+    assert config.startswith("# {")
+    return body.rstrip("\n")
+
+
+LADDER_4 = json.dumps({"kind": "ladder", "params": {}, "radius": 4})
+
+
+def test_text_format_uses_the_reports_own_text(capsys, c4_file, tmp_path):
+    c4 = cycle_graph(4)
+    ladder = generate_family(FamilySpec.from_json_dict(json.loads(LADDER_4)))
+    balls = ball_decomposition(automorphism_group(c4), ExhaustionSequence.balls(c4, 0), 1)
+    assert text_body(capsys, "balls", "--graph", c4_file, "--level", "1") == balls.to_text()
+    assert text_body(capsys, "dsc", "--family", LADDER_4) == dsc_check(ladder).to_text()
+    assert text_body(capsys, "spheres", "--graph", c4_file) == sphere_classes(c4).to_text()
+    gamma = suborbit_classes(c4, 1)
+    assert text_body(capsys, "gamma", "--graph", c4_file, "--budget", "1") == gamma.to_text()
+    p2 = tmp_path / "p2.txt"
+    p2.write_text(format_graph_text(path_graph(2)))
+    layers = layer_fixing_report(path_graph(2), path_graph(2), Colouring((0, 1, 1, 0), 2))
+    body = text_body(capsys, "layers", "--left", str(p2), "--right", str(p2), "--colours", "0110")
+    assert body == layers.to_text()
+
+
+def test_text_format_falls_back_to_json(capsys, c4_file):
+    body = text_body(capsys, "motion", "--graph", c4_file)
+    assert json.loads(body) == run_json(capsys, "motion", "--graph", c4_file)["result"]
+
+
+def test_csv_format_needs_a_report_with_csv(capsys, c4_file):
+    assert main(["--format", "csv", "motion", "--graph", c4_file]) == 2
+    assert "csv output not supported for motion" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["autgroup", "--graph", "C4", "--colours", "010"],
+        ["distinguish", "--graph", "C4", "--colours", "01010"],
+        ["treeauto", "--graph", "P4", "--colours", "01"],
+        ["layers", "--left", "P4", "--right", "P4", "--colours", "0101"],
+    ],
+)
+def test_wrong_length_colours_exit_2(capsys, c4_file, p4_file, argv):
+    files = {"C4": c4_file, "P4": p4_file}
+    code = main([files.get(a, a) for a in argv])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_readme_result_table_lists_the_usage_subcommands():
+    usage = build_parser().format_usage()
+    listed = re.search(r"\{([\w,-]+)\}\s+\.\.\.", usage).group(1).split(",")
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = re.findall(r"^\| `([\w-]+)` *\|", readme, flags=re.MULTILINE)
+    assert table == listed
 
 
 # subprocesses import the package from this checkout's src, whatever the shell's PYTHONPATH

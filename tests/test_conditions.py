@@ -9,6 +9,7 @@ from conftest import dsc_by_full_distances
 from symbreak.autsearch import automorphism_group
 from symbreak.colourings import Colouring, random_colouring
 from symbreak.conditions import (
+    DSC_PAIR_CAP,
     dsc_check,
     gamma_refinement_iterate,
     growth_bound,
@@ -20,7 +21,7 @@ from symbreak.conditions import (
     suborbit_classes,
     suborbit_equivalence,
 )
-from symbreak.errors import InvariantError
+from symbreak.errors import CapExceededError, InvariantError
 from symbreak.graphs import (
     FamilySpec,
     Graph,
@@ -89,6 +90,15 @@ class TestDsc:
         report = dsc_check(g, root, 10**9)
         assert time.perf_counter() - start < 1.0
         assert_same_dsc(report, dsc_by_full_distances(path_graph(50), root, 10**9))
+
+    def test_pair_cap_raises_before_any_sphere(self):
+        # d3 R12: 25,159,680 equidistant pairs, several GB of report if listed
+        g = generate_family(FamilySpec("regular_tree", {"degree": 3}, 12))
+        start = time.perf_counter()
+        with pytest.raises(CapExceededError) as info:
+            dsc_check(g)
+        assert time.perf_counter() - start < 1.0
+        assert (info.value.required, info.value.cap) == (25_159_680, DSC_PAIR_CAP)
 
     def test_caches_no_distance_rows_but_the_roots(self):
         g = generate_family(FamilySpec("grid", {"dimension": 2}, 6))

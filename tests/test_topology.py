@@ -1,4 +1,5 @@
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -69,6 +70,14 @@ class TestAgreementLevel:
     def test_degree_mismatch(self):
         with pytest.raises(ValueError):
             agreement_level(Perm.identity(3), self.ident, self.seq)
+
+    def test_sequence_not_covering_all_points_raises_invariant_error(self):
+        # corrupted past validation: the sets stop at {0..5}, the swap moves only 6 and 7
+        seq = ExhaustionSequence.prefixes(8)
+        object.__setattr__(seq, "sets", seq.sets[:-2])
+        swap = Perm([0, 1, 2, 3, 4, 5, 7, 6])
+        with pytest.raises(InvariantError):
+            agreement_level(swap, self.ident, seq)
 
 
 from hypothesis import given
@@ -229,6 +238,15 @@ class TestBallDecomposition:
         assert [b.size for b in reps.balls] == [b.size for b in full.balls]
         assert [b.key for b in reps.balls] == [b.key for b in full.balls]
         assert all(b.members is None for b in reps.balls)
+
+    def test_coset_count_not_dividing_the_order_raises_invariant_error(self):
+        # a group claiming order 4 whose generator has an orbit of length 3
+        fake = SimpleNamespace(
+            degree=3, order=lambda: 4, strong_generators=[Perm([1, 2, 0])]
+        )
+        seq = ExhaustionSequence.prefixes(3)
+        with pytest.raises(InvariantError):
+            ball_decomposition(fake, seq, 1, materialize=False)
 
     def test_cap_is_explicit(self):
         g = cycle_graph(8)
