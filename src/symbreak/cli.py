@@ -15,7 +15,6 @@ import csv
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import suites
 from .autsearch import automorphism_group
@@ -51,6 +50,7 @@ from .graphs import (
     load_graph,
 )
 from .groups import DEFAULT_ENUMERATION_CAP
+from .jsonfields import json_value
 from .perms import Perm
 from .rng import SeededRng
 from .topology import (
@@ -61,16 +61,6 @@ from .topology import (
     ultrametric_distance,
 )
 
-def _env_int(name, default):
-    value = os.environ.get(name)
-    if value is None:
-        return default
-    try:
-        return int(value)
-    except ValueError:
-        raise SymbreakError(f"environment variable {name} must be an integer")
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="symbreak",
@@ -78,11 +68,20 @@ def build_parser():
         "distinguishing probabilities, coset-ball metrics, and structural checks.",
     )
     parser.add_argument("--config", help="JSON file with defaults for the flags below")
-    parser.add_argument("--seed", type=int, default=None, help="master seed (default 0)")
-    parser.add_argument("--trials", type=int, default=None, help="Monte Carlo trials")
-    parser.add_argument("--enumeration-cap", type=int, default=None)
-    parser.add_argument("--colour-cap", type=int, default=None)
-    parser.add_argument("--format", choices=("json", "csv", "text"), default=None)
+    parser.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
+    parser.add_argument("--trials", type=int, default=10_000, help="Monte Carlo trials")
+    # string defaults go through type=int too, so the environment gets the flag's check
+    parser.add_argument(
+        "--enumeration-cap",
+        type=int,
+        default=os.environ.get("SYMBREAK_ENUMERATION_CAP", str(DEFAULT_ENUMERATION_CAP)),
+    )
+    parser.add_argument(
+        "--colour-cap",
+        type=int,
+        default=os.environ.get("SYMBREAK_COLOUR_CAP", str(DEFAULT_COLOUR_CAP)),
+    )
+    parser.add_argument("--format", choices=("json", "csv", "text"), default="json")
     parser.add_argument("--output", default=None, help="write the report here instead of stdout")
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -175,33 +174,32 @@ def build_parser():
     return parser
 
 
-def _apply_config_file(args):
-    if not args.config:
-        return
-    with open(args.config, "r", encoding="utf-8") as fh:
+def _config_flags(path):
+    """The global flags a `--config` JSON file stands for; null values are skipped.
+
+    `main` places them before the user's own flags, so an explicit flag
+    still wins and argparse checks each value as it checks the flag.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    for key in ("seed", "trials", "format", "output"):
-        if getattr(args, key, None) is None and key in data:
-            setattr(args, key, data[key])
-    caps = data.get("caps", {})
-    if args.enumeration_cap is None and "enumeration" in caps:
-        args.enumeration_cap = caps["enumeration"]
-    if args.colour_cap is None and "colour_exhaustion" in caps:
-        args.colour_cap = caps["colour_exhaustion"]
-
-
-def _resolve(args):
-    _apply_config_file(args)
-    if args.seed is None:
-        args.seed = 0
-    if args.trials is None:
-        args.trials = 10_000
-    if args.format is None:
-        args.format = "json"
-    if args.enumeration_cap is None:
-        args.enumeration_cap = _env_int("SYMBREAK_ENUMERATION_CAP", DEFAULT_ENUMERATION_CAP)
-    if args.colour_cap is None:
-        args.colour_cap = _env_int("SYMBREAK_COLOUR_CAP", DEFAULT_COLOUR_CAP)
+    if not isinstance(data, dict) or not isinstance(data.get("caps") or {}, dict):
+        raise ValueError(f"config file {path} must hold a JSON object, with an object as caps")
+    caps = data.get("caps") or {}
+    values = {
+        "--seed": data.get("seed"),
+        "--trials": data.get("trials"),
+        "--format": data.get("format"),
+        "--output": data.get("output"),
+        "--enumeration-cap": caps.get("enumeration"),
+        "--colour-cap": caps.get("colour_exhaustion"),
+    }
+    flags = []
+    for flag, value in values.items():
+        if isinstance(value, (dict, list)):
+            raise ValueError(f"config value for {flag} must be a single value")
+        if value is not None:
+            flags.append(f"{flag}={value}")
+    return flags
 
 
 def _load_spec_or_graph(value):
@@ -250,19 +248,12 @@ def _colouring_from_args(args, g, rng):
     return random_colouring(g, 2, rng)
 
 
-def _json_default(obj):
-    if isinstance(obj, Fraction):
-        return str(obj)
-    if isinstance(obj, Perm):
-        return list(obj.images)
-    raise TypeError(f"not JSON serializable: {type(obj)}")
-
-
 def _run(args):
     """Returns (report, graph_source, options).
 
-    The report is a library report object or a plain dict; `main` renders
-    it with its own `to_json_dict`, `to_csv` and `to_text` where it has them.
+    The report is a library report object or a plain dict of library
+    values; `main` renders its JSON with `json_value`, and its CSV or text
+    with the report's own `to_csv` or `to_text` where it has them.
     """
     rng = SeededRng(args.seed)
     cmd = args.command
@@ -323,7 +314,7 @@ def _run(args):
             g, args.k, colour_cap=args.colour_cap, enum_cap=args.enumeration_cap
         )
         options = {"k": args.k}
-        return {"probability": str(p)}, source, options
+        return {"probability": p}, source, options
 
     if cmd == "prob-mc":
         est = distinguishing_probability_mc(
@@ -342,7 +333,7 @@ def _run(args):
         level = agreement_level(a, b, seq)
         dist = ultrametric_distance(a, b, seq)
         options = {"root": args.root, "sequence": args.sequence}
-        result = {"agreement_level": "equal" if level is None else level, "distance": str(dist)}
+        result = {"agreement_level": "equal" if level is None else level, "distance": dist}
         return result, source, options
 
     if cmd == "balls":
@@ -388,31 +379,34 @@ def _run(args):
         if radius is None:
             radius = g.truncation.radius if g.truncation else g.eccentricity(args.root)
         profile = growth_sequence(g, args.root, radius)
-        result = {"profile": profile.to_json_dict()}
+        result = {"profile": profile}
         options = {"root": args.root, "radius": radius, "epsilon": args.epsilon}
         if args.epsilon is not None:
-            result["classifier"] = growth_classifier(g, args.root, radius, args.epsilon).to_json_dict()
+            result["classifier"] = growth_classifier(g, args.root, radius, args.epsilon)
         return result, source, options
 
     if cmd == "treeauto":
         perm = find_tree_automorphism(g, args.root, _parse_colours(args.colours))
         options = {"root": args.root, "colours": args.colours}
-        images = None if perm is None else list(perm.images)
-        return {"found": perm is not None, "automorphism": images}, source, options
+        return {"found": perm is not None, "automorphism": perm}, source, options
 
     raise GraphFormatError(f"unknown subcommand {cmd!r}")
 
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
+        # The first pass only finds --config; presetting the caps keeps it from
+        # reading the environment, which a config file's caps override.
+        args = parser.parse_args(argv, argparse.Namespace(enumeration_cap=None, colour_cap=None))
+        if args.config:
+            argv = _config_flags(args.config) + argv
         args = parser.parse_args(argv)
+        report, source, options = _run(args)
+        result = json_value(report)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    try:
-        _resolve(args)
-        report, source, options = _run(args)
-        result = report if isinstance(report, dict) else report.to_json_dict()
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -429,10 +423,10 @@ def main(argv=None) -> int:
         "output": {"format": args.format, "path": args.output},
         "options": options,
     }
-    header = "# " + json.dumps(config, default=_json_default) + "\n"
+    header = "# " + json.dumps(config, default=json_value) + "\n"
 
     if args.format == "json":
-        payload = json.dumps({"config": config, "result": result}, indent=2, default=_json_default)
+        payload = json.dumps({"config": config, "result": result}, indent=2, default=json_value)
     elif args.format == "csv":
         if not hasattr(report, "to_csv"):
             print(f"error: csv output not supported for {args.command}", file=sys.stderr)
@@ -441,13 +435,19 @@ def main(argv=None) -> int:
     elif hasattr(report, "to_text"):
         payload = header + report.to_text()
     else:
-        payload = header + json.dumps(result, indent=2, default=_json_default)
+        payload = header + json.dumps(result, indent=2, default=json_value)
 
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(payload + "\n")
-    else:
+        return 0
+    try:
         print(payload)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout.  Python flushes it again at exit, so point
+        # it at devnull to keep that flush from raising a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0
 
 

@@ -19,11 +19,15 @@ from .autsearch import _RootedTree, automorphism_group
 from .errors import CapExceededError, InvariantError
 from .graphs import Graph
 from .groups import DEFAULT_ENUMERATION_CAP, PermGroup
+from .jsonfields import JsonFields
 from .perms import Perm
 from .rng import SeededRng
 
 #: Default cap on the number of colourings enumerated exhaustively.
 DEFAULT_COLOUR_CAP = 2**20
+
+#: Seeded random colourings `russel_sundaram_bound` tries for its witness.
+RS_SEARCH_ATTEMPTS = 1000
 
 _DIGITS = "0123456789"
 
@@ -58,9 +62,6 @@ class Colouring:
     def from_string(cls, text, k=2):
         return cls(tuple(int(ch) for ch in text.strip()), k)
 
-    def to_json_list(self):
-        return list(self.colours)
-
 
 @dataclass(frozen=True)
 class PartialColouring:
@@ -93,31 +94,17 @@ class PartialColouring:
 
 
 @dataclass(frozen=True)
-class DistinguishReport:
+class DistinguishReport(JsonFields):
     distinguishing: bool
     witness: Optional[Perm]
 
-    def to_json_dict(self):
-        return {
-            "distinguishing": self.distinguishing,
-            "witness": list(self.witness.images) if self.witness else None,
-        }
-
 
 @dataclass(frozen=True)
-class McEstimate:
+class McEstimate(JsonFields):
     successes: int
     trials: int
     estimate: float
     stderr: float
-
-    def to_json_dict(self):
-        return {
-            "successes": self.successes,
-            "trials": self.trials,
-            "estimate": self.estimate,
-            "stderr": self.stderr,
-        }
 
 
 @dataclass(frozen=True)
@@ -312,11 +299,7 @@ def distinguishing_probability_mc(
     return McEstimate(successes, trials, p, math.sqrt(p * (1 - p) / trials))
 
 
-def russel_sundaram_bound(
-    g: Graph,
-    rng: SeededRng = SeededRng(0),
-    search_attempts: int = 1000,
-) -> RusselSundaramReport:
+def russel_sundaram_bound(g: Graph, rng: SeededRng = SeededRng(0)) -> RusselSundaramReport:
     """Bound P[random 2-colouring not distinguishing] <= (|Aut|-1) * 2^-ceil(m/2).
 
     A non-identity element moving s vertices has at most n - ceil(s/2)
@@ -338,7 +321,7 @@ def russel_sundaram_bound(
     applicable = 2**half_up >= order
     witness = None
     if applicable:
-        for attempt in range(search_attempts):
+        for attempt in range(RS_SEARCH_ATTEMPTS):
             c = random_colouring(g, 2, rng.trial_stream(attempt))
             if colouring_stabiliser(g, c).is_trivial():
                 witness = c

@@ -21,6 +21,7 @@ from .colourings import Colouring, colouring_stabiliser
 from .errors import CapExceededError, InvariantError
 from .graphs import Graph, cartesian_product, growth_sequence
 from .groups import DEFAULT_ENUMERATION_CAP, PermGroup
+from .jsonfields import JsonFields, json_value
 
 # ---------------------------------------------------------------------------
 # Distinct spheres condition
@@ -174,7 +175,7 @@ def _spheres_within(g: Graph, v, horizon):
 
 
 @dataclass(frozen=True)
-class EquivalenceClasses:
+class EquivalenceClasses(JsonFields):
     """A partition from pairwise tests; transitivity is re-verified on output.
 
     ``closure_added`` lists pairs placed in one class by transitive closure
@@ -191,14 +192,6 @@ class EquivalenceClasses:
             if v in cls:
                 return cls
         raise ValueError(f"vertex {v} not in any class")
-
-    def to_json_dict(self):
-        return {
-            "relation": self.relation,
-            "classes": [list(c) for c in self.classes],
-            "parameters": self.parameters,
-            "closure_added": [list(p) for p in self.closure_added],
-        }
 
     def to_text(self):
         lines = [f"relation {self.relation}  parameters {self.parameters}"]
@@ -245,19 +238,11 @@ def _classes_from_pairwise(n, pair_fn, relation, parameters):
 
 
 @dataclass(frozen=True)
-class SphereEquivalenceResult:
+class SphereEquivalenceResult(JsonFields):
     equivalent: bool
     in_same_orbit: bool
     matched_n0: Optional[int]
     horizon: int
-
-    def to_json_dict(self):
-        return {
-            "equivalent": self.equivalent,
-            "in_same_orbit": self.in_same_orbit,
-            "matched_n0": self.matched_n0,
-            "horizon": self.horizon,
-        }
 
 
 def _safe_horizon(g: Graph, u, v, ignore_truncation):
@@ -410,7 +395,7 @@ def suborbit_classes(
 
 
 @dataclass(frozen=True)
-class RefinementLevel:
+class RefinementLevel(JsonFields):
     group_order: int
     classes: EquivalenceClasses
 
@@ -431,10 +416,7 @@ class RefinementIteration:
         return {
             "orders": list(self.orders),
             "fixpoint_reached": self.fixpoint_reached,
-            "levels": [
-                {"group_order": lv.group_order, "classes": lv.classes.to_json_dict()}
-                for lv in self.levels
-            ],
+            "levels": json_value(self.levels),
         }
 
 
@@ -482,7 +464,7 @@ class LayerFixingReport:
             "group_order": self.group_order,
             "respecting_fraction": str(self.respecting_fraction),
             "elements": [
-                {"perm": list(p.images), "respects_layers": ok}
+                {"perm": json_value(p), "respects_layers": ok}
                 for p, ok in self.verdicts
             ],
         }
@@ -546,7 +528,7 @@ def match_probability(n: int) -> Fraction:
 
 
 @dataclass(frozen=True)
-class GrowthBoundReport:
+class GrowthBoundReport(JsonFields):
     """Failure-probability arithmetic for breaking the small-motion layer.
 
     With sphere sizes inside the annulus bounded by c * 2^((1/2-eps)*n) and
@@ -566,18 +548,6 @@ class GrowthBoundReport:
     motion_lower: int
     log2_failure_bound: float
     product_lower: float
-
-    def to_json_dict(self):
-        return {
-            "n": self.n,
-            "j": self.j,
-            "c": self.c,
-            "eps": self.eps,
-            "log2_pi_bound": self.log2_pi_bound,
-            "motion_lower": self.motion_lower,
-            "log2_failure_bound": self.log2_failure_bound,
-            "product_lower": self.product_lower,
-        }
 
 
 def growth_bound(n: int, j: int, c: float, eps: float) -> GrowthBoundReport:
@@ -600,7 +570,7 @@ def growth_bound(n: int, j: int, c: float, eps: float) -> GrowthBoundReport:
 
 
 @dataclass(frozen=True)
-class GrowthClassifierReport:
+class GrowthClassifierReport(JsonFields):
     """Least c with |B(m)| <= c * 2^((1/2-eps)*sqrt(m)) for all m <= radius."""
 
     eps: float
@@ -608,15 +578,6 @@ class GrowthClassifierReport:
     ball_sizes: tuple
     ratios: tuple
     satisfied: tuple
-
-    def to_json_dict(self):
-        return {
-            "eps": self.eps,
-            "c_fit": self.c_fit,
-            "ball_sizes": list(self.ball_sizes),
-            "ratios": list(self.ratios),
-            "satisfied": list(self.satisfied),
-        }
 
 
 def growth_classifier(

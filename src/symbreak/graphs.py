@@ -15,6 +15,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import GraphFormatError
+from .jsonfields import JsonFields, json_value
 
 #: Full distance-row caching is enabled only below this vertex count.
 DISTANCE_CACHE_CAP = 4096
@@ -90,9 +91,6 @@ class Graph:
 
     def edges(self):
         return [(u, v) for u in range(self.vertex_count) for v in self.adjacency[u] if u < v]
-
-    def neighbours(self, v):
-        return self.adjacency[v]
 
     def degree(self, v):
         return len(self.adjacency[v])
@@ -193,19 +191,25 @@ def rooted_tree(branching, depth):
     """
     if branching < 1 or depth < 0:
         raise ValueError("branching >= 1 and depth >= 0 required")
+    return _bfs_tree(branching, branching, depth)
+
+
+def _bfs_tree(root_children, children, depth, truncation=None):
+    """The root gets `root_children` children and every later vertex above
+    the last level `children`; breadth-first order, path-tuple labels."""
     labels = [()]
     edges = []
     level = [0]
-    for _ in range(depth):
+    for d in range(depth):
         nxt = []
         for v in level:
-            for i in range(branching):
+            for i in range(root_children if d == 0 else children):
                 w = len(labels)
                 labels.append(labels[v] + (i,))
                 edges.append((v, w))
                 nxt.append(w)
         level = nxt
-    return Graph.from_edges(len(labels), edges, labels=labels)
+    return Graph.from_edges(len(labels), edges, labels=labels, truncation=truncation)
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +273,7 @@ def truncate_to_ball(g: Graph, root: int, radius: int, family: str = "custom") -
 
 
 @dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(JsonFields):
     """Declarative description of an infinite family plus truncation radius.
 
     Kinds and parameters:
@@ -290,9 +294,6 @@ class FamilySpec:
     params: dict
     radius: int
 
-    def to_json_dict(self):
-        return {"kind": self.kind, "params": self.params, "radius": self.radius}
-
     @classmethod
     def from_json_dict(cls, data):
         if not isinstance(data, dict) or "kind" not in data:
@@ -307,22 +308,7 @@ class FamilySpec:
 def _generate_regular_tree(degree, radius):
     if degree < 3:
         raise ValueError("regular_tree needs degree >= 3")
-    labels = [()]
-    edges = []
-    level = [0]
-    for depth in range(radius):
-        nxt = []
-        for v in level:
-            children = degree if depth == 0 else degree - 1
-            for i in range(children):
-                w = len(labels)
-                labels.append(labels[v] + (i,))
-                edges.append((v, w))
-                nxt.append(w)
-        level = nxt
-    return Graph.from_edges(
-        len(labels), edges, labels=labels, truncation=Truncation(0, radius, "regular_tree")
-    )
+    return _bfs_tree(degree, degree - 1, radius, Truncation(0, radius, "regular_tree"))
 
 
 def _generate_double_ray(radius):
@@ -424,7 +410,7 @@ def generate_family(spec: FamilySpec) -> Graph:
 
 
 @dataclass(frozen=True)
-class GrowthProfile:
+class GrowthProfile(JsonFields):
     """Sphere and ball cardinalities around a root, indexed by radius."""
 
     ball_sizes: tuple
@@ -435,13 +421,6 @@ class GrowthProfile:
     def exhausted(self):
         """True when the requested range ran past the root's eccentricity."""
         return len(self.ball_sizes) - 1 > self.eccentricity
-
-    def to_json_dict(self):
-        return {
-            "ball_sizes": list(self.ball_sizes),
-            "sphere_sizes": list(self.sphere_sizes),
-            "eccentricity": self.eccentricity,
-        }
 
 
 def growth_sequence(g: Graph, v0: int, radius: int) -> GrowthProfile:
@@ -511,16 +490,10 @@ def parse_graph_text(text: str) -> Graph:
 
 
 def graph_to_json_dict(g: Graph) -> dict:
-    data = {"vertex_count": g.vertex_count, "edges": [list(e) for e in g.edges()]}
+    data = {"vertex_count": g.vertex_count, "edges": json_value(g.edges())}
     if g.labels is not None:
-        data["labels"] = [_label_to_json(lab) for lab in g.labels]
+        data["labels"] = json_value(g.labels)
     return data
-
-
-def _label_to_json(label):
-    if isinstance(label, tuple):
-        return [_label_to_json(x) for x in label]
-    return label
 
 
 def _label_from_json(label):

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import CapExceededError
+from .jsonfields import JsonFields, json_value
 from .perms import Perm
 
 #: Default cap on explicit element enumeration.
@@ -32,20 +33,13 @@ class _Level:
 
 
 @dataclass(frozen=True)
-class MotionReport:
+class MotionReport(JsonFields):
     """Minimal support over non-identity elements; motion is None for the
     trivial group.  The witness attains the minimum."""
 
     motion: Optional[int]
     witness: Optional[Perm]
     method: str
-
-    def to_json_dict(self):
-        return {
-            "motion": self.motion,
-            "witness": list(self.witness.images) if self.witness else None,
-            "method": self.method,
-        }
 
 
 class PermGroup:
@@ -397,7 +391,7 @@ class PermGroup:
     def to_json_dict(self):
         return {
             "degree": self.degree,
-            "generators": [list(g.images) for g in self.generators],
+            "generators": json_value(self.generators),
             "order": self.order(),
         }
 

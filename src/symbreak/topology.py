@@ -18,6 +18,7 @@ from .autsearch import automorphism_group
 from .errors import CapExceededError, InvariantError
 from .graphs import Graph
 from .groups import DEFAULT_ENUMERATION_CAP, PermGroup
+from .jsonfields import JsonFields, json_value
 from .perms import Perm
 
 
@@ -111,7 +112,7 @@ def ultrametric_distance(g1: Perm, g2: Perm, seq: ExhaustionSequence) -> Fractio
 
 
 @dataclass(frozen=True)
-class Ball:
+class Ball(JsonFields):
     """One ball: a right coset of the pointwise stabiliser of S_level.
 
     `key` is the common preimage tuple of S_level under the members;
@@ -122,16 +123,6 @@ class Ball:
     representative: Perm
     size: int
     members: Optional[tuple]
-
-    def to_json_dict(self):
-        return {
-            "key": list(self.key),
-            "representative": list(self.representative.images),
-            "size": self.size,
-            "members": None
-            if self.members is None
-            else [list(m.images) for m in self.members],
-        }
 
 
 @dataclass(frozen=True)
@@ -150,7 +141,7 @@ class BallDecomposition:
             "level": self.level,
             "radius": str(self.radius),
             "group_order": self.group_order,
-            "balls": [b.to_json_dict() for b in self.balls],
+            "balls": json_value(self.balls),
         }
 
     def to_text(self, indent: str = "") -> str:

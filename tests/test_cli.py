@@ -214,6 +214,70 @@ def test_env_cap_override(capsys, c4_file, monkeypatch):
     assert main(["prob-exact", "--graph", c4_file]) == 3
 
 
+BOUND_ARGV = ["growth", "--bound", "16", "1", "1", "0.25"]
+
+
+def run_config(capsys, tmp_path, config, *argv):
+    """The config header of a run given a `--config` file (None: no file)."""
+    if config is not None:
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config))
+        argv = ("--config", str(path), *argv)
+    return run_json(capsys, *argv, *BOUND_ARGV)["config"]
+
+
+def test_run_option_precedence(capsys, tmp_path, monkeypatch):
+    """A flag beats the config file, which beats the environment, which
+    beats the built-in default."""
+    cap = lambda cfg: cfg["caps"]["enumeration"]
+    monkeypatch.delenv("SYMBREAK_ENUMERATION_CAP", raising=False)
+    assert cap(run_config(capsys, tmp_path, None)) == 10**6
+    monkeypatch.setenv("SYMBREAK_ENUMERATION_CAP", "7")
+    assert cap(run_config(capsys, tmp_path, None)) == 7
+    assert cap(run_config(capsys, tmp_path, {"caps": {"enumeration": 8}})) == 8
+    for argv in (("--enumeration-cap", "9"), ("--enumeration-cap=9",)):
+        assert cap(run_config(capsys, tmp_path, {"caps": {"enumeration": 8}}, *argv)) == 9
+    cfg = run_config(capsys, tmp_path, {"seed": 17, "trials": 64, "format": "json"}, "--seed", "3")
+    assert (cfg["seed"], cfg["trials"], cfg["output"]["format"]) == (3, 64, "json")
+    cfg = run_config(capsys, tmp_path, {"seed": None, "caps": {"colour_exhaustion": 5}})
+    assert (cfg["seed"], cfg["caps"]["colour_exhaustion"]) == (0, 5)
+
+
+def test_overridden_environment_cap_is_not_read(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("SYMBREAK_ENUMERATION_CAP", "abc")
+    assert run_config(capsys, tmp_path, {"caps": {"enumeration": 8}})["caps"]["enumeration"] == 8
+    assert run_config(capsys, tmp_path, None, "--enumeration-cap", "9")["caps"]["enumeration"] == 9
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"seed": "x"},
+        {"format": "xml"},
+        {"trials": 5.5},
+        {"seed": True},
+        {"caps": {"colour_exhaustion": "big"}},
+        {"caps": [1]},
+        {"output": {"path": "x"}},
+        [17],
+    ],
+)
+def test_invalid_config_values_exit_2(capsys, tmp_path, p4_file, config):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    code = main(["--config", str(path), "distinguish", "--graph", p4_file])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "Traceback" not in captured.err and captured.err.strip()
+
+
+def test_invalid_environment_cap_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("SYMBREAK_ENUMERATION_CAP", "abc")
+    assert main(BOUND_ARGV) == 2
+    assert "invalid int value: 'abc'" in capsys.readouterr().err
+
+
 def test_output_to_file(tmp_path, capsys, p4_file):
     out = tmp_path / "report.json"
     code, _ = run_cli(capsys, "--output", str(out), "prob-exact", "--graph", p4_file)
@@ -346,6 +410,46 @@ def test_readme_result_table_lists_the_usage_subcommands():
     assert table == listed
 
 
+def readme_flat_field_rows():
+    """README result rows that are a plain list of backticked fields.
+
+    Parenthesised notes are dropped first; a row with any other words
+    (`spheres`, `gamma`, `product`, `growth`) is not flat.
+    """
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = {}
+    for name, cell in re.findall(r"^\| `([\w-]+)` *\| (.*?) *\|$", readme, flags=re.MULTILINE):
+        unnoted = re.sub(r"\([^()]*\)", "", cell)
+        items = [re.fullmatch(r"\s*`(\w+)`\s*", item) for item in unnoted.split(",")]
+        if all(items):
+            rows[name] = [m.group(1) for m in items]
+    return rows
+
+
+def test_readme_flat_result_rows_match_the_printed_keys(capsys, c4_file, p4_file, tmp_path):
+    p2 = tmp_path / "p2.txt"
+    p2.write_text(format_graph_text(path_graph(2)))
+    runs = {
+        "autgroup": ["autgroup", "--graph", c4_file],
+        "motion": ["motion", "--graph", c4_file],
+        "distinguish": ["distinguish", "--graph", c4_file, "--colours", "0111"],
+        "prob-exact": ["prob-exact", "--graph", c4_file],
+        "prob-mc": ["--trials", "20", "prob-mc", "--graph", c4_file],
+        "rs-bound": ["rs-bound", "--graph", p4_file],
+        "metric": ["metric", "--graph", c4_file, "--perm-a", "[1,2,3,0]", "--perm-b", "[0,1,2,3]"],
+        "balls": ["balls", "--graph", c4_file, "--level", "1"],
+        "haar": ["haar", "--graph", c4_file],
+        "dsc": ["dsc", "--graph", c4_file],
+        "layers": ["layers", "--left", str(p2), "--right", str(p2), "--colours", "0110"],
+        "treeauto": ["treeauto", "--graph", p4_file, "--colours", "0110"],
+        "batch": ["batch", "--report-dir", str(tmp_path), "--suites", "match_probability"],
+    }
+    rows = readme_flat_field_rows()
+    assert sorted(rows) == sorted(runs)
+    for name, fields in rows.items():
+        assert list(run_json(capsys, *runs[name])["result"]) == fields, name
+
+
 # subprocesses import the package from this checkout's src, whatever the shell's PYTHONPATH
 SRC_ENV = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
 
@@ -407,3 +511,19 @@ def test_monte_carlo_imports_numpy_on_first_use():
         "estimate": 0.594,
         "stderr": 0.021961967125009547,
     }
+
+
+def test_closed_stdout_exits_0_quietly():
+    """A reader that stops early (`| head -1`) closes the pipe mid-report."""
+    tree = json.dumps({"kind": "regular_tree", "params": {"degree": 3}, "radius": 8})
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "symbreak", "--format", "csv", "dsc", "--family", tree],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=SRC_ENV,
+    )
+    assert proc.stdout.readline().startswith(b"# {")
+    proc.stdout.close()
+    _, stderr = proc.communicate(timeout=120)
+    assert proc.returncode == 0
+    assert stderr == b""

@@ -1,0 +1,161 @@
+"""Package-wide rules: one JSON form per report, and no `assert` statements."""
+
+import ast
+import json
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+import symbreak
+from symbreak.colourings import (
+    Colouring,
+    DistinguishReport,
+    McEstimate,
+    PartialColouring,
+    RusselSundaramReport,
+)
+from symbreak.conditions import (
+    DscReport,
+    EquivalenceClasses,
+    GrowthBoundReport,
+    GrowthClassifierReport,
+    LayerFixingReport,
+    RefinementIteration,
+    RefinementLevel,
+    SphereEquivalenceResult,
+)
+from symbreak.graphs import (
+    FamilySpec,
+    GrowthProfile,
+    cartesian_product,
+    graph_to_json_dict,
+    path_graph,
+    rooted_tree,
+)
+from symbreak.groups import MotionReport, PermGroup
+from symbreak.jsonfields import json_value
+from symbreak.perms import Perm
+from symbreak.topology import Ball, BallDecomposition, StabiliserMeasureReport
+
+CLASSES = EquivalenceClasses("suborbit", ((0, 2), (1,)), {"budget": 1}, ((0, 2),))
+BALL = Ball((0, 2), Perm([2, 1, 0]), 2, (Perm([2, 1, 0]), Perm([0, 1, 2])))
+FAMILY_PARAMS = {"left": {"kind": "double_ray", "params": {}, "radius": 1}, "right": "p3.txt"}
+
+# One report of each type and its JSON, pinned: renaming or reordering a
+# field changes the JSON of a report whose `to_json_dict` lists its fields.
+PINNED = [
+    (
+        MotionReport(2, Perm([1, 0, 2]), "backtrack"),
+        '{"motion": 2, "witness": [1, 0, 2], "method": "backtrack"}',
+    ),
+    (
+        PermGroup(3, [Perm([1, 0, 2])]),
+        '{"degree": 3, "generators": [[1, 0, 2]], "order": 2}',
+    ),
+    (
+        DscReport(0, 2, "R - depth", 3, ((1, 2),), ((3, 4),), {(1, 5): 1, (1, 3): 2}),
+        '{"root": 0, "radius": 2, "horizon_rule": "R - depth", "checked_pairs": 3, '
+        '"violations": [[1, 2]], "at_horizon": [[3, 4]], "first_separating_n": {"1,3": 2, "1,5": 1}}',
+    ),
+    (
+        CLASSES,
+        '{"relation": "suborbit", "classes": [[0, 2], [1]], "parameters": {"budget": 1}, '
+        '"closure_added": [[0, 2]]}',
+    ),
+    (
+        SphereEquivalenceResult(True, False, None, 4),
+        '{"equivalent": true, "in_same_orbit": false, "matched_n0": null, "horizon": 4}',
+    ),
+    (
+        RefinementIteration((RefinementLevel(6, CLASSES),), True),
+        '{"orders": [6], "fixpoint_reached": true, "levels": [{"group_order": 6, "classes": '
+        '{"relation": "suborbit", "classes": [[0, 2], [1]], "parameters": {"budget": 1}, '
+        '"closure_added": [[0, 2]]}}]}',
+    ),
+    (
+        LayerFixingReport(2, ((Perm([0, 1]), True), (Perm([1, 0]), False)), Fraction(1, 2)),
+        '{"group_order": 2, "respecting_fraction": "1/2", "elements": [{"perm": [0, 1], '
+        '"respects_layers": true}, {"perm": [1, 0], "respects_layers": false}]}',
+    ),
+    (
+        GrowthBoundReport(16, 2, 1.5, 0.25, 12.5, 64, -3.25, 0.75),
+        '{"n": 16, "j": 2, "c": 1.5, "eps": 0.25, "log2_pi_bound": 12.5, "motion_lower": 64, '
+        '"log2_failure_bound": -3.25, "product_lower": 0.75}',
+    ),
+    (
+        GrowthClassifierReport(0.25, 1.5, (1, 5), (1.0, 1.25), (True, False)),
+        '{"eps": 0.25, "c_fit": 1.5, "ball_sizes": [1, 5], "ratios": [1.0, 1.25], '
+        '"satisfied": [true, false]}',
+    ),
+    (
+        PartialColouring((3, 1), (0, 2), 3),
+        '{"domain": [3, 1], "colours": [0, 2]}',
+    ),
+    (
+        DistinguishReport(False, Perm([1, 0])),
+        '{"distinguishing": false, "witness": [1, 0]}',
+    ),
+    (
+        McEstimate(3, 4, 0.75, 0.25),
+        '{"successes": 3, "trials": 4, "estimate": 0.75, "stderr": 0.25}',
+    ),
+    (
+        RusselSundaramReport(Fraction(1, 2), True, Colouring((0, 1, 1)), 2, 2),
+        '{"bound": "1/2", "applicable": true, "witness": "011", "motion": 2, "group_order": 2}',
+    ),
+    (
+        FamilySpec("cartesian_product", FAMILY_PARAMS, 2),
+        '{"kind": "cartesian_product", "params": {"left": {"kind": "double_ray", "params": {}, '
+        '"radius": 1}, "right": "p3.txt"}, "radius": 2}',
+    ),
+    (
+        GrowthProfile((1, 3, 5), (1, 2, 2), 2),
+        '{"ball_sizes": [1, 3, 5], "sphere_sizes": [1, 2, 2], "eccentricity": 2}',
+    ),
+    (
+        BALL,
+        '{"key": [0, 2], "representative": [2, 1, 0], "size": 2, "members": [[2, 1, 0], [0, 1, 2]]}',
+    ),
+    (
+        BallDecomposition(1, Fraction(1, 2), (BALL, Ball((1, 0), Perm([1, 0, 2]), 2, None)), 4),
+        '{"level": 1, "radius": "1/2", "group_order": 4, "balls": [{"key": [0, 2], '
+        '"representative": [2, 1, 0], "size": 2, "members": [[2, 1, 0], [0, 1, 2]]}, '
+        '{"key": [1, 0], "representative": [1, 0, 2], "size": 2, "members": null}]}',
+    ),
+    (
+        StabiliserMeasureReport(Fraction(3, 8), Fraction(5, 8)),
+        '{"expected_stabiliser_measure": "3/8", "colour_first": "3/8", "group_first": "5/8", '
+        '"fubini_check": "fail"}',
+    ),
+]
+
+
+@pytest.mark.parametrize("report, text", PINNED, ids=[type(r).__name__ for r, _ in PINNED])
+def test_report_json_is_pinned(report, text):
+    assert json.dumps(report.to_json_dict()) == text
+    assert json.dumps(json_value(report)) == text
+
+
+def test_graph_json_is_pinned():
+    g = cartesian_product(rooted_tree(2, 1), path_graph(2))
+    assert json.dumps(graph_to_json_dict(g)) == (
+        '{"vertex_count": 6, "edges": [[0, 1], [0, 2], [0, 4], [1, 3], [1, 5], [2, 3], [4, 5]], '
+        '"labels": [[[], 0], [[], 1], [[0], 0], [[0], 1], [[1], 0], [[1], 1]]}'
+    )
+
+
+def test_json_value_refuses_what_has_no_json_form():
+    with pytest.raises(TypeError, match="Colouring"):
+        json_value({"witness": Colouring((0, 1))})
+
+
+def test_package_has_no_assert_statements():
+    """`python -O` strips asserts, so invariants raise real exceptions."""
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(symbreak.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
