@@ -15,7 +15,7 @@ import sys
 from collections import Counter
 
 from .graphs import Graph
-from .groups import PermGroup
+from .groups import PermGroup, orbit_of
 from .perms import Perm
 
 
@@ -81,24 +81,6 @@ def _shape(cells):
 
 def _flatten(cells):
     return tuple(v for cell in cells for v in cell)
-
-
-def _in_orbit(v, sources, gens):
-    """Whether v lies in the orbit of any source under the given perms."""
-    seen = set(sources)
-    if v in seen:
-        return True
-    queue = list(sources)
-    while queue:
-        p = queue.pop()
-        for g in gens:
-            q = g.images[p]
-            if q not in seen:
-                if q == v:
-                    return True
-                seen.add(q)
-                queue.append(q)
-    return False
 
 
 def _tree_centres(g: Graph):
@@ -313,7 +295,7 @@ def automorphism_generators(g: Graph, vertex_colours=None):
                 if w == v:
                     continue
                 applicable = [h for h in gens if all(h.images[x] == x for x in prefix)]
-                if _in_orbit(w, tried, applicable):
+                if w in orbit_of(tried, applicable):
                     continue
                 child = _refine(adj, _individualize(cells, w))
                 if _shape(child) == left_shapes[level + 1]:

@@ -252,8 +252,8 @@ def _run(args):
     """Returns (report, graph_source, options).
 
     The report is a library report object or a plain dict of library
-    values; `main` renders its JSON with `json_value`, and its CSV or text
-    with the report's own `to_csv` or `to_text` where it has them.
+    values; `_render` encodes its JSON with `json_value`, and its CSV or
+    text with the report's own `to_csv` or `to_text` where it has them.
     """
     rng = SeededRng(args.seed)
     cmd = args.command
@@ -393,6 +393,31 @@ def _run(args):
     raise GraphFormatError(f"unknown subcommand {cmd!r}")
 
 
+def _render(args, report, source, options):
+    """The text a run prints: JSON with its config, or a `#` config line and
+    then the report's CSV or text.  Only JSON output encodes the whole report."""
+    config = {
+        "command": args.command,
+        "graph_source": source,
+        "seed": args.seed,
+        "trials": args.trials,
+        "caps": {"enumeration": args.enumeration_cap, "colour_exhaustion": args.colour_cap},
+        "output": {"format": args.format, "path": args.output},
+        "options": options,
+    }
+    if args.format == "json":
+        result = json_value(report)
+        return json.dumps({"config": config, "result": result}, indent=2, default=json_value)
+    header = "# " + json.dumps(config, default=json_value) + "\n"
+    if args.format == "csv":
+        if not hasattr(report, "to_csv"):
+            raise ValueError(f"csv output not supported for {args.command}")
+        return header + report.to_csv().rstrip("\n")
+    if hasattr(report, "to_text"):
+        return header + report.to_text()
+    return header + json.dumps(json_value(report), indent=2, default=json_value)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
@@ -404,7 +429,7 @@ def main(argv=None) -> int:
             argv = _config_flags(args.config) + argv
         args = parser.parse_args(argv)
         report, source, options = _run(args)
-        result = json_value(report)
+        payload = _render(args, report, source, options)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     except CapExceededError as exc:
@@ -413,29 +438,6 @@ def main(argv=None) -> int:
     except (SymbreakError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    config = {
-        "command": args.command,
-        "graph_source": source,
-        "seed": args.seed,
-        "trials": args.trials,
-        "caps": {"enumeration": args.enumeration_cap, "colour_exhaustion": args.colour_cap},
-        "output": {"format": args.format, "path": args.output},
-        "options": options,
-    }
-    header = "# " + json.dumps(config, default=json_value) + "\n"
-
-    if args.format == "json":
-        payload = json.dumps({"config": config, "result": result}, indent=2, default=json_value)
-    elif args.format == "csv":
-        if not hasattr(report, "to_csv"):
-            print(f"error: csv output not supported for {args.command}", file=sys.stderr)
-            return 2
-        payload = header + report.to_csv().rstrip("\n")
-    elif hasattr(report, "to_text"):
-        payload = header + report.to_text()
-    else:
-        payload = header + json.dumps(result, indent=2, default=json_value)
 
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:

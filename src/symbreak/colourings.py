@@ -216,7 +216,7 @@ def distinguishing_probability_exact(
     colour_cap: int = DEFAULT_COLOUR_CAP,
     enum_cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> Fraction:
-    """Exact fraction of k-colourings with trivial stabiliser.
+    """Exact fraction of k-colourings (k >= 2) with trivial stabiliser.
 
     Colouring c has index sum_v c(v) k^v.  For one element per cycle
     partition of the prime-order automorphisms (enough, by Cauchy's
@@ -224,6 +224,8 @@ def distinguishing_probability_exact(
     sum_j a_j w_j with a_j in 0..k-1 and w_j = sum_{v in cycle j} k^v.
     Unmarked colourings are distinguishing.
     """
+    if k < 2:
+        raise ValueError("at least 2 colours required")
     import numpy as np
 
     n = g.vertex_count
@@ -254,7 +256,7 @@ def distinguishing_probability_mc(
     rng: SeededRng = SeededRng(0),
     enum_cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> McEstimate:
-    """Monte Carlo estimate of the distinguishing probability.
+    """Monte Carlo estimate of the distinguishing probability of k >= 2 colours.
 
     Trial t draws its colouring from rng.trial_stream(t), so results do not
     depend on execution order.  The standard error is the binomial
@@ -266,6 +268,8 @@ def distinguishing_probability_mc(
     within about ``BLOCK_BYTES``.  Above the cap each trial runs one
     colour-constrained automorphism search.
     """
+    if k < 2:
+        raise ValueError("at least 2 colours required")
     import numpy as np
 
     if trials < 1:

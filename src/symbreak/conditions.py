@@ -187,12 +187,6 @@ class EquivalenceClasses(JsonFields):
     parameters: dict
     closure_added: tuple
 
-    def class_of(self, v):
-        for cls in self.classes:
-            if v in cls:
-                return cls
-        raise ValueError(f"vertex {v} not in any class")
-
     def to_text(self):
         lines = [f"relation {self.relation}  parameters {self.parameters}"]
         for cls in self.classes:
@@ -283,16 +277,12 @@ def sphere_equivalence(
 
     matched_n0 = None
     if in_orbit:
-        du, dv = g.distances(u), g.distances(v)
         # largest suffix [agree_from .. horizon] on which the spheres agree
         agree_from = horizon + 1
         for n in range(horizon, 0, -1):
-            su = [w for w in range(g.vertex_count) if du[w] == n]
-            sv = [w for w in range(g.vertex_count) if dv[w] == n]
-            if su == sv:
-                agree_from = n
-            else:
+            if g.sphere(u, n) != g.sphere(v, n):
                 break
+            agree_from = n
         if u == v:
             agree_from = 0
         if agree_from <= n0_cap:
@@ -371,6 +361,8 @@ def suborbit_equivalence(
         group = g_or_group
     else:
         group = automorphism_group(g_or_group)
+    if not 0 <= t < group.degree:
+        raise ValueError(f"invalid point {t}")
     count = _suborbit_mismatch_count(group, s, t, cap)
     return count is not None and count <= budget
 

@@ -4,6 +4,12 @@
 giving exact (big-integer) order, membership tests, capped element
 enumeration, orbits, point/set stabilisers, and exact motion (minimal
 support of a non-identity element).
+
+Elements and motion share one walk over the chain: the products
+rep_0 * rep_1 * ... * rep_{k-1} of one coset representative per level.
+``elements()`` yields every product; motion walks the same products in the
+same order, pruning a partial product once the points it already decides
+move as many as the best support found.
 """
 
 from __future__ import annotations
@@ -25,11 +31,54 @@ _ELEMENT_CACHE_LIMIT = 10**4
 class _Level:
     __slots__ = ("point", "gens", "transversal", "orbit_order")
 
-    def __init__(self, point):
+    def __init__(self, point, degree):
         self.point = point
         self.gens = []
-        self.transversal = {}
-        self.orbit_order = []
+        self.transversal = {point: Perm.identity(degree)}
+        self.orbit_order = [point]
+
+
+def _transversal(point, gens, degree):
+    """Breadth-first orbit of `point` under `gens`: (orbit order, transversal).
+
+    The transversal maps each orbit point q to a coset representative u
+    with u(point) = q, built as s * u_p along the first edge p -> q found.
+    """
+    trans = {point: Perm.identity(degree)}
+    order = [point]
+    for p in order:  # order grows while it is read: the BFS queue
+        up = trans[p]
+        for s in gens:
+            q = s(p)
+            if q not in trans:
+                trans[q] = s * up
+                order.append(q)
+    return order, trans
+
+
+def orbit_of(points, gens):
+    """The set of points reachable from any of `points` under the perms `gens`."""
+    seen = set(points)
+    stack = list(seen)
+    while stack:
+        p = stack.pop()
+        for g in gens:
+            q = g.images[p]
+            if q not in seen:
+                seen.add(q)
+                stack.append(q)
+    return seen
+
+
+def _orbit_partition(degree, gens):
+    """The orbits of `gens` on 0..degree-1, as sorted tuples by smallest point."""
+    remaining = set(range(degree))
+    out = []
+    while remaining:
+        orb = orbit_of((min(remaining),), gens)
+        out.append(tuple(sorted(orb)))
+        remaining -= orb
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -67,18 +116,7 @@ class PermGroup:
         with self._chain_lock:
             if self._chain_ready:
                 return
-            levels = []
-            seen = set()
-            for b in self._base_prefix:
-                if b in seen:
-                    continue
-                seen.add(b)
-                levels.append(_Level(b))
-            ident = Perm.identity(self.degree)
-            for lv in levels:
-                lv.transversal = {lv.point: ident}
-                lv.orbit_order = [lv.point]
-            self._levels = levels
+            self._levels = [_Level(b, self.degree) for b in dict.fromkeys(self._base_prefix)]
             for g in self.generators:
                 residue, j = self._strip(g, 0)
                 if not residue.is_identity():
@@ -99,10 +137,7 @@ class PermGroup:
 
     def _add_strong_gen(self, level_idx, g):
         if level_idx == len(self._levels):
-            lv = _Level(min(g.support()))
-            lv.transversal = {lv.point: Perm.identity(self.degree)}
-            lv.orbit_order = [lv.point]
-            self._levels.append(lv)
+            self._levels.append(_Level(min(g.support()), self.degree))
         self._levels[level_idx].gens.append(g)
 
     def _gens_for_level(self, i):
@@ -111,32 +146,14 @@ class PermGroup:
             out.extend(lv.gens)
         return out
 
-    def _rebuild_orbit(self, i):
-        lv = self._levels[i]
-        gens = self._gens_for_level(i)
-        trans = {lv.point: Perm.identity(self.degree)}
-        order = [lv.point]
-        qi = 0
-        while qi < len(order):
-            p = order[qi]
-            qi += 1
-            up = trans[p]
-            for s in gens:
-                q = s(p)
-                if q not in trans:
-                    trans[q] = s * up
-                    order.append(q)
-        lv.transversal = trans
-        lv.orbit_order = order
-
     def _schreier_sims(self):
         # Bottom-up: level i is done when its orbit is closed and every
         # Schreier generator sifts to the identity through deeper levels.
         i = len(self._levels) - 1
         while i >= 0:
-            self._rebuild_orbit(i)
             lv = self._levels[i]
             gens = self._gens_for_level(i)
+            lv.orbit_order, lv.transversal = _transversal(lv.point, gens, self.degree)
             stall = None
             for p in lv.orbit_order:
                 up = lv.transversal[p]
@@ -190,6 +207,37 @@ class PermGroup:
         residue, _ = self._strip(g, 0)
         return residue.is_identity()
 
+    def _check_point(self, s):
+        if not 0 <= s < self.degree:
+            raise ValueError(f"invalid point {s}")
+
+    def _walk(self, keep=None):
+        """Yield rep_0 * rep_1 * ... * rep_{k-1}, one coset representative per
+        chain level, level 0 varying slowest; each level's base point comes
+        first, then its other orbit points in increasing order.
+
+        Prefix products wait on an explicit stack, so an element costs one
+        multiplication.  A prefix g of i representatives (1 <= i <= k) for
+        which `keep(i, g)` is false is dropped with every product below it;
+        `keep` is asked as g is reached, so it may read state the caller
+        updated since the last yield.
+        """
+        self._ensure_chain()
+        reps = []
+        for lv in self._levels:
+            points = [lv.point] + sorted(p for p in lv.transversal if p != lv.point)
+            reps.append([lv.transversal[p] for p in points])
+        k = len(reps)
+        stack = [(0, Perm.identity(self.degree))]
+        while stack:
+            i, g = stack.pop()
+            if i and keep is not None and not keep(i, g):
+                continue
+            if i == k:
+                yield g
+            else:
+                stack.extend((i + 1, g * rep) for rep in reversed(reps[i]))
+
     def elements(self, cap=DEFAULT_ENUMERATION_CAP):
         """Yield each group element exactly once; refuses above the cap."""
         order = self.order()
@@ -199,30 +247,11 @@ class PermGroup:
                 required=order,
                 cap=cap,
             )
-        self._ensure_chain()
-
-        def rec(i):
-            if i == len(self._levels):
-                yield Perm.identity(self.degree)
-                return
-            lv = self._levels[i]
-            points = [lv.point] + sorted(p for p in lv.transversal if p != lv.point)
-            for p in points:
-                rep = lv.transversal[p]
-                for h in rec(i + 1):
-                    yield rep * h
-
-        return rec(0)
+        return self._walk()
 
     def element_list(self, cap=DEFAULT_ENUMERATION_CAP):
         """Like elements() but materialized (and cached for small groups)."""
-        if self._element_cache is not None:
-            if self.order() > cap:
-                raise CapExceededError(
-                    f"group order {self.order()} exceeds enumeration cap {cap}",
-                    required=self.order(),
-                    cap=cap,
-                )
+        if self._element_cache is not None and self.order() <= cap:
             return self._element_cache
         elems = list(self.elements(cap))
         if len(elems) <= _ELEMENT_CACHE_LIMIT:
@@ -231,45 +260,18 @@ class PermGroup:
 
     def orbit(self, s):
         """The orbit of a point, as a sorted tuple."""
-        if not 0 <= s < self.degree:
-            raise ValueError(f"invalid point {s}")
-        gens = self.strong_generators
-        seen = {s}
-        queue = [s]
-        while queue:
-            p = queue.pop()
-            for g in gens:
-                q = g(p)
-                if q not in seen:
-                    seen.add(q)
-                    queue.append(q)
-        return tuple(sorted(seen))
+        self._check_point(s)
+        return tuple(sorted(orbit_of((s,), self.strong_generators)))
 
     def orbits(self):
         """All orbits on 0..degree-1, sorted by smallest element."""
-        remaining = set(range(self.degree))
-        out = []
-        while remaining:
-            s = min(remaining)
-            orb = self.orbit(s)
-            out.append(orb)
-            remaining.difference_update(orb)
-        return tuple(out)
+        return _orbit_partition(self.degree, self.strong_generators)
 
     def stabiliser_generators(self, s):
         """Schreier generators for the stabiliser of a point."""
+        self._check_point(s)
         gens = self.strong_generators
-        trans = {s: Perm.identity(self.degree)}
-        order = [s]
-        qi = 0
-        while qi < len(order):
-            p = order[qi]
-            qi += 1
-            for g in gens:
-                q = g(p)
-                if q not in trans:
-                    trans[q] = g * trans[p]
-                    order.append(q)
+        order, trans = _transversal(s, gens, self.degree)
         out = []
         seen = set()
         for p in order:
@@ -283,23 +285,7 @@ class PermGroup:
 
     def suborbits(self, s):
         """Orbit partition of all points under the stabiliser of s."""
-        stab_gens = self.stabiliser_generators(s)
-        remaining = set(range(self.degree))
-        out = []
-        while remaining:
-            v = min(remaining)
-            seen = {v}
-            queue = [v]
-            while queue:
-                p = queue.pop()
-                for g in stab_gens:
-                    q = g(p)
-                    if q not in seen:
-                        seen.add(q)
-                        queue.append(q)
-            out.append(tuple(sorted(seen)))
-            remaining.difference_update(seen)
-        return tuple(out)
+        return _orbit_partition(self.degree, self.stabiliser_generators(s))
 
     def pointwise_stabiliser(self, points):
         """The subgroup fixing every given point, via a base change."""
@@ -333,9 +319,9 @@ class PermGroup:
     def motion(self, cap=DEFAULT_ENUMERATION_CAP) -> MotionReport:
         """Exact minimal support of a non-identity element.
 
-        Pruned backtracking over the stabiliser chain: a depth-first walk
-        over products of coset representatives, in the order elements()
-        yields them, that abandons a partial product once the points it has
+        Pruned backtracking over the stabiliser chain: the walk over
+        products of coset representatives that elements() yields, in the
+        same order, abandoning a partial product once the points it has
         already decided move as many as the best support found.  The witness
         is the first element of least support in that order.  `cap` is
         accepted for compatibility and ignored; the search enumerates
@@ -360,30 +346,22 @@ class PermGroup:
         best = n + 1
         witness = None
 
-        def dfs(i, partial):
-            nonlocal best, witness
-            if i == k:
-                if not partial.is_identity():
-                    supp = len(partial.support())
-                    if supp < best:
-                        best, witness = supp, partial
-                return
-            lv = levels[i]
-            points = [lv.point] + sorted(p for p in lv.transversal if p != lv.point)
-            for p in points:
-                g = partial * lv.transversal[p]
-                images = g.images
-                lower = 0
-                for s in fixed_at[i + 1]:
-                    if images[s] != s:
-                        lower += 1
-                        if lower >= best:
-                            break
-                if lower >= best:
-                    continue
-                dfs(i + 1, g)
+        def keep(i, g):
+            # a lower bound on g's final support, from the points it decides
+            images = g.images
+            lower = 0
+            for s in fixed_at[i]:
+                if images[s] != s:
+                    lower += 1
+                    if lower >= best:
+                        return False
+            return True
 
-        dfs(0, Perm.identity(n))
+        # fixed_at[k] is every point, so each non-identity product that
+        # survives keep() has support below the best so far
+        for g in self._walk(keep):
+            if not g.is_identity():
+                best, witness = len(g.support()), g
         return MotionReport(best, witness, "backtrack")
 
     # -- misc ----------------------------------------------------------------

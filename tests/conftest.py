@@ -30,14 +30,39 @@ def brute_force_automorphisms(g: Graph, colours=None):
     return out
 
 
+def elements_by_recursion(group):
+    """The library's former recursive `elements()`: rep_0 * (rep_1 * (...)).
+
+    Level 0 varies slowest; each level lists its base point first, then its
+    other orbit points in increasing order.  No cap; the oracle for the
+    iterative walk that `elements()` and `motion()` now share.
+    """
+    base, transversals = group.base, group.transversals
+
+    def rec(i):
+        if i == len(base):
+            yield Perm.identity(group.degree)
+            return
+        trans = transversals[i]
+        points = [base[i]] + sorted(p for p in trans if p != base[i])
+        for p in points:
+            rep = trans[p]
+            for h in rec(i + 1):
+                yield rep * h
+
+    return rec(0)
+
+
 def motion_by_enumeration(group):
     """(motion, witness) by scanning every element in `elements()` order.
 
     The first element of least support wins, as in `PermGroup.motion`; the
-    library's former enumeration path, kept here as the oracle.
+    library's former enumeration path, kept here as the oracle.  It reads
+    the elements from `elements_by_recursion`, so it shares no code with
+    the walk behind `motion()`.
     """
     best = witness = None
-    for g in group.elements():
+    for g in elements_by_recursion(group):
         if g.is_identity():
             continue
         supp = len(g.support())

@@ -24,6 +24,7 @@ from symbreak.graphs import (
     generate_family,
     path_graph,
 )
+from symbreak.jsonfields import json_value
 from symbreak.suites import ALL_SUITES
 from symbreak.topology import ExhaustionSequence, ball_decomposition
 
@@ -191,6 +192,44 @@ def test_malformed_graph_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "line 2" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["gamma", "--graph", "C4", "--pair", "0", "99"], "invalid point 99"),
+        (["gamma", "--graph", "C4", "--pair", "99", "0"], "invalid point 99"),
+        (["spheres", "--graph", "C4", "--pair", "0", "99"], "invalid vertex index 99"),
+        (["prob-exact", "--graph", "C4", "--k", "0"], "at least 2 colours required"),
+        (["prob-exact", "--graph", "C4", "--k", "-1"], "at least 2 colours required"),
+        (["prob-mc", "--graph", "C4", "--k", "1"], "at least 2 colours required"),
+    ],
+)
+def test_out_of_range_inputs_exit_2(capsys, c4_file, argv, message):
+    code = main([c4_file if a == "C4" else a for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}")
+
+
+def test_only_json_output_encodes_the_report(capsys, monkeypatch):
+    import symbreak.cli as cli
+
+    encoded = []
+
+    def recording_json_value(obj):
+        encoded.append(type(obj).__name__)
+        return json_value(obj)
+
+    monkeypatch.setattr(cli, "json_value", recording_json_value)
+    spec = json.dumps({"kind": "double_ray", "params": {}, "radius": 4})
+    for fmt in ("csv", "text"):
+        assert main(["--format", fmt, "dsc", "--family", spec]) == 0
+    assert "DscReport" not in encoded
+    assert main(["--format", "json", "dsc", "--family", spec]) == 0
+    assert "DscReport" in encoded
+    capsys.readouterr()
 
 
 def test_cap_exceeded_exits_3(capsys, c4_file):

@@ -216,6 +216,11 @@ class TestExactProbability:
                     count += 1
             assert distinguishing_probability_exact(g) == Fraction(count, 2**n)
 
+    @pytest.mark.parametrize("k", [1, 0, -1])
+    def test_fewer_than_two_colours_rejected(self, k):
+        with pytest.raises(ValueError, match="at least 2 colours required"):
+            distinguishing_probability_exact(cycle_graph(6), k)
+
     def test_three_colours_on_k3(self):
         # distinguishing 3-colourings of K3 are exactly the 6 rainbow ones
         assert distinguishing_probability_exact(complete_graph(3), 3) == Fraction(6, 27)
@@ -272,6 +277,11 @@ class TestMonteCarloEstimate:
     def test_k1_exactly_one(self):
         est = distinguishing_probability_mc(complete_graph(1), 2, 100, SeededRng(3))
         assert est.estimate == 1.0
+
+    @pytest.mark.parametrize("k", [1, 0, -1])
+    def test_fewer_than_two_colours_rejected(self, k):
+        with pytest.raises(ValueError, match="at least 2 colours required"):
+            distinguishing_probability_mc(cycle_graph(6), k, 300)
 
     def test_within_5_sigma_on_whole_corpus(self, corpus):
         for index, (name, g) in enumerate(corpus.items()):

@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import motion_by_enumeration
+from conftest import elements_by_recursion, motion_by_enumeration
 from symbreak.autsearch import automorphism_group
 from symbreak.errors import CapExceededError
 from symbreak.graphs import (
@@ -60,6 +60,9 @@ def test_elements_cap_is_explicit():
     g = PermGroup(8, dihedral_generators(8))
     with pytest.raises(CapExceededError):
         list(g.elements(cap=10))
+    assert len(g.element_list()) == 16
+    with pytest.raises(CapExceededError):  # the cached list obeys the cap too
+        g.element_list(cap=10)
 
 
 def test_order_matches_element_closure():
@@ -222,7 +225,8 @@ class TestMotion:
         assert (report.motion, report.witness) == motion_by_enumeration(aut)
 
 
-def test_random_generator_sets_match_closure():
+def random_generator_sets():
+    """40 seeded sets of 1-3 random permutations on 3-6 points."""
     from symbreak.rng import SeededRng
 
     rng = SeededRng(4242)
@@ -238,6 +242,11 @@ def test_random_generator_sets_match_closure():
                 k = picks[j] % (j + 1)
                 images[j], images[k] = images[k], images[j]
             gens.append(Perm(images))
+        yield n, gens
+
+
+def test_random_generator_sets_match_closure():
+    for n, gens in random_generator_sets():
         group = PermGroup(n, gens)
         closure = {Perm.identity(n).images}
         frontier = list(closure)
@@ -283,3 +292,77 @@ def test_from_elements_reduces_generators():
     rebuilt = PermGroup.from_elements(6, list(aut.elements()))
     assert rebuilt.order() == 12
     assert len(rebuilt.generators) <= 4
+
+
+class TestCosetWalk:
+    """elements() and motion() walk the chain's coset products iteratively;
+    the former recursive enumeration is the oracle for their order."""
+
+    @staticmethod
+    def groups(corpus):
+        out = [(name, automorphism_group(g)) for name, g in corpus.items()]
+        for name, g in [
+            ("Q4", hypercube(4)),
+            ("Q5", hypercube(5)),
+            ("K44", complete_bipartite(4, 4)),
+            ("C16", cycle_graph(16)),
+        ]:
+            out.append((name, automorphism_group(g)))
+        out.append(("trivial", PermGroup(5, [])))
+        for i, (n, gens) in enumerate(random_generator_sets()):
+            out.append((f"random{i}", PermGroup(n, gens)))
+        return out
+
+    def test_elements_keep_the_recursive_order(self, corpus):
+        for name, group in self.groups(corpus):
+            assert list(group.elements()) == list(elements_by_recursion(group)), name
+
+    def test_motion_matches_enumeration(self, corpus):
+        for name, group in self.groups(corpus):
+            if group.is_trivial():
+                continue
+            report = group.motion()
+            assert (report.motion, report.witness) == motion_by_enumeration(group), name
+
+
+class TestOrbitsByBruteForce:
+    """orbit, suborbits and stabiliser_generators against the elements, which
+    come from the recursive oracle so that a wrong walk cannot hide here."""
+
+    @staticmethod
+    def small_groups(corpus):
+        out = [automorphism_group(g) for g in corpus.values()]
+        out += [PermGroup(n, gens) for n, gens in random_generator_sets()]
+        return out
+
+    def test_orbits(self, corpus):
+        for group in self.small_groups(corpus):
+            elems = list(elements_by_recursion(group))
+            for s in range(group.degree):
+                assert group.orbit(s) == tuple(sorted({e(s) for e in elems}))
+
+    def test_stabiliser_generators_generate_the_stabiliser(self, corpus):
+        for group in self.small_groups(corpus):
+            elems = list(elements_by_recursion(group))
+            for s in range(group.degree):
+                stab = {e.images for e in elems if e(s) == s}
+                gens = group.stabiliser_generators(s)
+                assert all(g(s) == s and not g.is_identity() for g in gens)
+                generated = elements_by_recursion(PermGroup(group.degree, gens))
+                assert {e.images for e in generated} == stab
+
+    def test_suborbits(self, corpus):
+        for group in self.small_groups(corpus):
+            elems = list(elements_by_recursion(group))
+            for s in range(group.degree):
+                stab = [e for e in elems if e(s) == s]
+                expect = sorted({tuple(sorted({e(x) for e in stab})) for x in range(group.degree)})
+                assert group.suborbits(s) == tuple(expect)
+
+
+@pytest.mark.parametrize("query", ["orbit", "suborbits", "stabiliser_generators"])
+@pytest.mark.parametrize("point", [-1, 6, 99])
+def test_point_queries_reject_points_outside_the_group(query, point):
+    aut = automorphism_group(cycle_graph(6))
+    with pytest.raises(ValueError, match=f"invalid point {point}"):
+        getattr(aut, query)(point)
