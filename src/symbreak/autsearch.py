@@ -136,38 +136,46 @@ class _RootedTree:
             stack.extend(zip(self.sorted_children(a), self.sorted_children(b)))
 
     def swap_generators(self):
-        """Transpositions of adjacent code-equal sibling subtrees.
+        """Yield transpositions of adjacent code-equal sibling subtrees.
 
-        These generate the full automorphism group of the rooted coloured
-        tree (the iterated wreath product over code-equal siblings).
+        They generate the full automorphism group of the rooted coloured
+        tree, the iterated wreath product over code-equal siblings.  When
+        exhausted, returns that group's order: the product over vertices of
+        m! for each class of m code-equal children.
         """
         n = len(self.code)
-        gens = []
+        group_order = 1
         for v in self.order:
             kids = self.sorted_children(v)
+            run = 1  # members so far of the code-equal class of a
             for a, b in zip(kids, kids[1:]):
-                if self.code[a] == self.code[b]:
-                    images = list(range(n))
-                    self.map_subtree(a, b, images)
-                    self.map_subtree(b, a, images)
-                    gens.append(Perm(images, validate=False))
-        return gens
+                if self.code[a] != self.code[b]:
+                    run = 1
+                    continue
+                run += 1
+                group_order *= run
+                images = list(range(n))
+                self.map_subtree(a, b, images)
+                self.map_subtree(b, a, images)
+                yield Perm(images, validate=False)
+        return group_order
 
 
-def _tree_automorphism_generators(g: Graph, colours):
-    """Exact generators for a (coloured) tree via subtree codes.
+def _tree_automorphisms(g: Graph, colours):
+    """Exact generators for a (coloured) tree via subtree codes; returns |Aut|.
 
-    Every automorphism fixes the centre; for a centre edge, the two halves
-    may additionally swap when their codes agree.
+    Every automorphism fixes the centre, so the group fixing it is the
+    rooted tree's.  For a centre edge the two halves may additionally swap
+    when their codes agree, which doubles the order.
     """
     n = g.vertex_count
     if n <= 1:
-        return []
+        return 1
     centres = _tree_centres(g)
+    group_order = yield from _RootedTree(g, centres[0], colours).swap_generators()
     if len(centres) == 1:
-        return _RootedTree(g, centres[0], colours).swap_generators()
+        return group_order
     u, v = centres
-    gens = _RootedTree(g, u, colours).swap_generators()
     # halves around the centre edge: subtree(v) versus the rest rooted at u
     half_u = _half_code(g, u, v, colours)
     half_v = _half_code(g, v, u, colours)
@@ -175,8 +183,9 @@ def _tree_automorphism_generators(g: Graph, colours):
         images = [0] * n
         _map_half(g, u, v, colours, images)
         _map_half(g, v, u, colours, images)
-        gens.append(Perm(images))
-    return gens
+        yield Perm(images)
+        group_order *= 2
+    return group_order
 
 
 def _half_subtree(g: Graph, root, blocked):
@@ -227,24 +236,37 @@ def _map_half(g: Graph, a, blocked_a, colours, images):
     rec(a, blocked_a)
 
 
-def automorphism_generators(g: Graph, vertex_colours=None):
-    """Generators of the (colour-preserving) automorphism group of g."""
+def _automorphisms(g: Graph, colours):
+    """Generators of the (colour-preserving) automorphism group of g, lazily.
+
+    A tree yields its sibling swaps in BFS order and then, for a centre
+    edge, the swap of the halves; any other graph yields each search
+    generator as it is found.  Exhausted, it returns the group order for a
+    tree (read from the subtree codes) and None otherwise.
+    """
     n = g.vertex_count
     if n == 0:
-        return []
-    if vertex_colours is not None and len(vertex_colours) != n:
+        return None
+    if colours is not None and len(colours) != n:
         raise ValueError("vertex colouring must be total")
     if n > 200:
         sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * n + 1000))
     if g.is_tree():
-        return _tree_automorphism_generators(g, vertex_colours)
+        return (yield from _tree_automorphisms(g, colours))
+    yield from _search(g, colours)
+
+
+def _search(g: Graph, vertex_colours):
+    """Yield search generators in the order the search finds them."""
+    n = g.vertex_count
     adj = g.adjacency
     adj_sets = [frozenset(nbrs) for nbrs in adj]
 
     pi0 = _refine(adj, _initial_partition(n, vertex_colours))
 
     # Leftmost descent: individualize the smallest vertex of the first
-    # non-singleton cell until the partition is discrete.
+    # non-singleton cell until the partition is discrete.  A discrete pi0
+    # leaves depth 0 and the search yields nothing.
     left_partitions = [pi0]
     left_seq = []
     pi = pi0
@@ -277,18 +299,18 @@ def automorphism_generators(g: Graph, vertex_colours=None):
         return cand
 
     def search(cells, level, on_left):
+        # a subtree off the leftmost path yields at most one generator
         if level == depth:
-            if on_left:
-                return False
-            cand = try_leaf(cells)
-            if cand is not None and not cand.is_identity():
-                gens.append(cand)
-                return True
-            return False
+            if not on_left:
+                cand = try_leaf(cells)
+                if cand is not None and not cand.is_identity():
+                    gens.append(cand)
+                    yield cand
+            return
         cell = cells[_first_nonsingleton(cells)]
         if on_left:
             v = left_seq[level]
-            search(left_partitions[level + 1], level + 1, True)
+            yield from search(left_partitions[level + 1], level + 1, True)
             prefix = left_seq[:level]
             tried = [v]
             for w in sorted(cell):
@@ -299,21 +321,45 @@ def automorphism_generators(g: Graph, vertex_colours=None):
                     continue
                 child = _refine(adj, _individualize(cells, w))
                 if _shape(child) == left_shapes[level + 1]:
-                    search(child, level + 1, False)
+                    yield from search(child, level + 1, False)
                 tried.append(w)
-            return False
+            return
         for w in sorted(cell):
             child = _refine(adj, _individualize(cells, w))
             if _shape(child) != left_shapes[level + 1]:
                 continue
-            if search(child, level + 1, False):
-                return True
-        return False
+            for found in search(child, level + 1, False):
+                yield found
+                return
 
-    search(pi0, 0, True)
-    return gens
+    yield from search(pi0, 0, True)
+
+
+def automorphism_generators(g: Graph, vertex_colours=None):
+    """Generators of the (colour-preserving) automorphism group of g."""
+    return list(_automorphisms(g, vertex_colours))
+
+
+def first_automorphism(g: Graph, vertex_colours=None):
+    """The first of g's automorphism generators, or None when the group is trivial.
+
+    The search stops there, so one automorphism certifies a non-trivial
+    colour stabiliser; on a tree it is the first swap of code-equal
+    siblings, or else of the halves.
+    """
+    return next(_automorphisms(g, vertex_colours), None)
 
 
 def automorphism_group(g: Graph, vertex_colours=None) -> PermGroup:
-    """The automorphism group of g, colour-preserving when colours are given."""
-    return PermGroup(g.vertex_count, automorphism_generators(g, vertex_colours))
+    """The automorphism group of g, colour-preserving when colours are given.
+
+    A tree's group carries its order, read from the subtree codes, so its
+    ``order()`` builds no stabiliser chain.
+    """
+    search = _automorphisms(g, vertex_colours)
+    gens = []
+    while True:
+        try:
+            gens.append(next(search))
+        except StopIteration as done:
+            return PermGroup(g.vertex_count, gens, order=done.value)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .autsearch import _RootedTree, automorphism_group
+from .autsearch import _RootedTree, automorphism_group, first_automorphism
 from .errors import CapExceededError, InvariantError
 from .graphs import Graph
 from .groups import DEFAULT_ENUMERATION_CAP, PermGroup
@@ -139,20 +139,26 @@ def random_colouring(g: Graph, k: int = 2, rng: SeededRng = SeededRng(0)) -> Col
     return Colouring(tuple(rng.integers_below(k, g.vertex_count)), k)
 
 
-def colouring_stabiliser(g: Graph, c: Colouring) -> PermGroup:
-    """The colour-preserving automorphisms {gamma : c(gamma(s)) = c(s) for all s}."""
+def _check_total(g: Graph, c: Colouring):
     if len(c) != g.vertex_count:
         raise ValueError("colouring must be total")
+
+
+def colouring_stabiliser(g: Graph, c: Colouring) -> PermGroup:
+    """The colour-preserving automorphisms {gamma : c(gamma(s)) = c(s) for all s}."""
+    _check_total(g, c)
     return automorphism_group(g, vertex_colours=c.colours)
 
 
 def is_distinguishing(g: Graph, c: Colouring) -> DistinguishReport:
-    """True iff the colouring's stabiliser is trivial; else returns a witness."""
-    stab = colouring_stabiliser(g, c)
-    if stab.is_trivial():
-        return DistinguishReport(True, None)
-    witness = next(gen for gen in stab.generators if not gen.is_identity())
-    return DistinguishReport(False, witness)
+    """True iff the colouring's stabiliser is trivial; else a witness.
+
+    The witness is the stabiliser's first generator, and the search stops
+    once it is found.
+    """
+    _check_total(g, c)
+    witness = first_automorphism(g, c.colours)
+    return DistinguishReport(witness is None, witness)
 
 
 def fix_probability(gamma: Perm, k: int = 2) -> Fraction:
@@ -260,13 +266,17 @@ def distinguishing_probability_mc(
 
     Trial t draws its colouring from rng.trial_stream(t), so results do not
     depend on execution order.  The standard error is the binomial
-    sqrt(p(1-p)/trials) at the estimated p.
+    sqrt(p(1-p)/trials) at the estimated p.  Blocks of trials are drawn at
+    once (``SeededRng.trial_block``); a block's arrays stay within about
+    ``BLOCK_BYTES``.
 
-    When |Aut| is within `enum_cap`, blocks of trials are drawn at once
-    (``SeededRng.trial_block``) and checked against one element per cycle
-    partition of the prime-order automorphisms; a block's arrays stay
-    within about ``BLOCK_BYTES``.  Above the cap each trial runs one
-    colour-constrained automorphism search.
+    When |Aut| <= min(enum_cap, trials * n), each block is checked against
+    one element per cycle partition of the prime-order automorphisms.
+    Otherwise each trial runs the colour-constrained automorphism search
+    until its first automorphism: a colouring is distinguishing iff there
+    is none.  Both decide every trial exactly, so the count does not depend
+    on the path.  A tree's |Aut| comes from its subtree codes, so choosing
+    the path builds no stabiliser chain for it.
     """
     if k < 2:
         raise ValueError("at least 2 colours required")
@@ -277,7 +287,7 @@ def distinguishing_probability_mc(
     n = g.vertex_count
     aut = automorphism_group(g)
     successes = 0
-    if aut.order() <= enum_cap:
+    if aut.order() <= min(enum_cap, trials * n):
         labels = _prime_order_partitions(aut, enum_cap)
         if not len(labels):
             successes = trials
@@ -295,10 +305,10 @@ def distinguishing_probability_mc(
                     hit |= (block[:, chunk] == block[:, None, :]).all(axis=2).any(axis=1)
                 successes += int((~hit).sum())
     else:
-        for t in range(trials):
-            c = random_colouring(g, k, rng.trial_stream(t))
-            if colouring_stabiliser(g, c).is_trivial():
-                successes += 1
+        rows = max(1, BLOCK_BYTES // (8 * max(n, 1)))
+        for done in range(0, trials, rows):
+            block = rng.trial_block(k, done, min(rows, trials - done), n)
+            successes += sum(first_automorphism(g, c) is None for c in block.tolist())
     p = successes / trials
     return McEstimate(successes, trials, p, math.sqrt(p * (1 - p) / trials))
 
@@ -327,7 +337,7 @@ def russel_sundaram_bound(g: Graph, rng: SeededRng = SeededRng(0)) -> RusselSund
     if applicable:
         for attempt in range(RS_SEARCH_ATTEMPTS):
             c = random_colouring(g, 2, rng.trial_stream(attempt))
-            if colouring_stabiliser(g, c).is_trivial():
+            if first_automorphism(g, c.colours) is None:
                 witness = c
                 break
     return RusselSundaramReport(bound, applicable, witness, m, order)

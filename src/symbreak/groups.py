@@ -18,7 +18,7 @@ import threading
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import CapExceededError
+from .errors import CapExceededError, InvariantError
 from .jsonfields import JsonFields, json_value
 from .perms import Perm
 
@@ -95,16 +95,19 @@ class PermGroup:
     """Group generated by permutations of 0..degree-1, with a BSGS chain.
 
     The Schreier-Sims chain is built lazily on the first query that needs
-    it; triviality is decidable from the generators alone.
+    it; triviality is decidable from the generators alone.  A known `order`
+    (a tree's, from its subtree codes) answers ``order()`` without a chain;
+    a chain built later must agree with it.
     """
 
-    def __init__(self, degree, generators, base_prefix=()):
+    def __init__(self, degree, generators, base_prefix=(), order=None):
         self.degree = degree
         self.generators = tuple(generators)
         for g in self.generators:
             if g.degree != degree:
                 raise ValueError("generator degree mismatch")
         self._base_prefix = tuple(base_prefix)
+        self._order = order
         self._levels = None
         self._chain_ready = False
         self._element_cache = None
@@ -122,6 +125,14 @@ class PermGroup:
                 if not residue.is_identity():
                     self._add_strong_gen(j, residue)
             self._schreier_sims()
+            chain_order = 1
+            for lv in self._levels:
+                chain_order *= len(lv.transversal)
+            if self._order is not None and chain_order != self._order:
+                raise InvariantError(
+                    f"stabiliser chain order {chain_order} differs from the known order {self._order}"
+                )
+            self._order = chain_order
             self._chain_ready = True
 
     # -- chain construction -------------------------------------------------
@@ -190,11 +201,9 @@ class PermGroup:
         return tuple(dict(lv.transversal) for lv in self._levels)
 
     def order(self):
-        self._ensure_chain()
-        n = 1
-        for lv in self._levels:
-            n *= len(lv.transversal)
-        return n
+        if self._order is None:
+            self._ensure_chain()
+        return self._order
 
     def is_trivial(self):
         # decidable without a stabiliser chain
@@ -290,6 +299,8 @@ class PermGroup:
     def pointwise_stabiliser(self, points):
         """The subgroup fixing every given point, via a base change."""
         points = tuple(dict.fromkeys(points))
+        for s in points:
+            self._check_point(s)
         if not points:
             return self
         chain = PermGroup(self.degree, self.strong_generators, base_prefix=points)
@@ -300,6 +311,8 @@ class PermGroup:
     def setwise_stabiliser(self, points, cap=DEFAULT_ENUMERATION_CAP):
         """The subgroup mapping the given set onto itself (capped enumeration)."""
         target = frozenset(points)
+        for s in target:
+            self._check_point(s)
         kept = [g for g in self.elements(cap) if frozenset(g(p) for p in target) == target]
         return PermGroup.from_elements(self.degree, kept)
 

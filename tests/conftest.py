@@ -1,7 +1,9 @@
 import itertools
+import random
 
 import pytest
 
+from symbreak.colourings import colouring_stabiliser, random_colouring
 from symbreak.conditions import DscReport
 from symbreak.graphs import Graph
 from symbreak.perms import Perm
@@ -28,6 +30,50 @@ def brute_force_automorphisms(g: Graph, colours=None):
         if all(frozenset(images[u] for u in adj_sets[v]) == adj_sets[images[v]] for v in range(n)):
             out.append(Perm(images, validate=False))
     return out
+
+
+def petersen_graph():
+    edges = []
+    for i in range(5):
+        edges += [(i, (i + 1) % 5), (i, i + 5), (i + 5, 5 + (i + 2) % 5)]
+    return Graph.from_edges(10, edges)
+
+
+def seeded_random_graphs(seed, count, max_n=9):
+    """`count` seeded random graphs on 1..max_n vertices, each edge with probability 1/2."""
+    rnd = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rnd.randint(1, max_n)
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rnd.random() < 0.5]
+        out.append(Graph.from_edges(n, edges))
+    return out
+
+
+def seeded_random_trees(seed, count, max_n=30):
+    """`count` seeded random recursive trees on 1..max_n vertices, relabelled."""
+    rnd = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rnd.randint(1, max_n)
+        label = list(range(n))
+        rnd.shuffle(label)
+        edges = [(label[rnd.randrange(v)], label[v]) for v in range(1, n)]
+        out.append(Graph.from_edges(n, edges))
+    return out
+
+
+def mc_by_stabilisers(g: Graph, k, trials, rng):
+    """The library's former Monte Carlo loop above the enumeration cap.
+
+    Each trial draws its colouring from its own scalar stream and builds the
+    colouring's whole stabiliser; the oracle for the block draws and
+    first-automorphism certificates that replaced it.
+    """
+    return sum(
+        colouring_stabiliser(g, random_colouring(g, k, rng.trial_stream(t))).is_trivial()
+        for t in range(trials)
+    )
 
 
 def elements_by_recursion(group):

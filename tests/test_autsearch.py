@@ -1,17 +1,33 @@
+import random
+from collections import Counter
+
 import pytest
 
-from symbreak.autsearch import automorphism_group
+from symbreak.autsearch import (
+    _tree_centres,
+    automorphism_generators,
+    automorphism_group,
+    first_automorphism,
+)
 from symbreak.graphs import (
+    FamilySpec,
     Graph,
     complete_bipartite,
     complete_graph,
     cycle_graph,
+    generate_family,
     hypercube,
     path_graph,
     star_graph,
 )
+from symbreak.groups import PermGroup
 
-from conftest import brute_force_automorphisms
+from conftest import (
+    brute_force_automorphisms,
+    petersen_graph,
+    seeded_random_graphs,
+    seeded_random_trees,
+)
 
 
 KNOWN_ORDERS = [
@@ -152,3 +168,76 @@ def test_petersen_graph_order():
         edges.append((i + 5, 5 + (i + 2) % 5))
     g = Graph.from_edges(10, edges)
     assert automorphism_group(g).order() == 120
+
+
+def test_first_automorphism_is_the_first_generator(corpus):
+    graphs = (
+        list(corpus.values())
+        + [petersen_graph(), hypercube(4)]
+        + seeded_random_graphs(11, 80)
+        + seeded_random_trees(12, 80)
+    )
+    rnd = random.Random(13)
+    for index, g in enumerate(graphs):
+        n = g.vertex_count
+        for k in (None, 2, 3):
+            colours = None if k is None else tuple(rnd.randrange(k) for _ in range(n))
+            gens = automorphism_generators(g, colours)
+            assert first_automorphism(g, colours) == (gens[0] if gens else None), (index, k)
+
+
+def mirrored_tree(rnd, m):
+    """Two copies of a random recursive tree on m vertices, joined root to root.
+
+    Copy one holds 0..m-1 rooted at 0, copy two holds m..2m-1 rooted at m;
+    the centre is the edge between the roots or lies inside one copy.
+    """
+    parents = [rnd.randrange(v) for v in range(1, m)]
+    edges = [(0, m)]
+    for copy in (0, m):
+        edges += [(copy + p, copy + v) for v, p in enumerate(parents, start=1)]
+    return Graph.from_edges(2 * m, edges)
+
+
+def test_tree_order_from_codes_matches_the_chain():
+    rnd = random.Random(21)
+    cases = []
+    for g in seeded_random_trees(22, 300):
+        cases.append((g, None))
+        cases.append((g, tuple(rnd.randrange(2) for _ in range(g.vertex_count))))
+    for _ in range(220):
+        g = mirrored_tree(rnd, rnd.randint(1, 15))
+        half = [rnd.randrange(2) for _ in range(g.vertex_count // 2)]
+        # the mirrored colouring keeps the halves swap
+        cases += [(g, None), (g, tuple(half + half))]
+    centres = Counter()
+    halves_swapped = Counter()
+    for index, (g, colours) in enumerate(cases):
+        group = automorphism_group(g, colours)
+        assert group.order() == PermGroup(g.vertex_count, group.generators).order(), index
+        centre = _tree_centres(g)
+        centres[len(centre), colours is None] += 1
+        if len(centre) == 2 and any(h(centre[0]) == centre[1] for h in group.generators):
+            halves_swapped[colours is None] += 1
+    assert len(cases) >= 1000
+    assert min(centres[c, plain] for c in (1, 2) for plain in (True, False)) >= 100
+    assert min(halves_swapped[True], halves_swapped[False]) >= 50
+
+
+TREE_FAMILIES = [
+    FamilySpec("regular_tree", {"degree": 3}, 3),
+    FamilySpec("regular_tree", {"degree": 3}, 4),
+    FamilySpec("regular_tree", {"degree": 3}, 5),
+    FamilySpec("regular_tree", {"degree": 4}, 3),
+]
+
+
+@pytest.mark.parametrize(
+    "g",
+    [generate_family(spec) for spec in TREE_FAMILIES] + [path_graph(n) for n in range(1, 12)],
+    ids=[f"d{s.params['degree']}R{s.radius}" for s in TREE_FAMILIES]
+    + [f"P{n}" for n in range(1, 12)],
+)
+def test_family_tree_order_from_codes_matches_the_chain(g):
+    group = automorphism_group(g)
+    assert group.order() == PermGroup(g.vertex_count, group.generators).order()

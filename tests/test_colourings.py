@@ -5,7 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import tree_automorphism_by_nested_codes
+from conftest import (
+    mc_by_stabilisers,
+    petersen_graph,
+    seeded_random_graphs,
+    seeded_random_trees,
+    tree_automorphism_by_nested_codes,
+)
 from symbreak import colourings
 from symbreak.autsearch import automorphism_group
 from symbreak.colourings import (
@@ -168,6 +174,19 @@ class TestDistinguishing:
         w = rep.witness
         assert all(c[w(v)] == c[v] for v in range(6))
 
+    def test_witness_is_the_stabilisers_first_generator(self, corpus):
+        for name, g in corpus.items():
+            for t in range(8):
+                c = random_colouring(g, 2, SeededRng(9, t))
+                rep = is_distinguishing(g, c)
+                gens = colouring_stabiliser(g, c).generators
+                assert rep.distinguishing == (not gens), name
+                assert rep.witness == (gens[0] if gens else None), name
+
+    def test_partial_colouring_rejected(self):
+        with pytest.raises(ValueError, match="colouring must be total"):
+            is_distinguishing(path_graph(4), Colouring((0, 1)))
+
 
 class TestFixProbability:
     def test_identity(self):
@@ -318,6 +337,78 @@ class TestMonteCarloEstimate:
     def test_one_check_per_prime_order_cycle_partition(self, d, count):
         labels = colourings._prime_order_partitions(automorphism_group(hypercube(d)), 10**6)
         assert labels.shape == (count, 2**d)
+
+
+CERTIFICATE_GRAPHS = {
+    "K10": complete_graph(10),
+    "K33": complete_bipartite(3, 3),
+    "Petersen": petersen_graph(),
+    "C8": cycle_graph(8),
+    "regular_tree d3 R4": generate_family(FamilySpec("regular_tree", {"degree": 3}, 4)),
+}
+
+
+class TestCertificatePath:
+    """Above the enumeration cap, or when |Aut| exceeds trials * n, each
+    trial stops at its colouring's first automorphism."""
+
+    @pytest.mark.parametrize("name", sorted(CERTIFICATE_GRAPHS))
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_matches_per_trial_stabilisers(self, name, k):
+        g = CERTIFICATE_GRAPHS[name]
+        rng = SeededRng(31, 7)
+        got = distinguishing_probability_mc(g, k, 150, rng, enum_cap=1).successes
+        assert got == mc_by_stabilisers(g, k, 150, rng)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_random_graphs_and_trees_match_per_trial_stabilisers(self, k):
+        graphs = seeded_random_graphs(5, 40) + seeded_random_trees(6, 40)
+        for index, g in enumerate(graphs):
+            rng = SeededRng(8, index)
+            got = distinguishing_probability_mc(g, k, 40, rng, enum_cap=1).successes
+            assert got == mc_by_stabilisers(g, k, 40, rng), index
+
+    def test_small_memory_budget_gives_same_count(self, monkeypatch):
+        g = CERTIFICATE_GRAPHS["Petersen"]
+        want = distinguishing_probability_mc(g, 2, 100, SeededRng(4), enum_cap=1).successes
+        monkeypatch.setattr(colourings, "BLOCK_BYTES", 1)
+        assert distinguishing_probability_mc(g, 2, 100, SeededRng(4), enum_cap=1).successes == want
+
+    def test_path_rule_at_trials_times_n(self, monkeypatch):
+        # C8: |Aut| = 16 = 2 trials * 8 vertices enumerates; one trial does not
+        calls = []
+        partitions = colourings._prime_order_partitions
+        monkeypatch.setattr(
+            colourings,
+            "_prime_order_partitions",
+            lambda *args: calls.append(args) or partitions(*args),
+        )
+        g = cycle_graph(8)
+        distinguishing_probability_mc(g, 2, 2, SeededRng(1))
+        assert len(calls) == 1
+        distinguishing_probability_mc(g, 2, 1, SeededRng(1))
+        assert len(calls) == 1
+
+    def test_q7_takes_the_certificate_path(self, monkeypatch):
+        # |Aut(Q7)| = 645120 is under the cap but above 50 trials * 128
+        # vertices; enumerating its prime-order elements took tens of seconds
+        def refuse(*args):
+            raise AssertionError("enumerated the prime-order elements")
+
+        monkeypatch.setattr(colourings, "_prime_order_partitions", refuse)
+        g = hypercube(7)
+        got = distinguishing_probability_mc(g, 2, 50, SeededRng(2, 5)).successes
+        assert got == mc_by_stabilisers(g, 2, 50, SeededRng(2, 5))
+
+    def test_tree_path_choice_builds_no_chain(self, monkeypatch):
+        from symbreak.groups import PermGroup
+
+        def refuse(self):
+            raise AssertionError("built a stabiliser chain")
+
+        monkeypatch.setattr(PermGroup, "_ensure_chain", refuse)
+        g = generate_family(FamilySpec("regular_tree", {"degree": 3}, 6))
+        assert distinguishing_probability_mc(g, 2, 20, SeededRng(3)).successes == 0
 
 
 class TestRusselSundaram:

@@ -2,7 +2,7 @@ import pytest
 
 from conftest import elements_by_recursion, motion_by_enumeration
 from symbreak.autsearch import automorphism_group
-from symbreak.errors import CapExceededError
+from symbreak.errors import CapExceededError, InvariantError
 from symbreak.graphs import (
     FamilySpec,
     complete_bipartite,
@@ -366,3 +366,28 @@ def test_point_queries_reject_points_outside_the_group(query, point):
     aut = automorphism_group(cycle_graph(6))
     with pytest.raises(ValueError, match=f"invalid point {point}"):
         getattr(aut, query)(point)
+
+
+@pytest.mark.parametrize("query", ["pointwise_stabiliser", "setwise_stabiliser"])
+@pytest.mark.parametrize("point", [-1, 6, 99])
+def test_stabilisers_reject_points_outside_the_group(query, point):
+    # -1 used to pass as vertex 5, and 6 or 99 raised IndexError
+    aut = automorphism_group(cycle_graph(6))
+    with pytest.raises(ValueError, match=f"invalid point {point}"):
+        getattr(aut, query)([0, point])
+
+
+def test_known_order_needs_no_chain():
+    gens = automorphism_group(cycle_graph(6)).generators
+    group = PermGroup(6, gens, order=12)
+    assert group.order() == 12
+    assert not group._chain_ready
+    assert group.base and group.order() == 12
+
+
+def test_wrong_known_order_raises_when_the_chain_is_built():
+    gens = automorphism_group(cycle_graph(6)).generators
+    group = PermGroup(6, gens, order=6)
+    assert group.order() == 6  # taken on trust until a chain exists
+    with pytest.raises(InvariantError, match="chain order 12 differs from the known order 6"):
+        group.base
