@@ -335,11 +335,6 @@ def _search(g: Graph, vertex_colours):
     yield from search(pi0, 0, True)
 
 
-def automorphism_generators(g: Graph, vertex_colours=None):
-    """Generators of the (colour-preserving) automorphism group of g."""
-    return list(_automorphisms(g, vertex_colours))
-
-
 def first_automorphism(g: Graph, vertex_colours=None):
     """The first of g's automorphism generators, or None when the group is trivial.
 

@@ -107,6 +107,8 @@ def dsc_check(g: Graph, v0: int = 0, radius: Optional[int] = None) -> DscReport:
             raise ValueError("radius differs from the truncation radius")
     if radius is None:
         radius = g.eccentricity(v0)
+    elif radius < 0:
+        raise ValueError("radius must be non-negative")
 
     dist = g.distances(v0)
     by_depth = {}
@@ -239,11 +241,45 @@ class SphereEquivalenceResult(JsonFields):
     horizon: int
 
 
-def _safe_horizon(g: Graph, u, v, ignore_truncation):
-    if g.truncation is None or ignore_truncation:
-        return max(g.eccentricity(u), g.eccentricity(v))
-    root, radius = g.truncation.root, g.truncation.radius
-    return radius - max(g.distance(root, u), g.distance(root, v))
+def _vertex_spheres(g: Graph, vertices):
+    """vertex -> [S_v(1), S_v(2), ...], up to its safe range on a truncation."""
+    if g.truncation is None:
+        return {v: _spheres_within(g, v, g.vertex_count) for v in vertices}
+    depth = g.distances(g.truncation.root)
+    return {v: _spheres_within(g, v, g.truncation.radius - depth[v]) for v in vertices}
+
+
+def _check_sphere_bounds(n0_max, horizon):
+    for name, value in (("n0_max", n0_max), ("horizon", horizon)):
+        if value is not None and value < 0:
+            raise ValueError(f"{name} must be non-negative")
+
+
+def _sphere_pair(g: Graph, u, v, spheres, n0_max, horizon, group) -> SphereEquivalenceResult:
+    su, sv = spheres[u], spheres[v]
+    if g.truncation is None:
+        safe = max(len(su), len(sv))
+    else:
+        depth = g.distances(g.truncation.root)
+        safe = g.truncation.radius - max(depth[u], depth[v])
+    if horizon is None:
+        horizon = max(safe, 0)
+    elif horizon > safe:
+        raise ValueError(f"horizon {horizon} exceeds the safe range {safe}")
+    in_orbit = v in group.orbit(u)
+    matched_n0 = None
+    if in_orbit:
+        # largest suffix [agree_from .. horizon] on which the spheres agree,
+        # scanned from the top; past the end of a list its spheres are empty
+        pairs = list(itertools.zip_longest(su[:horizon], sv[:horizon], fillvalue=frozenset()))
+        agree_from = 0 if u == v else 1 + next(
+            (n for n in range(len(pairs), 0, -1) if pairs[n - 1][0] != pairs[n - 1][1]), 0
+        )
+        if agree_from <= min(horizon if n0_max is None else n0_max, horizon):
+            matched_n0 = agree_from
+    return SphereEquivalenceResult(
+        in_orbit and matched_n0 is not None, in_orbit, matched_n0, horizon
+    )
 
 
 def sphere_equivalence(
@@ -252,86 +288,53 @@ def sphere_equivalence(
     v: int,
     n0_max: Optional[int] = None,
     horizon: Optional[int] = None,
-    ignore_truncation: bool = False,
-    group: Optional[PermGroup] = None,
 ) -> SphereEquivalenceResult:
     """u ~ v: same automorphism orbit and S_u(n) = S_v(n) for n0 <= n <= horizon.
 
-    On truncations the horizon may not exceed the safe range
-    radius - max(depth(u), depth(v)); pass ignore_truncation to treat the
-    graph as exact.
+    Spheres come from bounded breadth-first searches (`_spheres_within`).
+    The horizon defaults to the safe range and may not exceed it: the last
+    radius at which u or v has a non-empty sphere, or on a truncation
+    radius - max(depth(u), depth(v)).
     """
     g._check_vertex(u)
     g._check_vertex(v)
-    safe = _safe_horizon(g, u, v, ignore_truncation)
-    if horizon is None:
-        horizon = max(safe, 0)
-    elif horizon > safe:
-        raise ValueError(f"horizon {horizon} exceeds the safe range {safe}")
-    if n0_max is None:
-        n0_max = horizon
-    n0_cap = min(n0_max, horizon)
-    if group is None:
-        group = automorphism_group(g)
-    in_orbit = v in group.orbit(u)
-
-    matched_n0 = None
-    if in_orbit:
-        # largest suffix [agree_from .. horizon] on which the spheres agree
-        agree_from = horizon + 1
-        for n in range(horizon, 0, -1):
-            if g.sphere(u, n) != g.sphere(v, n):
-                break
-            agree_from = n
-        if u == v:
-            agree_from = 0
-        if agree_from <= n0_cap:
-            matched_n0 = agree_from
-    return SphereEquivalenceResult(
-        in_orbit and matched_n0 is not None, in_orbit, matched_n0, horizon
-    )
+    _check_sphere_bounds(n0_max, horizon)
+    spheres = _vertex_spheres(g, (u, v))
+    return _sphere_pair(g, u, v, spheres, n0_max, horizon, automorphism_group(g))
 
 
 def sphere_classes(
     g: Graph,
     n0_max: Optional[int] = None,
     horizon: Optional[int] = None,
-    ignore_truncation: bool = False,
-    group: Optional[PermGroup] = None,
 ) -> EquivalenceClasses:
-    if group is None:
-        group = automorphism_group(g)
+    """Classes of `sphere_equivalence`, each vertex's spheres built once."""
+    _check_sphere_bounds(n0_max, horizon)
+    group = automorphism_group(g)
+    spheres = _vertex_spheres(g, range(g.vertex_count))
 
     def pair_fn(s, t):
-        return sphere_equivalence(
-            g, s, t, n0_max=n0_max, horizon=horizon,
-            ignore_truncation=ignore_truncation, group=group,
-        ).equivalent
+        return _sphere_pair(g, s, t, spheres, n0_max, horizon, group).equivalent
 
     return _classes_from_pairwise(
-        g.vertex_count,
-        pair_fn,
-        "sphere",
-        {"n0_max": n0_max, "horizon": horizon, "ignore_truncation": ignore_truncation},
+        g.vertex_count, pair_fn, "sphere", {"n0_max": n0_max, "horizon": horizon}
     )
 
 
 # -- suborbit equivalence ---------------------------------------------------
 
 
-def _suborbit_mismatch_count(group: PermGroup, s, t, cap):
+def _suborbit_mismatch_count(group: PermGroup, s, t, elements):
     """#{x : (stab_s orbit of x) != phi(stab_s orbit of x)} for phi with phi(s)=t.
 
     The count is the same for every such phi (phi' = phi * sigma with sigma
     stabilising s permutes each suborbit within itself); computed for all
-    candidates and checked equal (else `InvariantError`).  None when no
-    element maps s to t.
+    candidates among `elements`, the group's element list, and checked
+    equal (else `InvariantError`).  t must lie in the orbit of s.
     """
-    if t not in group.orbit(s):
-        return None
     suborbits = [frozenset(cls) for cls in group.suborbits(s)]
     counts = set()
-    for phi in group.element_list(cap):
+    for phi in elements:
         if phi(s) != t:
             continue
         mismatch = 0
@@ -347,7 +350,7 @@ def _suborbit_mismatch_count(group: PermGroup, s, t, cap):
 
 
 def suborbit_equivalence(
-    g_or_group,
+    g: Graph,
     s: int,
     t: int,
     budget: int,
@@ -357,33 +360,30 @@ def suborbit_equivalence(
     stabiliser suborbits (the finite surrogate for 'all but finitely many')."""
     if budget < 0:
         raise ValueError("budget must be non-negative")
-    if isinstance(g_or_group, PermGroup):
-        group = g_or_group
-    else:
-        group = automorphism_group(g_or_group)
+    group = automorphism_group(g)
     if not 0 <= t < group.degree:
         raise ValueError(f"invalid point {t}")
-    count = _suborbit_mismatch_count(group, s, t, cap)
-    return count is not None and count <= budget
+    if t not in group.orbit(s):
+        return False
+    return _suborbit_mismatch_count(group, s, t, group.element_list(cap)) <= budget
 
 
 def suborbit_classes(
-    g_or_group,
+    g: Graph,
     budget: int,
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> EquivalenceClasses:
-    if isinstance(g_or_group, PermGroup):
-        group = g_or_group
-        degree = group.degree
-    else:
-        group = automorphism_group(g_or_group)
-        degree = g_or_group.vertex_count
+    if budget < 0:
+        raise ValueError("budget must be non-negative")
+    group = automorphism_group(g)
+    return _suborbit_classes(group, budget, group.element_list(cap))
 
+
+def _suborbit_classes(group: PermGroup, budget: int, elements) -> EquivalenceClasses:
     def pair_fn(s, t):
-        count = _suborbit_mismatch_count(group, s, t, cap)
-        return count is not None and count <= budget
+        return t in group.orbit(s) and _suborbit_mismatch_count(group, s, t, elements) <= budget
 
-    return _classes_from_pairwise(degree, pair_fn, "suborbit", {"budget": budget})
+    return _classes_from_pairwise(group.degree, pair_fn, "suborbit", {"budget": budget})
 
 
 @dataclass(frozen=True)
@@ -418,16 +418,21 @@ def gamma_refinement_iterate(
     max_levels: int = 10,
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> RefinementIteration:
+    if budget < 0:
+        raise ValueError("budget must be non-negative")
+    if max_levels < 1:
+        raise ValueError("max_levels must be at least 1")
     group = automorphism_group(g)
     levels = []
     fixpoint = False
     for _ in range(max_levels):
-        classes = suborbit_classes(group, budget, cap=cap)
+        elements = group.element_list(cap)
+        classes = _suborbit_classes(group, budget, elements)
         levels.append(RefinementLevel(group.order(), classes))
         class_sets = [frozenset(c) for c in classes.classes]
         kept = [
             e
-            for e in group.element_list(cap)
+            for e in elements
             if all(frozenset(e(v) for v in cls) == cls for cls in class_sets)
         ]
         refined = PermGroup.from_elements(group.degree, kept)

@@ -429,6 +429,8 @@ def growth_sequence(g: Graph, v0: int, radius: int) -> GrowthProfile:
     Entries beyond the eccentricity of v0 are zero spheres; the profile
     records the eccentricity so callers can see where the graph ran out.
     """
+    if radius < 0:
+        raise ValueError("radius must be non-negative")
     dist = g.distances(v0)
     ecc = max(dist)
     sphere_sizes = [0] * (radius + 1)

@@ -25,8 +25,6 @@ from .perms import Perm
 #: Default cap on explicit element enumeration.
 DEFAULT_ENUMERATION_CAP = 10**6
 
-_ELEMENT_CACHE_LIMIT = 10**4
-
 
 class _Level:
     __slots__ = ("point", "gens", "transversal", "orbit_order")
@@ -110,7 +108,6 @@ class PermGroup:
         self._order = order
         self._levels = None
         self._chain_ready = False
-        self._element_cache = None
         self._chain_lock = threading.Lock()
 
     def _ensure_chain(self):
@@ -259,13 +256,8 @@ class PermGroup:
         return self._walk()
 
     def element_list(self, cap=DEFAULT_ENUMERATION_CAP):
-        """Like elements() but materialized (and cached for small groups)."""
-        if self._element_cache is not None and self.order() <= cap:
-            return self._element_cache
-        elems = list(self.elements(cap))
-        if len(elems) <= _ELEMENT_CACHE_LIMIT:
-            self._element_cache = elems
-        return elems
+        """A new list of every element, in elements() order; refuses above the cap."""
+        return list(self.elements(cap))
 
     def orbit(self, s):
         """The orbit of a point, as a sorted tuple."""

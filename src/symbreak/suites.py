@@ -80,10 +80,10 @@ def stabiliser_measure_suite():
     return header, rows
 
 
-def match_probability_suite(n_max: int = 64):
+def match_probability_suite():
     header = ["n", "probability", "at_most_half"]
     rows = []
-    for n in range(1, n_max + 1):
+    for n in range(1, 65):
         p = match_probability(n)
         rows.append([n, str(p), p <= Fraction(1, 2)])
     return header, rows

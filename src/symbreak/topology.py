@@ -48,23 +48,13 @@ class ExhaustionSequence:
 
     @classmethod
     def balls(cls, g: Graph, root: int = 0):
-        """S_i = B_root(i-1): the root, then growing distance balls."""
-        out = []
-        prev = None
-        radius = 0
-        while True:
-            ball = frozenset(g.ball(root, radius))
-            if ball != prev:
-                out.append(ball)
-                prev = ball
-            if len(ball) == g.vertex_count:
-                break
-            radius += 1
-            if radius > g.vertex_count:
-                # disconnected graph: close off with the full vertex set
-                out.append(frozenset(range(g.vertex_count)))
-                break
-        return cls(tuple(out), g.vertex_count)
+        """S_i = B_root(i-1): the root, then growing distance balls; on a
+        disconnected graph the full vertex set closes the sequence."""
+        dist = g.distances(root)
+        sets = [[v for v, d in enumerate(dist) if 0 <= d <= r] for r in range(max(dist) + 1)]
+        if len(sets[-1]) < g.vertex_count:
+            sets.append(range(g.vertex_count))
+        return cls(tuple(sets), g.vertex_count)
 
     @classmethod
     def prefixes(cls, degree: int, step: int = 1):
@@ -116,7 +106,7 @@ class Ball(JsonFields):
     """One ball: a right coset of the pointwise stabiliser of S_level.
 
     `key` is the common preimage tuple of S_level under the members;
-    `members` is None when the decomposition was not materialized.
+    `members` is None when the group is above the enumeration cap.
     """
 
     key: tuple
@@ -163,17 +153,16 @@ def ball_decomposition(
     group: PermGroup,
     seq: ExhaustionSequence,
     level: int,
-    within: Optional[Ball] = None,
     cap: int = DEFAULT_ENUMERATION_CAP,
-    materialize: bool = True,
 ) -> BallDecomposition:
-    """Partition the group (or a parent ball) into balls of radius 2^-level.
+    """Partition the group into balls of radius 2^-level.
 
     Balls are the right cosets of the pointwise stabiliser of S_level, so
-    the number of balls equals the stabiliser's index.  With
-    ``materialize=False`` only representatives and sizes are computed (by
-    a breadth-first search over preimage tuples), which works above the
-    enumeration cap.
+    the number of balls equals the stabiliser's index.  Up to `cap`
+    elements every ball lists its members and its least member is the
+    representative; above the cap a breadth-first search over preimage
+    tuples gives each ball's key, a representative and the size, with
+    ``members`` None; more than `cap` balls raise `CapExceededError`.
     """
     if not 1 <= level <= len(seq):
         raise ValueError(f"level must be in 1..{len(seq)}")
@@ -183,11 +172,9 @@ def ball_decomposition(
     radius = Fraction(1, 2**level)
     order = group.order()
 
-    if within is not None and within.members is None:
-        raise CapExceededError("parent ball was not materialized")
-    if within is not None or materialize:
+    if order <= cap:
         groups = {}
-        for m in group.elements(cap) if within is None else within.members:
+        for m in group.elements(cap):
             groups.setdefault(_preimage_key(m, points), []).append(m)
         balls = []
         for key in sorted(groups):
@@ -197,6 +184,9 @@ def ball_decomposition(
         return BallDecomposition(level, radius, tuple(balls), order)
 
     # Representatives only: BFS over right cosets acting on preimage tuples.
+    size = group.pointwise_stabiliser(points).order()
+    if order // size > cap:
+        raise CapExceededError(f"{order // size} balls exceed the cap {cap}")
     gens = group.strong_generators
     start = tuple(points)
     reps = {start: Perm.identity(group.degree)}
@@ -210,34 +200,10 @@ def ball_decomposition(
             if new_key not in reps:
                 reps[new_key] = new_rep
                 queue.append(new_key)
-    count = len(reps)
-    size, rem = divmod(order, count)
-    if rem:
-        raise InvariantError("coset count does not divide group order")
+    if len(reps) * size != order:
+        raise InvariantError("coset count times stabiliser order is not the group order")
     balls = tuple(Ball(key, reps[key], size, None) for key in sorted(reps))
     return BallDecomposition(level, radius, balls, order)
-
-
-def coset_tree_text(
-    group: PermGroup,
-    seq: ExhaustionSequence,
-    max_level: int,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-) -> str:
-    """Indented text rendering of nested ball decompositions up to max_level."""
-    lines = [f"group order {group.order()}"]
-
-    def rec(level, within, indent):
-        deco = ball_decomposition(group, seq, level, within=within, cap=cap)
-        for b in deco.balls:
-            lines.append(
-                f"{indent}radius {deco.radius}  key {list(b.key)}  size {b.size}"
-            )
-            if level < max_level and b.size > 1:
-                rec(level + 1, b, indent + "  ")
-
-    rec(1, None, "")
-    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------

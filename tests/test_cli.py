@@ -137,6 +137,15 @@ def test_balls_subcommand(capsys, c4_file):
     assert len(data["result"]["balls"]) == 4
 
 
+def test_balls_above_the_enumeration_cap_lists_representatives(capsys, c4_file):
+    data = run_json(capsys, "--enumeration-cap", "7", "balls", "--graph", c4_file, "--level", "1")
+    assert [b["size"] for b in data["result"]["balls"]] == [2, 2, 2, 2]
+    assert all(b["members"] is None for b in data["result"]["balls"])
+    # level 2 fixes C4's closed neighbourhood of 0, so all 8 elements are balls
+    assert main(["--enumeration-cap", "7", "balls", "--graph", c4_file, "--level", "2"]) == 3
+    assert "8 balls exceed the cap 7" in capsys.readouterr().err
+
+
 def test_dsc_csv_output(capsys):
     spec = json.dumps({"kind": "double_ray", "params": {}, "radius": 4})
     code, out = run_cli(capsys, "--format", "csv", "dsc", "--family", spec)
@@ -203,6 +212,16 @@ def test_malformed_graph_exits_2(tmp_path, capsys):
         (["prob-exact", "--graph", "C4", "--k", "0"], "at least 2 colours required"),
         (["prob-exact", "--graph", "C4", "--k", "-1"], "at least 2 colours required"),
         (["prob-mc", "--graph", "C4", "--k", "1"], "at least 2 colours required"),
+        (["growth", "--graph", "C4", "--radius", "-2"], "radius must be non-negative"),
+        (["growth", "--graph", "C4", "--radius", "-2", "--epsilon", "0.2"],
+         "radius must be non-negative"),
+        (["dsc", "--graph", "C4", "--radius", "-1"], "radius must be non-negative"),
+        (["gamma", "--graph", "C4", "--budget", "-1"], "budget must be non-negative"),
+        (["gamma", "--graph", "C4", "--iterate", "0"], "max_levels must be at least 1"),
+        (["spheres", "--graph", "C4", "--horizon", "-1"], "horizon must be non-negative"),
+        (["spheres", "--graph", "C4", "--n0-max", "-3"], "n0_max must be non-negative"),
+        (["spheres", "--graph", "C4", "--pair", "0", "1", "--horizon", "-1"],
+         "horizon must be non-negative"),
     ],
 )
 def test_out_of_range_inputs_exit_2(capsys, c4_file, argv, message):

@@ -244,6 +244,10 @@ class TestGrowth:
         g = cycle_graph(7)
         assert growth_sequence(g, 0, 0).ball_sizes == (1,)
 
+    def test_negative_radius_rejected(self):
+        with pytest.raises(ValueError, match="radius must be non-negative"):
+            growth_sequence(cycle_graph(7), 0, -2)
+
     def test_balls_are_sphere_prefix_sums(self):
         g = generate_family(FamilySpec("grid", {"dimension": 2}, 4))
         prof = growth_sequence(g, 0, 4)

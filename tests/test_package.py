@@ -1,7 +1,10 @@
-"""Package-wide rules: one JSON form per report, and no `assert` statements."""
+"""Package-wide rules: one JSON form per report, no `assert` statements, and
+every name the bench tracer wraps still exists."""
 
 import ast
+import importlib.util
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -159,3 +162,36 @@ def test_package_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_bench_tracer_installs_and_uninstalls():
+    """bench/tracer.py wraps symbreak names by lookup, so a deleted or renamed
+    one makes install() raise here rather than in a traced bench run."""
+    import symbreak.cli  # noqa: F401  (the tracer patches the bindings of loaded modules)
+
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer_module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_module)
+
+    def bindings():
+        modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "symbreak"]
+        owners = modules + [PermGroup, Perm, symbreak.Graph, symbreak.SeededRng]
+        return {(id(owner), k): v for owner in owners for k, v in vars(owner).items()}
+
+    before = bindings()
+    tracer = tracer_module.Tracer(symbreak)
+    tracer.install()
+    try:
+        assert PermGroup.__dict__["element_list"] is not before[(id(PermGroup), "element_list")]
+        tracer.enabled = True
+        symbreak.automorphism_group(symbreak.cycle_graph(4)).element_list()
+        tracer.enabled = False
+        _, inclusive, counts = tracer.take_pass()
+    finally:
+        tracer.uninstall()
+    assert counts["groups.elements_yielded"] == 8
+    assert "groups.chain" in inclusive
+    after = bindings()
+    assert after.keys() == before.keys()
+    assert all(after[key] is before[key] for key in before)

@@ -5,14 +5,13 @@ import pytest
 
 from symbreak.autsearch import automorphism_group
 from symbreak.errors import CapExceededError, InvariantError
-from symbreak.graphs import complete_graph, cycle_graph, hypercube, path_graph
+from symbreak.graphs import Graph, complete_graph, cycle_graph, hypercube, path_graph
 from symbreak.perms import Perm
 from symbreak.rng import SeededRng
 from symbreak.topology import (
     ExhaustionSequence,
     agreement_level,
     ball_decomposition,
-    coset_tree_text,
     expected_stabiliser_measure,
     haar_fraction,
     ultrametric_distance,
@@ -25,6 +24,12 @@ class TestExhaustionSequence:
         assert seq.sets[0] == (0,)
         assert seq.sets[1] == (0, 1, 7)
         assert set(seq.sets[-1]) == set(range(8))
+
+    def test_ball_sequence_of_a_disconnected_graph(self):
+        # P3 plus a disjoint edge: the full set closes each sequence
+        g = Graph.from_edges(5, [(0, 1), (1, 2), (3, 4)])
+        assert ExhaustionSequence.balls(g, 0).sets == ((0,), (0, 1), (0, 1, 2), (0, 1, 2, 3, 4))
+        assert ExhaustionSequence.balls(g, 3).sets == ((3,), (3, 4), (0, 1, 2, 3, 4))
 
     def test_prefix_sequence(self):
         seq = ExhaustionSequence.prefixes(5, step=2)
@@ -217,36 +222,34 @@ class TestBallDecomposition:
                     b1.representative, b2.representative, seq
                 ) > radius
 
-    def test_subball_refinement_partitions_parent(self):
-        g = cycle_graph(4)
-        group = automorphism_group(g)
-        seq = ExhaustionSequence.balls(g, 0)
-        top = ball_decomposition(group, seq, 1)
-        parent = top.balls[0]
-        sub = ball_decomposition(group, seq, 2, within=parent)
-        assert sum(b.size for b in sub.balls) == parent.size
-        members = {m.images for b in sub.balls for m in b.members}
-        assert members == {m.images for m in parent.members}
-
     def test_representatives_only_mode_matches(self):
-        g = hypercube(3)
-        group = automorphism_group(g)
-        seq = ExhaustionSequence.balls(g, 0)
-        full = ball_decomposition(group, seq, 1)
-        reps = ball_decomposition(group, seq, 1, materialize=False)
-        assert reps.ball_count == full.ball_count
-        assert [b.size for b in reps.balls] == [b.size for b in full.balls]
-        assert [b.key for b in reps.balls] == [b.key for b in full.balls]
-        assert all(b.members is None for b in reps.balls)
+        # above the cap the BFS gives the materialised keys and sizes
+        for g in [cycle_graph(8), hypercube(3), path_graph(5)]:
+            group = automorphism_group(g)
+            seq = ExhaustionSequence.balls(g, 0)
+            for level in range(1, len(seq) + 1):
+                full = ball_decomposition(group, seq, level)
+                if full.ball_count == group.order():
+                    continue  # a trivial stabiliser: as many balls as elements
+                reps = ball_decomposition(group, seq, level, cap=full.ball_count)
+                assert [b.key for b in reps.balls] == [b.key for b in full.balls]
+                assert [b.size for b in reps.balls] == [b.size for b in full.balls]
+                assert all(b.members is None for b in reps.balls)
+                for rb, fb in zip(reps.balls, full.balls):
+                    assert rb.representative.images in {m.images for m in fb.members}
 
     def test_coset_count_not_dividing_the_order_raises_invariant_error(self):
-        # a group claiming order 4 whose generator has an orbit of length 3
+        # a group claiming order 4 and a point stabiliser of order 2 whose
+        # generator has an orbit of length 3
         fake = SimpleNamespace(
-            degree=3, order=lambda: 4, strong_generators=[Perm([1, 2, 0])]
+            degree=3,
+            order=lambda: 4,
+            pointwise_stabiliser=lambda points: SimpleNamespace(order=lambda: 2),
+            strong_generators=[Perm([1, 2, 0])],
         )
         seq = ExhaustionSequence.prefixes(3)
         with pytest.raises(InvariantError):
-            ball_decomposition(fake, seq, 1, materialize=False)
+            ball_decomposition(fake, seq, 1, cap=3)
 
     def test_cap_is_explicit(self):
         g = cycle_graph(8)
@@ -254,6 +257,15 @@ class TestBallDecomposition:
         seq = ExhaustionSequence.balls(g, 0)
         with pytest.raises(CapExceededError):
             ball_decomposition(group, seq, 1, cap=3)
+        # more balls than the cap raise: the deepest level of Q3 and of the
+        # star K_{1,9} (9! cosets at level 2); level 1 lists representatives
+        star = Graph.from_edges(10, [(0, i) for i in range(1, 10)])
+        for g, cap in [(hypercube(3), 47), (star, 10**5)]:
+            group = automorphism_group(g)
+            seq = ExhaustionSequence.balls(g, 0)
+            assert ball_decomposition(group, seq, 1, cap=cap).balls[0].members is None
+            with pytest.raises(CapExceededError, match="balls exceed the cap"):
+                ball_decomposition(group, seq, len(seq), cap=cap)
 
     def test_ball_count_equals_stabiliser_index(self):
         g = hypercube(3)
@@ -263,11 +275,6 @@ class TestBallDecomposition:
             deco = ball_decomposition(group, seq, level)
             stab = group.pointwise_stabiliser(seq.sets[level - 1])
             assert deco.ball_count == group.order() // stab.order()
-
-    def test_coset_tree_text_smoke(self):
-        g = cycle_graph(4)
-        text = coset_tree_text(automorphism_group(g), ExhaustionSequence.balls(g, 0), 2)
-        assert "radius 1/2" in text
 
     def test_balls_are_right_stabiliser_cosets(self):
         # each ball equals {h * rep : h fixes S_level pointwise}
