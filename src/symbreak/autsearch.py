@@ -107,22 +107,39 @@ class _RootedTree:
 
     def __init__(self, g: Graph, root, colours):
         n = g.vertex_count
-        dist = g.distances(root)
-        self.order = sorted(range(n), key=lambda v: (dist[v], v))
-        self.children = [[] for _ in range(n)]
-        for v in self.order:
-            for u in g.adjacency[v]:
-                if dist[u] == dist[v] + 1:
-                    self.children[v].append(u)
-        # canonical code ids: equal ids iff equal (colour, child-code multiset)
+        adj = g.adjacency
+        # BFS by layers, each sorted, so order is by (depth, vertex)
+        self.order = order = [root]
+        self.children = children = [None] * n
+        parent = [None] * n
+        layer = [root]
+        while layer:
+            nxt = []
+            for v in layer:
+                p = parent[v]
+                children[v] = kids = [u for u in adj[v] if u != p]
+                for u in kids:
+                    parent[u] = v
+                nxt += kids
+            nxt.sort()
+            order += nxt
+            layer = nxt
+        # canonical code ids: equal ids iff equal keys
+        self.colours = colours
         interned = {}
         self.code = [0] * n
-        for v in reversed(self.order):
-            key = (
-                colours[v] if colours is not None else 0,
-                tuple(sorted(self.code[u] for u in self.children[v])),
-            )
-            self.code[v] = interned.setdefault(key, len(interned))
+        for v in reversed(order):
+            self.code[v] = interned.setdefault(self.key(v, children[v]), len(interned))
+
+    def key(self, v, kids):
+        """v's colour and the sorted codes of `kids`, a subset of its children."""
+        colour = self.colours[v] if self.colours is not None else 0
+        return colour, tuple(sorted([self.code[u] for u in kids]))
+
+    def identity(self):
+        """[0, ..., n-1] made of the graph's own vertex ints, so a Perm built
+        on it and kept by a caller holds no int objects of its own."""
+        return sorted(self.order)
 
     def sorted_children(self, v):
         return sorted(self.children[v], key=lambda u: (self.code[u], u))
@@ -143,7 +160,6 @@ class _RootedTree:
         exhausted, returns that group's order: the product over vertices of
         m! for each class of m code-equal children.
         """
-        n = len(self.code)
         group_order = 1
         for v in self.order:
             kids = self.sorted_children(v)
@@ -154,7 +170,7 @@ class _RootedTree:
                     continue
                 run += 1
                 group_order *= run
-                images = list(range(n))
+                images = self.identity()
                 self.map_subtree(a, b, images)
                 self.map_subtree(b, a, images)
                 yield Perm(images, validate=False)
@@ -172,68 +188,24 @@ def _tree_automorphisms(g: Graph, colours):
     if n <= 1:
         return 1
     centres = _tree_centres(g)
-    group_order = yield from _RootedTree(g, centres[0], colours).swap_generators()
+    tree = _RootedTree(g, centres[0], colours)
+    group_order = yield from tree.swap_generators()
     if len(centres) == 1:
         return group_order
+    # v is a child of u; the u-half is u's subtree without v, and the halves
+    # swap iff its key is v's, that is iff it would intern to v's code
     u, v = centres
-    # halves around the centre edge: subtree(v) versus the rest rooted at u
-    half_u = _half_code(g, u, v, colours)
-    half_v = _half_code(g, v, u, colours)
-    if half_u == half_v:
+    kids_u = [c for c in tree.sorted_children(u) if c != v]
+    kids_v = tree.sorted_children(v)
+    if tree.key(u, kids_u) == tree.key(v, kids_v):
         images = [0] * n
-        _map_half(g, u, v, colours, images)
-        _map_half(g, v, u, colours, images)
-        yield Perm(images)
+        images[u], images[v] = v, u
+        for a, b in zip(kids_u, kids_v):
+            tree.map_subtree(a, b, images)
+            tree.map_subtree(b, a, images)
+        yield Perm(images, validate=False)
         group_order *= 2
     return group_order
-
-
-def _half_subtree(g: Graph, root, blocked):
-    """BFS children structure of the component of `root` with `blocked` removed."""
-    children = {root: []}
-    queue = [root]
-    while queue:
-        x = queue.pop()
-        for y in g.adjacency[x]:
-            if y == blocked or y in children:
-                continue
-            children[x].append(y)
-            children[y] = []
-            queue.append(y)
-    return children
-
-
-def _half_code(g: Graph, root, blocked, colours):
-    children = _half_subtree(g, root, blocked)
-
-    def code(x):
-        return (
-            colours[x] if colours is not None else 0,
-            tuple(sorted(code(y) for y in children[x])),
-        )
-
-    return code(root)
-
-
-def _map_half(g: Graph, a, blocked_a, colours, images):
-    """Match the half rooted at `a` onto the opposite half, code-sorted."""
-    kids_a = _half_subtree(g, a, blocked_a)
-    kids_b = _half_subtree(g, blocked_a, a)
-
-    def code(children, x):
-        return (
-            colours[x] if colours is not None else 0,
-            tuple(sorted(code(children, y) for y in children[x])),
-        )
-
-    def rec(x, y):
-        images[x] = y
-        xs = sorted(kids_a[x], key=lambda t: (code(kids_a, t), t))
-        ys = sorted(kids_b[y], key=lambda t: (code(kids_b, t), t))
-        for xc, yc in zip(xs, ys):
-            rec(xc, yc)
-
-    rec(a, blocked_a)
 
 
 def _automorphisms(g: Graph, colours):
@@ -249,10 +221,11 @@ def _automorphisms(g: Graph, colours):
         return None
     if colours is not None and len(colours) != n:
         raise ValueError("vertex colouring must be total")
-    if n > 200:
-        sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * n + 1000))
     if g.is_tree():
         return (yield from _tree_automorphisms(g, colours))
+    # the search recurses once per individualized vertex; trees never do
+    if n > 200:
+        sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * n + 1000))
     yield from _search(g, colours)
 
 

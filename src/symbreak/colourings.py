@@ -406,7 +406,7 @@ def find_tree_automorphism(g: Graph, root: int, c: Colouring) -> Optional[Perm]:
         return None
 
     a, b = pair
-    images = list(range(g.vertex_count))
+    images = tree.identity()
     tree.map_subtree(a, b, images)
     tree.map_subtree(b, a, images)
     perm = Perm(images)

@@ -124,23 +124,22 @@ def dsc_check(g: Graph, v0: int = 0, radius: Optional[int] = None) -> DscReport:
         )
 
     violations = []
-    at_horizon = []
+    at_horizon = ()
     first_sep = {}
-    checked = 0
     for depth, group_vertices in sorted(by_depth.items()):
         if len(group_vertices) < 2:
             continue
         safe_max = radius - depth
+        if safe_max < 1:
+            # no sphere is trusted: every pair of the layer is at the horizon
+            at_horizon += tuple(itertools.combinations(group_vertices, 2))
+            continue
         spheres = {v: _spheres_within(g, v, safe_max) for v in group_vertices}
         for i, x in enumerate(group_vertices):
             for y in group_vertices[i + 1 :]:
-                checked += 1
-                if safe_max < 1:
-                    at_horizon.append((x, y))
-                    continue
                 # each list ends before its first empty sphere; pad with empties
-                pairs = itertools.zip_longest(spheres[x], spheres[y], fillvalue=frozenset())
-                for n, (sx, sy) in enumerate(pairs, 1):
+                both = itertools.zip_longest(spheres[x], spheres[y], fillvalue=frozenset())
+                for n, (sx, sy) in enumerate(both, 1):
                     if sx != sy:
                         first_sep[(x, y)] = n
                         break
@@ -150,9 +149,7 @@ def dsc_check(g: Graph, v0: int = 0, radius: Optional[int] = None) -> DscReport:
         "S_x(n) trusted iff n + d(root, x) <= radius; "
         "pairs compared over 1 <= n <= radius - depth"
     )
-    return DscReport(
-        v0, radius, rule, checked, tuple(violations), tuple(at_horizon), first_sep
-    )
+    return DscReport(v0, radius, rule, pairs, tuple(violations), at_horizon, first_sep)
 
 
 def _spheres_within(g: Graph, v, horizon):

@@ -105,6 +105,12 @@ class Graph:
         cached = self._dist_rows.get(v)
         if cached is not None:
             return cached
+        row = self._bfs(v)
+        if self.vertex_count <= DISTANCE_CACHE_CAP:
+            self._dist_rows[v] = row
+        return row
+
+    def _bfs(self, v):
         dist = [UNREACHABLE] * self.vertex_count
         dist[v] = 0
         queue = deque([v])
@@ -115,10 +121,7 @@ class Graph:
                 if dist[w] == UNREACHABLE:
                     dist[w] = du + 1
                     queue.append(w)
-        row = tuple(dist)
-        if self.vertex_count <= DISTANCE_CACHE_CAP:
-            self._dist_rows[v] = row
-        return row
+        return tuple(dist)
 
     def distance(self, u, v):
         return self.distances(u)[v]
@@ -141,7 +144,8 @@ class Graph:
         return tuple(u for u in range(self.vertex_count) if 0 <= dist[u] <= n)
 
     def is_connected(self):
-        return self.vertex_count == 0 or UNREACHABLE not in self.distances(0)
+        # an uncached BFS: a connectivity check leaves no distance row behind
+        return self.vertex_count == 0 or UNREACHABLE not in self._bfs(0)
 
     def is_tree(self):
         return self.is_connected() and self.edge_count == self.vertex_count - 1
@@ -155,7 +159,8 @@ class Graph:
 
 
 def path_graph(n):
-    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+    vertices = list(range(n))  # one int object per vertex, shared by its two edges
+    return Graph.from_edges(n, zip(vertices, vertices[1:]))
 
 
 def cycle_graph(n):

@@ -222,11 +222,12 @@ class PermGroup:
         chain level, level 0 varying slowest; each level's base point comes
         first, then its other orbit points in increasing order.
 
-        Prefix products wait on an explicit stack, so an element costs one
-        multiplication.  A prefix g of i representatives (1 <= i <= k) for
-        which `keep(i, g)` is false is dropped with every product below it;
-        `keep` is asked as g is reached, so it may read state the caller
-        updated since the last yield.
+        Prefix products wait on an explicit stack, so an element costs at most
+        one multiplication; a level-0 representative is its own prefix.  A
+        prefix g of i representatives (1 <= i <= k) for which `keep(i, g)` is
+        false is dropped with every product below it; `keep` is asked as g
+        is reached, so it may read state the caller updated since the last
+        yield.  A chain with no levels yields the identity once.
         """
         self._ensure_chain()
         reps = []
@@ -234,10 +235,13 @@ class PermGroup:
             points = [lv.point] + sorted(p for p in lv.transversal if p != lv.point)
             reps.append([lv.transversal[p] for p in points])
         k = len(reps)
-        stack = [(0, Perm.identity(self.degree))]
+        if k == 0:
+            yield Perm.identity(self.degree)
+            return
+        stack = [(1, rep) for rep in reversed(reps[0])]
         while stack:
             i, g = stack.pop()
-            if i and keep is not None and not keep(i, g):
+            if keep is not None and not keep(i, g):
                 continue
             if i == k:
                 yield g
@@ -260,13 +264,14 @@ class PermGroup:
         return list(self.elements(cap))
 
     def orbit(self, s):
-        """The orbit of a point, as a sorted tuple."""
+        """The orbit of a point, as a sorted tuple; the generators suffice, so
+        no chain is built."""
         self._check_point(s)
-        return tuple(sorted(orbit_of((s,), self.strong_generators)))
+        return tuple(sorted(orbit_of((s,), self.generators)))
 
     def orbits(self):
-        """All orbits on 0..degree-1, sorted by smallest element."""
-        return _orbit_partition(self.degree, self.strong_generators)
+        """All orbits on 0..degree-1, sorted by smallest element; no chain."""
+        return _orbit_partition(self.degree, self.generators)
 
     def stabiliser_generators(self, s):
         """Schreier generators for the stabiliser of a point."""

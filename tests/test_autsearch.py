@@ -1,4 +1,5 @@
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -214,6 +215,11 @@ def test_tree_order_from_codes_matches_the_chain():
     for index, (g, colours) in enumerate(cases):
         group = automorphism_group(g, colours)
         assert group.order() == PermGroup(g.vertex_count, group.generators).order(), index
+        edges = {frozenset(e) for e in g.edges()}
+        for h in group.generators:
+            assert all(frozenset((h(a), h(b))) in edges for a, b in edges), index
+            if colours is not None:
+                assert all(colours[h(v)] == colours[v] for v in range(g.vertex_count)), index
         centre = _tree_centres(g)
         centres[len(centre), colours is None] += 1
         if len(centre) == 2 and any(h(centre[0]) == centre[1] for h in group.generators):
@@ -240,3 +246,28 @@ TREE_FAMILIES = [
 def test_family_tree_order_from_codes_matches_the_chain(g):
     group = automorphism_group(g)
     assert group.order() == PermGroup(g.vertex_count, group.generators).order()
+
+
+def test_long_trees_in_process():
+    # the bicentral path swaps only its halves; the double ray fixes its centre
+    for g, motion in (
+        (path_graph(40000), 40000),
+        (generate_family(FamilySpec("double_ray", {}, 20000)), 40000),
+    ):
+        group = automorphism_group(g)
+        assert group.order() == 2
+        assert group.motion().motion == motion
+
+
+def test_trees_leave_the_recursion_limit_alone():
+    rnd = random.Random(41)
+    n = 5000
+    recursive = Graph.from_edges(n, [(rnd.randrange(v), v) for v in range(1, n)])
+    limit = sys.getrecursionlimit()
+    try:
+        sys.setrecursionlimit(1000)
+        for g in (path_graph(n), recursive):
+            automorphism_group(g).order()
+            assert sys.getrecursionlimit() == 1000
+    finally:
+        sys.setrecursionlimit(limit)

@@ -322,6 +322,23 @@ def test_rooted_tree_shape():
     assert growth_sequence(g, 0, 3).sphere_sizes == (1, 6, 36, 216)
 
 
+@pytest.mark.parametrize(
+    "g, connected",
+    [
+        (Graph([]), True),
+        (Graph([[]]), True),
+        (Graph.from_edges(4, [(1, 2), (2, 3)]), False),  # vertex 0 isolated
+        (Graph.from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5)]), False),  # two paths
+        (path_graph(5), True),
+    ],
+    ids=["empty", "K1", "isolated-0", "forest", "P5"],
+)
+def test_is_connected_caches_no_rows(g, connected):
+    assert g.is_connected() is connected
+    assert g.is_tree() is (connected and g.edge_count == g.vertex_count - 1)
+    assert g._dist_rows == {}
+
+
 def test_graph_is_immutable():
     g = path_graph(3)
     with pytest.raises(AttributeError):

@@ -23,11 +23,15 @@ def dihedral_generators(n):
 
 
 def test_trivial_group():
-    g = PermGroup(5, [])
-    assert g.order() == 1
-    assert g.is_trivial()
-    assert g.contains(Perm.identity(5))
-    assert not g.contains(Perm([1, 0, 2, 3, 4]))
+    for gens in ([], [Perm.identity(5)]):
+        g = PermGroup(5, gens)
+        assert g.order() == 1
+        assert g.is_trivial()
+        assert g.contains(Perm.identity(5))
+        assert not g.contains(Perm([1, 0, 2, 3, 4]))
+        asked = []
+        assert list(g._walk(lambda i, h: asked.append(i) or True)) == [Perm.identity(5)]
+        assert asked == []  # a chain with no levels has no prefix to prune
 
 
 def test_dihedral_order():
