@@ -3,8 +3,9 @@
 A colouring is distinguishing when no non-identity automorphism preserves
 it.  This module computes colouring stabilisers exactly, exact and Monte
 Carlo distinguishing probabilities, the motion-based random-colouring
-bound of Russel and Sundaram, partial-colouring preservation, and a
-tree-specific search for colour-preserving automorphisms.
+bound of Russel and Sundaram, and partial-colouring preservation.  The
+root-fixing tree witness is the colour stabiliser's first automorphism with
+the root individualised, as every subgroup of Aut(G) here is some Aut(G, c).
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .autsearch import _RootedTree, automorphism_group, first_automorphism
-from .errors import CapExceededError, InvariantError
+from .autsearch import automorphism_group, first_automorphism
+from .errors import CapExceededError
 from .graphs import Graph
 from .groups import DEFAULT_ENUMERATION_CAP, PermGroup
 from .jsonfields import JsonFields
@@ -384,37 +385,15 @@ def partial_stabiliser(
 def find_tree_automorphism(g: Graph, root: int, c: Colouring) -> Optional[Perm]:
     """A non-identity colour-preserving automorphism fixing the root, or None.
 
-    Works on trees only: computes a canonical (colour, child-codes) code for
-    every rooted subtree and swaps the first pair of equal-coded sibling
-    subtrees.  Returns None exactly when all siblings have distinct codes,
-    i.e. when the root-fixing colour stabiliser is trivial.
+    Works on trees only: the first automorphism of the colouring with the
+    root individualised, each vertex v coloured (c[v], v == root).  That is
+    the first swap of code-equal sibling subtrees in the code table rooted
+    at the tree's centre.  Returns None exactly when the root-fixing colour
+    stabiliser is trivial.
     """
     if not g.is_tree():
         raise ValueError("graph is not a tree")
     g._check_vertex(root)
     if len(c) != g.vertex_count:
         raise ValueError("colouring must be total")
-    tree = _RootedTree(g, root, c.colours)
-    for v in tree.order:
-        by_code = {}
-        for u in tree.children[v]:
-            by_code.setdefault(tree.code[u], []).append(u)
-        pair = next((members[:2] for members in by_code.values() if len(members) >= 2), None)
-        if pair is not None:
-            break
-    else:
-        return None
-
-    a, b = pair
-    images = tree.identity()
-    tree.map_subtree(a, b, images)
-    tree.map_subtree(b, a, images)
-    perm = Perm(images)
-    if perm.is_identity() or perm(root) != root:
-        raise InvariantError("subtree swap is the identity or moves the root")
-    for v in range(g.vertex_count):
-        if c[perm(v)] != c[v]:
-            raise InvariantError(f"subtree swap changes the colour of vertex {v}")
-        if frozenset(perm(u) for u in g.adjacency[v]) != frozenset(g.adjacency[perm(v)]):
-            raise InvariantError(f"subtree swap breaks the edges at vertex {v}")
-    return perm
+    return first_automorphism(g, [(c[v], v == root) for v in range(g.vertex_count)])

@@ -9,6 +9,7 @@ equal-colour-count matching probability, and the growth-bound report.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import warnings
@@ -252,7 +253,16 @@ def _check_sphere_bounds(n0_max, horizon):
             raise ValueError(f"{name} must be non-negative")
 
 
-def _sphere_pair(g: Graph, u, v, spheres, n0_max, horizon, group) -> SphereEquivalenceResult:
+def _block_index(partition, n):
+    """vertex -> index of its block in `partition`, a partition of 0..n-1."""
+    index = [0] * n
+    for i, block in enumerate(partition):
+        for v in block:
+            index[v] = i
+    return index
+
+
+def _sphere_pair(g: Graph, u, v, spheres, n0_max, horizon, orbit) -> SphereEquivalenceResult:
     su, sv = spheres[u], spheres[v]
     if g.truncation is None:
         safe = max(len(su), len(sv))
@@ -263,7 +273,7 @@ def _sphere_pair(g: Graph, u, v, spheres, n0_max, horizon, group) -> SphereEquiv
         horizon = max(safe, 0)
     elif horizon > safe:
         raise ValueError(f"horizon {horizon} exceeds the safe range {safe}")
-    in_orbit = v in group.orbit(u)
+    in_orbit = orbit[u] == orbit[v]
     matched_n0 = None
     if in_orbit:
         # largest suffix [agree_from .. horizon] on which the spheres agree,
@@ -297,7 +307,8 @@ def sphere_equivalence(
     g._check_vertex(v)
     _check_sphere_bounds(n0_max, horizon)
     spheres = _vertex_spheres(g, (u, v))
-    return _sphere_pair(g, u, v, spheres, n0_max, horizon, automorphism_group(g))
+    orbit = _block_index(automorphism_group(g).orbits(), g.vertex_count)
+    return _sphere_pair(g, u, v, spheres, n0_max, horizon, orbit)
 
 
 def sphere_classes(
@@ -307,11 +318,11 @@ def sphere_classes(
 ) -> EquivalenceClasses:
     """Classes of `sphere_equivalence`, each vertex's spheres built once."""
     _check_sphere_bounds(n0_max, horizon)
-    group = automorphism_group(g)
+    orbit = _block_index(automorphism_group(g).orbits(), g.vertex_count)
     spheres = _vertex_spheres(g, range(g.vertex_count))
 
     def pair_fn(s, t):
-        return _sphere_pair(g, s, t, spheres, n0_max, horizon, group).equivalent
+        return _sphere_pair(g, s, t, spheres, n0_max, horizon, orbit).equivalent
 
     return _classes_from_pairwise(
         g.vertex_count, pair_fn, "sphere", {"n0_max": n0_max, "horizon": horizon}
@@ -321,15 +332,22 @@ def sphere_classes(
 # -- suborbit equivalence ---------------------------------------------------
 
 
-def _suborbit_mismatch_count(group: PermGroup, s, t, elements):
+def _suborbits(g: Graph, colours, s):
+    """The orbits of the stabiliser of s in Aut(g, colours): the coloured
+    search with s individualised, each vertex v coloured (colours[v], v == s)."""
+    return automorphism_group(g, [(c, v == s) for v, c in enumerate(colours)]).orbits()
+
+
+def _suborbit_mismatch_count(suborbits, s, t, elements):
     """#{x : (stab_s orbit of x) != phi(stab_s orbit of x)} for phi with phi(s)=t.
 
-    The count is the same for every such phi (phi' = phi * sigma with sigma
-    stabilising s permutes each suborbit within itself); computed for all
-    candidates among `elements`, the group's element list, and checked
-    equal (else `InvariantError`).  t must lie in the orbit of s.
+    `suborbits` is the orbit partition of the stabiliser of s.  The count is
+    the same for every such phi (phi' = phi * sigma with sigma stabilising s
+    permutes each suborbit within itself); computed for all candidates
+    among `elements`, the group's element list, and checked equal (else
+    `InvariantError`).  t must lie in the orbit of s.
     """
-    suborbits = [frozenset(cls) for cls in group.suborbits(s)]
+    suborbits = [frozenset(cls) for cls in suborbits]
     counts = set()
     for phi in elements:
         if phi(s) != t:
@@ -362,7 +380,8 @@ def suborbit_equivalence(
         raise ValueError(f"invalid point {t}")
     if t not in group.orbit(s):
         return False
-    return _suborbit_mismatch_count(group, s, t, group.element_list(cap)) <= budget
+    suborbits = _suborbits(g, (0,) * g.vertex_count, s)
+    return _suborbit_mismatch_count(suborbits, s, t, group.element_list(cap)) <= budget
 
 
 def suborbit_classes(
@@ -373,12 +392,19 @@ def suborbit_classes(
     if budget < 0:
         raise ValueError("budget must be non-negative")
     group = automorphism_group(g)
-    return _suborbit_classes(group, budget, group.element_list(cap))
+    return _suborbit_classes(g, (0,) * g.vertex_count, group, budget, group.element_list(cap))
 
 
-def _suborbit_classes(group: PermGroup, budget: int, elements) -> EquivalenceClasses:
+def _suborbit_classes(g: Graph, colours, group: PermGroup, budget, elements) -> EquivalenceClasses:
+    """Suborbit classes of `group` = Aut(g, colours), whose element list is
+    `elements`; each point's suborbits come from one coloured search."""
+    orbit = _block_index(group.orbits(), group.degree)
+    suborbits = functools.cache(lambda s: _suborbits(g, colours, s))
+
     def pair_fn(s, t):
-        return t in group.orbit(s) and _suborbit_mismatch_count(group, s, t, elements) <= budget
+        return orbit[s] == orbit[t] and (
+            _suborbit_mismatch_count(suborbits(s), s, t, elements) <= budget
+        )
 
     return _classes_from_pairwise(group.degree, pair_fn, "suborbit", {"budget": budget})
 
@@ -419,20 +445,17 @@ def gamma_refinement_iterate(
         raise ValueError("budget must be non-negative")
     if max_levels < 1:
         raise ValueError("max_levels must be at least 1")
+    # G_i = Aut(g, colours): each level pairs a vertex's colour with its class
+    colours = (0,) * g.vertex_count
     group = automorphism_group(g)
     levels = []
     fixpoint = False
     for _ in range(max_levels):
-        elements = group.element_list(cap)
-        classes = _suborbit_classes(group, budget, elements)
+        classes = _suborbit_classes(g, colours, group, budget, group.element_list(cap))
         levels.append(RefinementLevel(group.order(), classes))
-        class_sets = [frozenset(c) for c in classes.classes]
-        kept = [
-            e
-            for e in elements
-            if all(frozenset(e(v) for v in cls) == cls for cls in class_sets)
-        ]
-        refined = PermGroup.from_elements(group.degree, kept)
+        class_of = _block_index(classes.classes, g.vertex_count)
+        colours = tuple(zip(colours, class_of))
+        refined = automorphism_group(g, colours)
         if refined.order() == group.order():
             fixpoint = True
             break

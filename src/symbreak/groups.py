@@ -2,8 +2,10 @@
 
 ``PermGroup`` carries a deterministic Schreier-Sims stabiliser chain,
 giving exact (big-integer) order, membership tests, capped element
-enumeration, orbits, point/set stabilisers, and exact motion (minimal
-support of a non-identity element).
+enumeration, orbits, and exact motion (minimal support of a non-identity
+element).  Subgroups of Aut(G) are Aut(G, c) for a colouring c, from the
+automorphism search; the one subgroup built here, the pointwise stabiliser
+by base change, serves ``ball_decomposition``, which has only the group.
 
 Elements and motion share one walk over the chain: the products
 rep_0 * rep_1 * ... * rep_{k-1} of one coset representative per level.
@@ -273,26 +275,6 @@ class PermGroup:
         """All orbits on 0..degree-1, sorted by smallest element; no chain."""
         return _orbit_partition(self.degree, self.generators)
 
-    def stabiliser_generators(self, s):
-        """Schreier generators for the stabiliser of a point."""
-        self._check_point(s)
-        gens = self.strong_generators
-        order, trans = _transversal(s, gens, self.degree)
-        out = []
-        seen = set()
-        for p in order:
-            up = trans[p]
-            for g in gens:
-                sg = trans[g(p)].inverse() * (g * up)
-                if not sg.is_identity() and sg.images not in seen:
-                    seen.add(sg.images)
-                    out.append(sg)
-        return tuple(out)
-
-    def suborbits(self, s):
-        """Orbit partition of all points under the stabiliser of s."""
-        return _orbit_partition(self.degree, self.stabiliser_generators(s))
-
     def pointwise_stabiliser(self, points):
         """The subgroup fixing every given point, via a base change."""
         points = tuple(dict.fromkeys(points))
@@ -304,25 +286,6 @@ class PermGroup:
         chain._ensure_chain()
         gens = chain._gens_for_level(len(points))
         return PermGroup(self.degree, gens)
-
-    def setwise_stabiliser(self, points, cap=DEFAULT_ENUMERATION_CAP):
-        """The subgroup mapping the given set onto itself (capped enumeration)."""
-        target = frozenset(points)
-        for s in target:
-            self._check_point(s)
-        kept = [g for g in self.elements(cap) if frozenset(g(p) for p in target) == target]
-        return PermGroup.from_elements(self.degree, kept)
-
-    @classmethod
-    def from_elements(cls, degree, elements):
-        """Group generated by the given elements, with redundant ones dropped."""
-        gens = []
-        group = cls(degree, [])
-        for e in elements:
-            if not group.contains(e):
-                gens.append(e)
-                group = cls(degree, gens)
-        return group
 
     # -- motion -------------------------------------------------------------
 

@@ -3,9 +3,11 @@ import random
 
 import pytest
 
+from symbreak.autsearch import automorphism_group
 from symbreak.colourings import colouring_stabiliser, random_colouring
 from symbreak.conditions import DscReport
 from symbreak.graphs import Graph
+from symbreak.groups import DEFAULT_ENUMERATION_CAP, PermGroup, _orbit_partition, _transversal
 from symbreak.perms import Perm
 from symbreak.suites import standard_corpus
 
@@ -161,6 +163,110 @@ def tree_automorphism_by_nested_codes(g: Graph, root, c):
 
     swap_subtrees(*swap_pair)
     return Perm(images)
+
+
+def stabiliser_generators(group, s):
+    """The library's former `PermGroup.stabiliser_generators`: Schreier
+    generators for the stabiliser of a point, from the strong generators."""
+    group._check_point(s)
+    gens = group.strong_generators
+    order, trans = _transversal(s, gens, group.degree)
+    out = []
+    seen = set()
+    for p in order:
+        up = trans[p]
+        for g in gens:
+            sg = trans[g(p)].inverse() * (g * up)
+            if not sg.is_identity() and sg.images not in seen:
+                seen.add(sg.images)
+                out.append(sg)
+    return tuple(out)
+
+
+def suborbits(group, s):
+    """Orbit partition of all points under the stabiliser of s, by filtering
+    the group's elements; the oracle for the coloured search with s
+    individualised."""
+    group._check_point(s)
+    stab = [e for e in group.elements() if e(s) == s]
+    return _orbit_partition(group.degree, stab)
+
+
+def from_elements(degree, elements):
+    """The library's former `PermGroup.from_elements`: the group generated
+    by the given elements, with redundant ones dropped."""
+    gens = []
+    group = PermGroup(degree, [])
+    for e in elements:
+        if not group.contains(e):
+            gens.append(e)
+            group = PermGroup(degree, gens)
+    return group
+
+
+def setwise_stabiliser(group, points, cap=DEFAULT_ENUMERATION_CAP):
+    """The subgroup mapping the given set onto itself, by filtering every
+    element; the oracle for Aut(G, c) with c colouring the set."""
+    target = frozenset(points)
+    for s in target:
+        group._check_point(s)
+    kept = [g for g in group.elements(cap) if frozenset(g(p) for p in target) == target]
+    return from_elements(group.degree, kept)
+
+
+def suborbit_classes_by_elements(group, budget):
+    """Suborbit classes of `group` from its element list alone: s ~ t when
+    some phi with phi(s) = t moves at most `budget` points across the
+    suborbits of s (the count is the same for every such phi)."""
+    elements = list(group.elements())
+    n = group.degree
+    parent = list(range(n))
+
+    def find(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    for s in range(n):
+        subs = [frozenset(cls) for cls in suborbits(group, s)]
+        for t in range(s + 1, n):
+            mismatch = min(
+                (
+                    sum(len(cls) for cls in subs if frozenset(phi(x) for x in cls) != cls)
+                    for phi in elements
+                    if phi(s) == t
+                ),
+                default=None,
+            )
+            if mismatch is not None and mismatch <= budget:
+                ra, rb = find(s), find(t)
+                parent[max(ra, rb)] = min(ra, rb)
+    by_root = {}
+    for v in range(n):
+        by_root.setdefault(find(v), []).append(v)
+    return tuple(tuple(c) for _, c in sorted(by_root.items()))
+
+
+def gamma_refinement_by_elements(g: Graph, budget, max_levels=10):
+    """The library's former `gamma_refinement_iterate`: G_{i+1} keeps the
+    elements of G_i that map every suborbit class onto itself, rebuilt by
+    `from_elements`.  Returns ((order, classes) per level, fixpoint reached)."""
+    group = automorphism_group(g)
+    levels = []
+    for _ in range(max_levels):
+        classes = suborbit_classes_by_elements(group, budget)
+        levels.append((group.order(), classes))
+        class_sets = [frozenset(c) for c in classes]
+        kept = [
+            e
+            for e in group.elements()
+            if all(frozenset(e(v) for v in cls) == cls for cls in class_sets)
+        ]
+        refined = from_elements(group.degree, kept)
+        if refined.order() == group.order():
+            return tuple(levels), True
+        group = refined
+    return tuple(levels), False
 
 
 def dsc_by_full_distances(g: Graph, v0=0, radius=None):

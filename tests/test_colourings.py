@@ -28,7 +28,6 @@ from symbreak.colourings import (
     random_colouring,
     russel_sundaram_bound,
 )
-from symbreak.errors import InvariantError
 from symbreak.graphs import (
     FamilySpec,
     Graph,
@@ -521,6 +520,23 @@ class TestPartialColourings:
             preserves_partial(Perm.identity(2), PartialColouring((5,), (0,)))
 
 
+def assert_witness_like_oracle(g, root, c, case):
+    """A witness exists iff the nested-code oracle finds one, and it fixes the
+    root, is not the identity, and preserves colours and edges.  Which
+    sibling pair it swaps may differ from the oracle's."""
+    found = find_tree_automorphism(g, root, c)
+    want = tree_automorphism_by_nested_codes(g, root, c)
+    assert (found is None) == (want is None), case
+    if found is None:
+        return
+    assert found(root) == root and not found.is_identity(), case
+    for v in range(g.vertex_count):
+        assert c[found(v)] == c[v], case
+        assert frozenset(found(u) for u in g.adjacency[v]) == frozenset(
+            g.adjacency[found(v)]
+        ), case
+
+
 class TestTreeAutomorphism:
     def test_star_with_two_matching_leaves(self):
         g = star_graph(3)
@@ -540,13 +556,6 @@ class TestTreeAutomorphism:
     def test_rejects_non_tree(self):
         with pytest.raises(ValueError):
             find_tree_automorphism(cycle_graph(4), 0, Colouring((0, 0, 0, 0)))
-
-    def test_broken_swap_raises_invariant_error(self, monkeypatch):
-        # a subtree swap that comes out as the identity must not be returned
-        monkeypatch.setattr(colourings, "Perm", lambda images: Perm.identity(len(images)))
-        g = star_graph(3)
-        with pytest.raises(InvariantError):
-            find_tree_automorphism(g, 0, Colouring((0, 0, 0, 1)))
 
     def test_agrees_with_stabiliser_triviality(self):
         g = generate_family(FamilySpec("regular_tree", {"degree": 3}, 2))
@@ -568,8 +577,7 @@ class TestTreeAutomorphism:
             k = rnd.choice((2, 3))
             c = Colouring(tuple(rnd.randrange(k) for _ in range(n)), k)
             root = rnd.randrange(n)
-            want = tree_automorphism_by_nested_codes(g, root, c)
-            assert find_tree_automorphism(g, root, c) == want, case
+            assert_witness_like_oracle(g, root, c, case)
 
     @pytest.mark.parametrize(
         "graph",
@@ -588,12 +596,8 @@ class TestTreeAutomorphism:
             for _ in range(6):
                 c = Colouring(tuple(rnd.randrange(k) for _ in range(n)), k)
                 root = rnd.randrange(n)
-                want = tree_automorphism_by_nested_codes(graph, root, c)
-                assert find_tree_automorphism(graph, root, c) == want
-        constant = Colouring((0,) * n)
-        assert find_tree_automorphism(graph, 0, constant) == (
-            tree_automorphism_by_nested_codes(graph, 0, constant)
-        )
+                assert_witness_like_oracle(graph, root, c, (k, root))
+        assert_witness_like_oracle(graph, 0, Colouring((0,) * n), "constant")
 
     def test_long_path_needs_no_recursion_limit(self):
         limit = sys.getrecursionlimit()

@@ -4,7 +4,13 @@ import time
 from fractions import Fraction
 
 import pytest
-from conftest import dsc_by_full_distances
+from conftest import (
+    dsc_by_full_distances,
+    gamma_refinement_by_elements,
+    seeded_random_graphs,
+    suborbits,
+)
+from symbreak import conditions
 
 from symbreak.autsearch import automorphism_group
 from symbreak.colourings import Colouring, random_colouring
@@ -32,7 +38,6 @@ from symbreak.graphs import (
     path_graph,
     star_graph,
 )
-from symbreak.groups import PermGroup
 from symbreak.rng import SeededRng
 
 
@@ -264,13 +269,13 @@ class TestGammaEquivalence:
         assert not suborbit_equivalence(g, 0, 1, 0)
         # exhaustive cross-check against the definition
         aut = automorphism_group(g)
-        suborbits = [frozenset(c) for c in aut.suborbits(0)]
+        subs = [frozenset(c) for c in suborbits(aut, 0)]
         counts = set()
         for phi in aut.elements():
             if phi(0) != 1:
                 continue
             mismatch = sum(
-                len(c) for c in suborbits if frozenset(phi(x) for x in c) != c
+                len(c) for c in subs if frozenset(phi(x) for x in c) != c
             )
             counts.add(mismatch)
         assert counts == {6}
@@ -278,7 +283,7 @@ class TestGammaEquivalence:
     def test_mismatch_count_depending_on_phi_raises(self, monkeypatch):
         # {0, 1} is no suborbit of 0 in C4: the rotation 0 -> 1 moves it and
         # the reflection 0 <-> 1 keeps it, so the two counts differ
-        monkeypatch.setattr(PermGroup, "suborbits", lambda self, s: [(0, 1), (2,), (3,)])
+        monkeypatch.setattr(conditions, "_suborbits", lambda g, colours, s: [(0, 1), (2,), (3,)])
         with pytest.raises(InvariantError):
             suborbit_equivalence(cycle_graph(4), 0, 1, 0)
 
@@ -342,6 +347,31 @@ class TestGammaEquivalence:
                         )
 
 
+def plain_and_coloured(graphs, seed):
+    """(name, graph, colours) for each graph uncoloured and randomly 2-coloured."""
+    rnd = random.Random(seed)
+    out = []
+    for name, g in graphs:
+        n = g.vertex_count
+        out.append((name, g, (0,) * n))
+        out.append((f"{name} coloured", g, tuple(rnd.randrange(2) for _ in range(n))))
+    return out
+
+
+class TestSuborbitsByColouredSearch:
+    """The suborbits of s are the orbits of Aut(G, c) with s individualised;
+    filtering the elements of Aut(G, c) is the oracle."""
+
+    def test_corpus_and_random_graphs(self, corpus):
+        graphs = list(corpus.items())
+        graphs += [(f"random{i}", g) for i, g in enumerate(seeded_random_graphs(4242, 40))]
+        for name, g, colours in plain_and_coloured(graphs, 4243):
+            group = automorphism_group(g, colours)
+            for s in range(g.vertex_count):
+                got = conditions._suborbits(g, colours, s)
+                assert got == suborbits(group, s), (name, s)
+
+
 class TestGammaIteration:
     def test_chain_is_weakly_decreasing_to_fixpoint(self, corpus):
         for name, g in corpus.items():
@@ -373,6 +403,21 @@ class TestGammaIteration:
             else:
                 # fixpoint at level 0 means the stabilisers keep everything
                 assert len(expected) == report.orders[0]
+
+    def test_matches_the_element_filter_oracle(self):
+        graphs = [("C6", cycle_graph(6)), ("P5", path_graph(5)), ("K4", complete_graph(4))]
+        graphs += [(f"random{i}", g) for i, g in enumerate(seeded_random_graphs(4244, 40))]
+        strict = 0
+        for name, g in graphs:
+            for budget in range(3):
+                report = gamma_refinement_iterate(g, budget)
+                levels, fixpoint = gamma_refinement_by_elements(g, budget)
+                got = [(level.group_order, level.classes.classes) for level in report.levels]
+                assert (got, report.fixpoint_reached) == (list(levels), fixpoint), (name, budget)
+                strict += len(report.levels) > 1
+        # the coloured route is exercised past its first level, C6 at budget 0 among them
+        assert gamma_refinement_iterate(cycle_graph(6), 0).orders == (12, 1)
+        assert strict >= 40
 
     def test_nonzero_budgets_still_decrease_to_fixpoint(self):
         for budget in (1, 3, 6):

@@ -1,7 +1,15 @@
 import pytest
 
-from conftest import elements_by_recursion, motion_by_enumeration
+from conftest import (
+    elements_by_recursion,
+    from_elements,
+    motion_by_enumeration,
+    setwise_stabiliser,
+    stabiliser_generators,
+    suborbits,
+)
 from symbreak.autsearch import automorphism_group
+from symbreak.conditions import _suborbits
 from symbreak.errors import CapExceededError, InvariantError
 from symbreak.graphs import (
     FamilySpec,
@@ -102,38 +110,55 @@ class TestOrbits:
                 assert (t in aut.orbit(s)) == (s in aut.orbit(t))
 
     def test_suborbits_of_c6(self):
-        aut = automorphism_group(cycle_graph(6))
-        assert aut.suborbits(0) == ((0,), (1, 5), (2, 4), (3,))
+        g = cycle_graph(6)
+        expect = ((0,), (1, 5), (2, 4), (3,))
+        assert _suborbits(g, (0,) * 6, 0) == expect
+        assert suborbits(automorphism_group(g), 0) == expect
 
     def test_suborbits_partition(self):
-        aut = automorphism_group(complete_graph(5))
-        parts = aut.suborbits(2)
-        seen = [v for cls in parts for v in cls]
-        assert sorted(seen) == list(range(5))
+        parts = _suborbits(complete_graph(5), (0,) * 5, 2)
+        assert parts == ((0, 1, 3, 4), (2,))
+
+
+def indicator(n, subset):
+    """The colouring of 0..n-1 whose stabiliser in Aut(G) is the setwise Stab(subset)."""
+    return [v in subset for v in range(n)]
+
+
+def individualised(n, subset):
+    """The colouring of 0..n-1 whose stabiliser in Aut(G) fixes subset pointwise."""
+    return [v if v in subset else -1 for v in range(n)]
 
 
 class TestStabilisers:
+    """Point and set stabilisers in Aut(G) are Aut(G, c); base change and the
+    element filter are their oracles."""
+
     def test_setwise_of_everything_is_group(self):
-        aut = automorphism_group(cycle_graph(5))
-        assert aut.setwise_stabiliser(range(5)).order() == aut.order()
+        g = cycle_graph(5)
+        aut = automorphism_group(g)
+        assert setwise_stabiliser(aut, range(5)).order() == aut.order()
+        assert automorphism_group(g, indicator(5, range(5))).order() == aut.order()
 
     def test_pointwise_c4(self):
         aut = automorphism_group(cycle_graph(4))
         assert aut.pointwise_stabiliser([0]).order() == 2
 
     def test_setwise_c6_antipodal(self):
-        aut = automorphism_group(cycle_graph(6))
-        assert aut.setwise_stabiliser([0, 3]).order() == 4
+        g = cycle_graph(6)
+        assert setwise_stabiliser(automorphism_group(g), [0, 3]).order() == 4
+        assert automorphism_group(g, indicator(6, {0, 3})).order() == 4
 
     def test_pointwise_of_empty_set(self):
         aut = automorphism_group(cycle_graph(5))
         assert aut.pointwise_stabiliser([]).order() == aut.order()
 
     def test_pointwise_subset_of_setwise(self):
-        aut = automorphism_group(cycle_graph(6))
+        g = cycle_graph(6)
+        aut = automorphism_group(g)
         for subset in [(0,), (0, 2), (1, 4)]:
             pw = aut.pointwise_stabiliser(subset)
-            sw = aut.setwise_stabiliser(subset)
+            sw = automorphism_group(g, indicator(6, subset))
             for e in pw.elements():
                 assert sw.contains(e)
             for e in pw.elements():
@@ -149,7 +174,9 @@ class TestStabilisers:
             pw_expect = [e for e in elems if all(e(s) == s for s in subset)]
             sw_expect = [e for e in elems if {e(s) for s in subset} == set(subset)]
             assert aut.pointwise_stabiliser(subset).order() == len(pw_expect)
-            assert aut.setwise_stabiliser(subset).order() == len(sw_expect)
+            assert setwise_stabiliser(aut, subset).order() == len(sw_expect)
+            assert automorphism_group(g, individualised(6, subset)).order() == len(pw_expect)
+            assert automorphism_group(g, indicator(6, subset)).order() == len(sw_expect)
 
 
 class TestMotion:
@@ -293,7 +320,7 @@ def test_group_json_shape():
 
 def test_from_elements_reduces_generators():
     aut = automorphism_group(cycle_graph(6))
-    rebuilt = PermGroup.from_elements(6, list(aut.elements()))
+    rebuilt = from_elements(6, list(aut.elements()))
     assert rebuilt.order() == 12
     assert len(rebuilt.generators) <= 4
 
@@ -330,8 +357,9 @@ class TestCosetWalk:
 
 
 class TestOrbitsByBruteForce:
-    """orbit, suborbits and stabiliser_generators against the elements, which
-    come from the recursive oracle so that a wrong walk cannot hide here."""
+    """orbit, the coloured-search suborbits and the Schreier-generator oracle
+    against the elements, which come from the recursive oracle so that a
+    wrong walk cannot hide here."""
 
     @staticmethod
     def small_groups(corpus):
@@ -350,18 +378,30 @@ class TestOrbitsByBruteForce:
             elems = list(elements_by_recursion(group))
             for s in range(group.degree):
                 stab = {e.images for e in elems if e(s) == s}
-                gens = group.stabiliser_generators(s)
+                gens = stabiliser_generators(group, s)
                 assert all(g(s) == s and not g.is_identity() for g in gens)
                 generated = elements_by_recursion(PermGroup(group.degree, gens))
                 assert {e.images for e in generated} == stab
 
     def test_suborbits(self, corpus):
-        for group in self.small_groups(corpus):
+        for name, g in corpus.items():
+            group = automorphism_group(g)
             elems = list(elements_by_recursion(group))
             for s in range(group.degree):
                 stab = [e for e in elems if e(s) == s]
                 expect = sorted({tuple(sorted({e(x) for e in stab})) for x in range(group.degree)})
-                assert group.suborbits(s) == tuple(expect)
+                assert _suborbits(g, (0,) * g.vertex_count, s) == tuple(expect), name
+                assert suborbits(group, s) == tuple(expect), name
+
+
+# the oracles keep the point checks of the PermGroup members they replace
+POINT_QUERIES = {
+    "orbit": PermGroup.orbit,
+    "suborbits": suborbits,
+    "stabiliser_generators": stabiliser_generators,
+    "pointwise_stabiliser": PermGroup.pointwise_stabiliser,
+    "setwise_stabiliser": setwise_stabiliser,
+}
 
 
 @pytest.mark.parametrize("query", ["orbit", "suborbits", "stabiliser_generators"])
@@ -369,7 +409,7 @@ class TestOrbitsByBruteForce:
 def test_point_queries_reject_points_outside_the_group(query, point):
     aut = automorphism_group(cycle_graph(6))
     with pytest.raises(ValueError, match=f"invalid point {point}"):
-        getattr(aut, query)(point)
+        POINT_QUERIES[query](aut, point)
 
 
 @pytest.mark.parametrize("query", ["pointwise_stabiliser", "setwise_stabiliser"])
@@ -378,7 +418,7 @@ def test_stabilisers_reject_points_outside_the_group(query, point):
     # -1 used to pass as vertex 5, and 6 or 99 raised IndexError
     aut = automorphism_group(cycle_graph(6))
     with pytest.raises(ValueError, match=f"invalid point {point}"):
-        getattr(aut, query)([0, point])
+        POINT_QUERIES[query](aut, [0, point])
 
 
 def test_known_order_needs_no_chain():

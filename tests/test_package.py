@@ -1,5 +1,6 @@
-"""Package-wide rules: one JSON form per report, no `assert` statements, and
-every name the bench tracer wraps still exists."""
+"""Package-wide rules: one JSON form per report, no `assert` statements, no
+module importing another's private names, and every name the bench tracer
+wraps still exists."""
 
 import ast
 import importlib.util
@@ -160,6 +161,20 @@ def test_package_has_no_assert_statements():
         for path in sorted(Path(symbreak.__file__).parent.glob("*.py"))
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+def test_package_imports_no_private_names():
+    """A module uses another module's public names only: an underscore name
+    is free to change with the module that defines it."""
+    found = [
+        f"{path.name}:{node.lineno} {alias.name}"
+        for path in sorted(Path(symbreak.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name.startswith("_")
     ]
     assert found == []
 
