@@ -7,11 +7,19 @@ individualization backtracking, pruning candidate branches by the orbits
 of generators already found and abandoning a non-leftmost subtree as soon
 as one automorphism has been extracted from it.  Candidates are tried in
 increasing vertex order, so results are deterministic.
+
+Refinement re-examines only the cells that can split: after individualizing
+w, the cells with a neighbour of w; after a round, the cells with a
+neighbour in a piece of a cell that split, every piece but its largest.
+The search keeps an explicit stack, so no depth needs the recursion limit
+raised, and returns |Aut| when exhausted: the product over the levels L of
+its left path of the orbit length of left_seq[L] under the generators
+fixing left_seq[:L] (McKay 1981).  Trees skip the search: their generators
+and order come from subtree codes.
 """
 
 from __future__ import annotations
 
-import sys
 from collections import Counter
 
 from .graphs import Graph
@@ -21,40 +29,58 @@ from .perms import Perm
 
 def _initial_partition(n, colours):
     if colours is None:
-        return (tuple(range(n)),)
+        return (tuple(range(n)),) if n else ()
     by_colour = {}
     for v in range(n):
         by_colour.setdefault(colours[v], []).append(v)
     return tuple(tuple(by_colour[c]) for c in sorted(by_colour))
 
 
-def _refine(adj, cells):
-    """Equitable refinement: split cells by neighbour-cell multisets."""
-    n = sum(len(c) for c in cells)
+def _refine(adj, cells, touched=None):
+    """Equitable refinement: split cells by neighbour-cell multisets.
+
+    A cell is named by its start, the position of its first vertex in the
+    flattened partition.  A split keeps every other cell's start, and starts
+    order the cells as their indices do, so signatures sort as by index.
+    A round re-examines only the cells with a vertex adjacent to `touched`;
+    no other cell can split.  `touched` starts as the given vertices (None:
+    every cell is examined) and then holds, for each cell that split, the
+    vertices of every piece but its first largest one, since the counts
+    into that piece follow from the counts into the others.
+    """
+    by_start = {}
+    cell_at = [0] * sum(len(c) for c in cells)
+    start = 0
+    for cell in cells:
+        by_start[start] = cell
+        for v in cell:
+            cell_at[v] = start
+        start += len(cell)
     while True:
-        cell_id = [0] * n
-        for ci, cell in enumerate(cells):
-            for v in cell:
-                cell_id[v] = ci
-        new_cells = []
-        changed = False
-        for cell in cells:
+        examine = by_start if touched is None else {cell_at[u] for v in touched for u in adj[v]}
+        splits = []
+        for start in examine:
+            cell = by_start[start]
             if len(cell) == 1:
-                new_cells.append(cell)
                 continue
             groups = {}
             for v in cell:
-                sig = tuple(sorted(Counter(cell_id[u] for u in adj[v]).items()))
+                sig = tuple(sorted(Counter(cell_at[u] for u in adj[v]).items()))
                 groups.setdefault(sig, []).append(v)
-            if len(groups) == 1:
-                new_cells.append(cell)
-            else:
-                changed = True
-                for sig in sorted(groups):
-                    new_cells.append(tuple(groups[sig]))
-        if not changed:
-            return tuple(new_cells)
-        cells = new_cells
+            if len(groups) > 1:
+                splits.append((start, [tuple(groups[sig]) for sig in sorted(groups)]))
+        if not splits:
+            return tuple(by_start[s] for s in sorted(by_start))
+        touched = []
+        for start, pieces in splits:
+            largest = max(pieces, key=len)
+            for piece in pieces:
+                by_start[start] = piece
+                for v in piece:
+                    cell_at[v] = start
+                if piece is not largest:
+                    touched += piece
+                start += len(piece)
 
 
 def _individualize(cells, v):
@@ -73,6 +99,11 @@ def _first_nonsingleton(cells):
         if len(cell) > 1:
             return idx
     return None
+
+
+def _fixing(gens, points):
+    """The perms among `gens` that fix every one of `points`."""
+    return [h for h in gens if all(h.images[x] == x for x in points)]
 
 
 def _shape(cells):
@@ -213,24 +244,18 @@ def _automorphisms(g: Graph, colours):
 
     A tree yields its sibling swaps in BFS order and then, for a centre
     edge, the swap of the halves; any other graph yields each search
-    generator as it is found.  Exhausted, it returns the group order for a
-    tree (read from the subtree codes) and None otherwise.
+    generator as it is found.  Exhausted, it returns the group order.
     """
     n = g.vertex_count
-    if n == 0:
-        return None
     if colours is not None and len(colours) != n:
         raise ValueError("vertex colouring must be total")
     if g.is_tree():
         return (yield from _tree_automorphisms(g, colours))
-    # the search recurses once per individualized vertex; trees never do
-    if n > 200:
-        sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * n + 1000))
-    yield from _search(g, colours)
+    return (yield from _search(g, colours))
 
 
 def _search(g: Graph, vertex_colours):
-    """Yield search generators in the order the search finds them."""
+    """Yield search generators in the order the search finds them; return |Aut|."""
     n = g.vertex_count
     adj = g.adjacency
     adj_sets = [frozenset(nbrs) for nbrs in adj]
@@ -249,63 +274,76 @@ def _search(g: Graph, vertex_colours):
             break
         v = min(pi[idx])
         left_seq.append(v)
-        pi = _refine(adj, _individualize(pi, v))
+        pi = _refine(adj, _individualize(pi, v), (v,))
         left_partitions.append(pi)
     rho_order = _flatten(left_partitions[-1])
     left_shapes = [_shape(p) for p in left_partitions]
     depth = len(left_seq)
 
-    gens = []
-
-    def try_leaf(cells):
+    def leaf_automorphism(cells):
+        """The non-identity automorphism mapping the left leaf to this one, or None."""
         leaf_order = _flatten(cells)
         images = [0] * n
         for a, b in zip(rho_order, leaf_order):
             images[a] = b
-        cand = Perm(images, validate=False)
         for u in range(n):
             cu = images[u]
             if vertex_colours is not None and vertex_colours[u] != vertex_colours[cu]:
                 return None
             if frozenset(images[w] for w in adj[u]) != adj_sets[cu]:
                 return None
-        return cand
+        cand = Perm(images, validate=False)
+        return None if cand.is_identity() else cand
 
-    def search(cells, level, on_left):
-        # a subtree off the leftmost path yields at most one generator
+    def children(cells, level):
+        """The children of a node at `level` whose shape matches the left path's."""
+        for w in sorted(cells[_first_nonsingleton(cells)]):
+            child = _refine(adj, _individualize(cells, w), (w,))
+            if _shape(child) == left_shapes[level + 1]:
+                yield child
+
+    def first_below(cells, level):
+        """Depth first below a node off the left path, children in increasing
+        vertex order: the first leaf automorphism, or None."""
         if level == depth:
-            if not on_left:
-                cand = try_leaf(cells)
-                if cand is not None and not cand.is_identity():
-                    gens.append(cand)
-                    yield cand
-            return
-        cell = cells[_first_nonsingleton(cells)]
-        if on_left:
-            v = left_seq[level]
-            yield from search(left_partitions[level + 1], level + 1, True)
-            prefix = left_seq[:level]
-            tried = [v]
-            for w in sorted(cell):
-                if w == v:
-                    continue
-                applicable = [h for h in gens if all(h.images[x] == x for x in prefix)]
-                if w in orbit_of(tried, applicable):
-                    continue
-                child = _refine(adj, _individualize(cells, w))
-                if _shape(child) == left_shapes[level + 1]:
-                    yield from search(child, level + 1, False)
-                tried.append(w)
-            return
-        for w in sorted(cell):
-            child = _refine(adj, _individualize(cells, w))
-            if _shape(child) != left_shapes[level + 1]:
-                continue
-            for found in search(child, level + 1, False):
-                yield found
-                return
+            return leaf_automorphism(cells)
+        stack = [children(cells, level)]
+        while stack:
+            child = next(stack[-1], None)
+            if child is None:
+                stack.pop()
+            elif level + len(stack) == depth:
+                found = leaf_automorphism(child)
+                if found is not None:
+                    return found
+            else:
+                stack.append(children(child, level + len(stack)))
+        return None
 
-    yield from search(pi0, 0, True)
+    # The left path's levels, deepest first: at each, one subtree per
+    # candidate not already in the orbit of those tried, under the
+    # generators that fix the prefix, yields at most one generator.  Those
+    # generators are then final and form a strong generating set relative
+    # to the base left_seq, so |Aut| is the product of the basic orbit
+    # lengths.
+    gens = []
+    group_order = 1
+    for level in reversed(range(depth)):
+        cells = left_partitions[level]
+        prefix = left_seq[:level]
+        tried = [left_seq[level]]
+        for w in sorted(cells[_first_nonsingleton(cells)]):
+            if w == tried[0] or w in orbit_of(tried, _fixing(gens, prefix)):
+                continue
+            child = _refine(adj, _individualize(cells, w), (w,))
+            if _shape(child) == left_shapes[level + 1]:
+                found = first_below(child, level + 1)
+                if found is not None:
+                    gens.append(found)
+                    yield found
+            tried.append(w)
+        group_order *= len(orbit_of(tried[:1], _fixing(gens, prefix)))
+    return group_order
 
 
 def first_automorphism(g: Graph, vertex_colours=None):
@@ -321,8 +359,8 @@ def first_automorphism(g: Graph, vertex_colours=None):
 def automorphism_group(g: Graph, vertex_colours=None) -> PermGroup:
     """The automorphism group of g, colour-preserving when colours are given.
 
-    A tree's group carries its order, read from the subtree codes, so its
-    ``order()`` builds no stabiliser chain.
+    The group carries the order the search returns, so its ``order()``
+    builds no stabiliser chain.
     """
     search = _automorphisms(g, vertex_colours)
     gens = []

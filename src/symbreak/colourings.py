@@ -276,8 +276,8 @@ def distinguishing_probability_mc(
     Otherwise each trial runs the colour-constrained automorphism search
     until its first automorphism: a colouring is distinguishing iff there
     is none.  Both decide every trial exactly, so the count does not depend
-    on the path.  A tree's |Aut| comes from its subtree codes, so choosing
-    the path builds no stabiliser chain for it.
+    on the path.  |Aut| comes from the search, or a tree's subtree codes,
+    so choosing the path builds no stabiliser chain.
     """
     if k < 2:
         raise ValueError("at least 2 colours required")

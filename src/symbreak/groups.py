@@ -96,8 +96,8 @@ class PermGroup:
 
     The Schreier-Sims chain is built lazily on the first query that needs
     it; triviality is decidable from the generators alone.  A known `order`
-    (a tree's, from its subtree codes) answers ``order()`` without a chain;
-    a chain built later must agree with it.
+    (from the automorphism search, or a tree's subtree codes) answers
+    ``order()`` without a chain; a chain built later must agree with it.
     """
 
     def __init__(self, degree, generators, base_prefix=(), order=None):

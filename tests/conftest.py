@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -32,6 +33,38 @@ def brute_force_automorphisms(g: Graph, colours=None):
         if all(frozenset(images[u] for u in adj_sets[v]) == adj_sets[images[v]] for v in range(n)):
             out.append(Perm(images, validate=False))
     return out
+
+
+def refine_every_cell(adj, cells):
+    """The library's former `_refine`: every round recomputes the
+    neighbour-cell multiset of every vertex in every non-singleton cell;
+    the oracle for the refinement that re-examines only the cells next to
+    a split."""
+    n = sum(len(c) for c in cells)
+    while True:
+        cell_id = [0] * n
+        for ci, cell in enumerate(cells):
+            for v in cell:
+                cell_id[v] = ci
+        new_cells = []
+        changed = False
+        for cell in cells:
+            if len(cell) == 1:
+                new_cells.append(cell)
+                continue
+            groups = {}
+            for v in cell:
+                sig = tuple(sorted(Counter(cell_id[u] for u in adj[v]).items()))
+                groups.setdefault(sig, []).append(v)
+            if len(groups) == 1:
+                new_cells.append(cell)
+            else:
+                changed = True
+                for sig in sorted(groups):
+                    new_cells.append(tuple(groups[sig]))
+        if not changed:
+            return tuple(new_cells)
+        cells = new_cells
 
 
 def petersen_graph():

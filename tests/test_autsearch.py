@@ -1,3 +1,4 @@
+import hashlib
 import random
 import sys
 from collections import Counter
@@ -5,6 +6,10 @@ from collections import Counter
 import pytest
 
 from symbreak.autsearch import (
+    _first_nonsingleton,
+    _individualize,
+    _initial_partition,
+    _refine,
     _tree_centres,
     automorphism_group,
     first_automorphism,
@@ -21,10 +26,12 @@ from symbreak.graphs import (
     star_graph,
 )
 from symbreak.groups import PermGroup
+from symbreak.perms import Perm
 
 from conftest import (
     brute_force_automorphisms,
     petersen_graph,
+    refine_every_cell,
     seeded_random_graphs,
     seeded_random_trees,
 )
@@ -98,11 +105,16 @@ class TestColourConstrained:
     def test_partial_colouring_rejected(self):
         with pytest.raises(ValueError):
             automorphism_group(path_graph(3), vertex_colours=(0, 1))
+        # the length is checked before the empty graph's trivial group
+        with pytest.raises(ValueError, match="total"):
+            automorphism_group(Graph([]), vertex_colours=(5,))
 
 
 def test_edgeless_and_disconnected():
     edgeless = Graph.from_edges(4, [])
     assert automorphism_group(edgeless).order() == 24
+    for colours in (None, ()):
+        assert automorphism_group(Graph([]), colours).order() == 1
     two_edges = Graph.from_edges(4, [(0, 1), (2, 3)])
     # each edge flips, and the two edges swap
     assert automorphism_group(two_edges).order() == 8
@@ -269,5 +281,137 @@ def test_trees_leave_the_recursion_limit_alone():
         for g in (path_graph(n), recursive):
             automorphism_group(g).order()
             assert sys.getrecursionlimit() == 1000
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def family(kind, radius, **params):
+    return generate_family(FamilySpec(kind, params, radius))
+
+
+def test_refinement_matches_the_every_cell_oracle(corpus):
+    """Cells, their order and the order within each are the oracle's: on
+    initial partitions, and on every child of each node along a random path
+    down to a discrete partition."""
+    graphs = (
+        list(corpus.values())
+        + [hypercube(d) for d in (3, 4, 5, 6)]
+        + [complete_graph(7), complete_bipartite(3, 5), cycle_graph(9), path_graph(12)]
+        + [family("grid", 6, dimension=2), family("grid", 3, dimension=3)]
+        + [family("ladder", 8), family("regular_tree", 3, degree=3)]
+        + seeded_random_graphs(31, 60, max_n=14)
+    )
+    rnd = random.Random(32)
+    refinements = 0
+    for index, g in enumerate(graphs):
+        adj, n = g.adjacency, g.vertex_count
+        for k in (None, 2, 3):
+            colours = None if k is None else [rnd.randrange(k) for _ in range(n)]
+            cells = _initial_partition(n, colours)
+            pi = _refine(adj, cells)
+            assert pi == refine_every_cell(adj, cells), (index, k)
+            refinements += 1
+            while (idx := _first_nonsingleton(pi)) is not None:
+                children = []
+                for w in pi[idx]:
+                    child = _refine(adj, _individualize(pi, w), (w,))
+                    assert child == refine_every_cell(adj, _individualize(pi, w)), (index, k, w)
+                    children.append(child)
+                refinements += len(children)
+                pi = rnd.choice(children)
+    assert refinements >= 900
+
+
+def search_record(g, colours):
+    """Everything the search decides, as plain tuples: generators in order,
+    the first automorphism, order, base, strong generators, transversals,
+    elements in `elements()` order, and motion with its witness."""
+    group = automorphism_group(g, colours)
+    first = first_automorphism(g, colours)
+    motion = group.motion()
+    return (
+        tuple(h.images for h in group.generators),
+        None if first is None else first.images,
+        group.order(),
+        group.base,
+        tuple(h.images for h in group.strong_generators),
+        tuple(tuple(sorted((p, u.images) for p, u in t.items())) for t in group.transversals),
+        tuple(e.images for e in group.elements()),
+        motion.motion,
+        None if motion.witness is None else motion.witness.images,
+    )
+
+
+PINNED_SEARCH_DIGEST = "bf8a0e83deb13bfc487bf0752edc3f61d5c08434b779d789ba3feadc1e2fa515"
+
+
+def test_search_results_are_pinned(corpus):
+    """A digest of `search_record` over 107 graphs, plain and randomly
+    2-coloured.  It pins the generators and everything built on them, so a
+    change to the search that alters any of them must say so and re-pin."""
+    graphs = (
+        list(corpus.values())
+        + [hypercube(4), hypercube(5), complete_graph(7), complete_bipartite(3, 5)]
+        + [cycle_graph(9), path_graph(12), petersen_graph(), family("grid", 3, dimension=2)]
+        + [family("grid", 4, dimension=2), family("ladder", 8), family("regular_tree", 2, degree=3)]
+        + seeded_random_graphs(41, 60, max_n=12)
+        + seeded_random_trees(42, 15, max_n=20)
+    )
+    assert len(graphs) == 107
+    rnd = random.Random(43)
+    digest = hashlib.sha256()
+    for g in graphs:
+        for colours in (None, tuple(rnd.randrange(2) for _ in range(g.vertex_count))):
+            digest.update(repr(search_record(g, colours)).encode())
+    assert digest.hexdigest() == PINNED_SEARCH_DIGEST
+
+
+def test_search_order_matches_the_chain(corpus):
+    graphs = (
+        list(corpus.values())
+        + [petersen_graph(), hypercube(4), hypercube(5), family("grid", 4, dimension=2)]
+        + seeded_random_graphs(51, 40, max_n=12)
+    )
+    rnd = random.Random(52)
+    for index, g in enumerate(graphs):
+        for k in (None, 2, 3):
+            colours = None if k is None else tuple(rnd.randrange(k) for _ in range(g.vertex_count))
+            group = automorphism_group(g, colours)
+            handed_over = group.order()
+            assert handed_over == PermGroup(g.vertex_count, group.generators).order(), (index, k)
+            # the group's own chain, built for membership, must agree with the
+            # handed-over order or raise InvariantError
+            assert group.contains(Perm.identity(g.vertex_count))
+
+
+def test_search_order_matches_networkx_automorphism_counts():
+    isomorphism = pytest.importorskip("networkx.algorithms.isomorphism")
+    import networkx
+
+    rnd = random.Random(53)
+    graphs = [petersen_graph(), cycle_graph(10), hypercube(3)] + seeded_random_graphs(54, 60, max_n=10)
+    for index, g in enumerate(graphs):
+        nxg = networkx.Graph()
+        nxg.add_nodes_from(range(g.vertex_count))
+        nxg.add_edges_from(g.edges())
+        for k in (None, 2):
+            colours = None if k is None else tuple(rnd.randrange(k) for _ in range(g.vertex_count))
+            for v in range(g.vertex_count):
+                nxg.nodes[v]["colour"] = None if colours is None else colours[v]
+            matcher = isomorphism.GraphMatcher(
+                nxg, nxg, node_match=lambda a, b: a["colour"] == b["colour"]
+            )
+            count = sum(1 for _ in matcher.isomorphisms_iter())
+            assert automorphism_group(g, colours).order() == count, (index, k)
+
+
+def test_search_leaves_the_recursion_limit_alone():
+    g = family("grid", 12, dimension=2)
+    assert g.vertex_count == 313 and not g.is_tree()
+    limit = sys.getrecursionlimit()
+    try:
+        sys.setrecursionlimit(1000)
+        assert automorphism_group(g).order() == 8
+        assert sys.getrecursionlimit() == 1000
     finally:
         sys.setrecursionlimit(limit)

@@ -232,6 +232,16 @@ def test_out_of_range_inputs_exit_2(capsys, c4_file, argv, message):
     assert captured.err.startswith(f"error: {message}")
 
 
+def test_colouring_longer_than_an_empty_graph_exits_2(tmp_path, capsys):
+    empty = tmp_path / "empty.txt"
+    empty.write_text("0 0\n")
+    assert run_json(capsys, "autgroup", "--graph", str(empty))["result"]["order"] == 1
+    code = main(["autgroup", "--graph", str(empty), "--colours", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: vertex colouring must be total")
+
+
 def test_only_json_output_encodes_the_report(capsys, monkeypatch):
     import symbreak.cli as cli
 

@@ -1,6 +1,6 @@
 """Package-wide rules: one JSON form per report, no `assert` statements, no
-module importing another's private names, and every name the bench tracer
-wraps still exists."""
+module importing another's private names or setting the recursion limit,
+and every name the bench tracer wraps still exists."""
 
 import ast
 import importlib.util
@@ -175,6 +175,18 @@ def test_package_imports_no_private_names():
         if isinstance(node, ast.ImportFrom)
         for alias in node.names
         if alias.name.startswith("_")
+    ]
+    assert found == []
+
+
+def test_package_sets_no_recursion_limit():
+    """The recursion limit is process-global: no search or walk may need it raised."""
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(symbreak.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) == "setrecursionlimit"
     ]
     assert found == []
 
