@@ -325,24 +325,28 @@ def _search(g: Graph, vertex_colours):
     # generators that fix the prefix, yields at most one generator.  Those
     # generators are then final and form a strong generating set relative
     # to the base left_seq, so |Aut| is the product of the basic orbit
-    # lengths.
+    # lengths.  A generator found at a level fixes its prefix.
     gens = []
     group_order = 1
     for level in reversed(range(depth)):
         cells = left_partitions[level]
-        prefix = left_seq[:level]
-        tried = [left_seq[level]]
+        fixing = _fixing(gens, left_seq[:level])
+        tried = orbit_of((left_seq[level],), fixing)  # the orbit of the tried candidates
         for w in sorted(cells[_first_nonsingleton(cells)]):
-            if w == tried[0] or w in orbit_of(tried, _fixing(gens, prefix)):
+            if w in tried:
                 continue
             child = _refine(adj, _individualize(cells, w), (w,))
+            found = None
             if _shape(child) == left_shapes[level + 1]:
                 found = first_below(child, level + 1)
-                if found is not None:
-                    gens.append(found)
-                    yield found
-            tried.append(w)
-        group_order *= len(orbit_of(tried[:1], _fixing(gens, prefix)))
+            if found is None:
+                tried |= orbit_of((w,), fixing)
+            else:
+                gens.append(found)
+                fixing.append(found)
+                yield found
+                tried = orbit_of(tried | {w}, fixing)
+        group_order *= len(orbit_of((left_seq[level],), fixing))
     return group_order
 
 

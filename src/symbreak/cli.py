@@ -362,17 +362,15 @@ def _run(args):
     if cmd == "gamma":
         options = {"budget": args.budget}
         if args.iterate is not None:
-            report = gamma_refinement_iterate(
-                g, args.budget, max_levels=args.iterate, cap=args.enumeration_cap
-            )
+            report = gamma_refinement_iterate(g, args.budget, max_levels=args.iterate)
             options["iterate"] = args.iterate
             return report, source, options
         if args.pair:
             s, t = args.pair
-            ok = suborbit_equivalence(g, s, t, args.budget, cap=args.enumeration_cap)
+            ok = suborbit_equivalence(g, s, t, args.budget)
             options["pair"] = [s, t]
             return {"equivalent": ok}, source, options
-        return suborbit_classes(g, args.budget, cap=args.enumeration_cap), source, options
+        return suborbit_classes(g, args.budget), source, options
 
     if cmd == "growth":
         radius = args.radius

@@ -5,6 +5,8 @@ spheres check with an explicit safe horizon, sphere equivalence and
 suborbit equivalence with an exception budget (plus the class-stabiliser
 refinement iteration), Cartesian layer fixing under a colouring, the
 equal-colour-count matching probability, and the growth-bound report.
+Suborbits come from the coloured search and each pair s, t from one phi
+with phi(s) = t in the orbit transversal of s, so no element is listed.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .autsearch import automorphism_group
 from .colourings import Colouring, colouring_stabiliser
 from .errors import CapExceededError, InvariantError
 from .graphs import Graph, cartesian_product, growth_sequence
-from .groups import DEFAULT_ENUMERATION_CAP, PermGroup
+from .groups import DEFAULT_ENUMERATION_CAP, PermGroup, transversal
 from .jsonfields import JsonFields, json_value
 
 # ---------------------------------------------------------------------------
@@ -338,75 +340,63 @@ def _suborbits(g: Graph, colours, s):
     return automorphism_group(g, [(c, v == s) for v, c in enumerate(colours)]).orbits()
 
 
-def _suborbit_mismatch_count(suborbits, s, t, elements):
-    """#{x : (stab_s orbit of x) != phi(stab_s orbit of x)} for phi with phi(s)=t.
+def _suborbit_mismatch_count(suborbits_s, suborbits_t, phi):
+    """The sum of |C| over the suborbits C of s with phi(C) != C, for phi(s) = t.
 
-    `suborbits` is the orbit partition of the stabiliser of s.  The count is
-    the same for every such phi (phi' = phi * sigma with sigma stabilising s
-    permutes each suborbit within itself); computed for all candidates
-    among `elements`, the group's element list, and checked equal (else
-    `InvariantError`).  t must lie in the orbit of s.
+    phi maps each suborbit of s onto one of t (else `InvariantError`: a
+    wrong partition), and the count is the same for every such phi (phi' =
+    phi * sigma with sigma stabilising s permutes each suborbit within
+    itself), so one phi from the orbit transversal of s decides the pair.
     """
-    suborbits = [frozenset(cls) for cls in suborbits]
-    counts = set()
-    for phi in elements:
-        if phi(s) != t:
-            continue
-        mismatch = 0
-        for cls in suborbits:
-            if frozenset(phi(x) for x in cls) != cls:
-                mismatch += len(cls)
-        counts.add(mismatch)
-    if len(counts) != 1:
-        raise InvariantError(
-            f"mismatch count depended on the mapping element: {sorted(counts)}"
-        )
-    return counts.pop()
+    targets = {frozenset(cls) for cls in suborbits_t}
+    mismatch = 0
+    for cls in suborbits_s:
+        image = frozenset(phi(x) for x in cls)
+        if image not in targets:
+            raise InvariantError(f"phi maps the suborbit {sorted(cls)} onto no suborbit of t")
+        if image != frozenset(cls):
+            mismatch += len(cls)
+    return mismatch
 
 
-def suborbit_equivalence(
-    g: Graph,
-    s: int,
-    t: int,
-    budget: int,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-) -> bool:
+def suborbit_equivalence(g: Graph, s: int, t: int, budget: int) -> bool:
     """s ~ t: some element maps s to t moving at most `budget` points across
-    stabiliser suborbits (the finite surrogate for 'all but finitely many')."""
+    stabiliser suborbits (the finite surrogate for 'all but finitely many').
+    The element is the orbit transversal's representative for t."""
     if budget < 0:
         raise ValueError("budget must be non-negative")
-    group = automorphism_group(g)
-    if not 0 <= t < group.degree:
-        raise ValueError(f"invalid point {t}")
-    if t not in group.orbit(s):
+    n = g.vertex_count
+    for p in (s, t):
+        if not 0 <= p < n:
+            raise ValueError(f"invalid point {p}")
+    _, reps = transversal(s, automorphism_group(g).generators, n)
+    if t not in reps:
         return False
-    suborbits = _suborbits(g, (0,) * g.vertex_count, s)
-    return _suborbit_mismatch_count(suborbits, s, t, group.element_list(cap)) <= budget
+    sub_s, sub_t = (_suborbits(g, (0,) * n, p) for p in (s, t))
+    return _suborbit_mismatch_count(sub_s, sub_t, reps[t]) <= budget
 
 
-def suborbit_classes(
-    g: Graph,
-    budget: int,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-) -> EquivalenceClasses:
+def suborbit_classes(g: Graph, budget: int) -> EquivalenceClasses:
     if budget < 0:
         raise ValueError("budget must be non-negative")
-    group = automorphism_group(g)
-    return _suborbit_classes(g, (0,) * g.vertex_count, group, budget, group.element_list(cap))
+    return _suborbit_classes(g, (0,) * g.vertex_count, automorphism_group(g), budget)
 
 
-def _suborbit_classes(g: Graph, colours, group: PermGroup, budget, elements) -> EquivalenceClasses:
-    """Suborbit classes of `group` = Aut(g, colours), whose element list is
-    `elements`; each point's suborbits come from one coloured search."""
-    orbit = _block_index(group.orbits(), group.degree)
+def _suborbit_classes(g: Graph, colours, group: PermGroup, budget) -> EquivalenceClasses:
+    """Suborbit classes of `group` = Aut(g, colours).  Each point's suborbits
+    come from one coloured search and are kept; the transversal of s is
+    kept only while s is paired (pairs arrive s by s), so memory is O(n^2)."""
+    n = group.degree
+    orbit = _block_index(group.orbits(), n)
     suborbits = functools.cache(lambda s: _suborbits(g, colours, s))
+    reps = functools.lru_cache(maxsize=1)(lambda s: transversal(s, group.generators, n)[1])
 
     def pair_fn(s, t):
         return orbit[s] == orbit[t] and (
-            _suborbit_mismatch_count(suborbits(s), s, t, elements) <= budget
+            _suborbit_mismatch_count(suborbits(s), suborbits(t), reps(s)[t]) <= budget
         )
 
-    return _classes_from_pairwise(group.degree, pair_fn, "suborbit", {"budget": budget})
+    return _classes_from_pairwise(n, pair_fn, "suborbit", {"budget": budget})
 
 
 @dataclass(frozen=True)
@@ -435,12 +425,7 @@ class RefinementIteration:
         }
 
 
-def gamma_refinement_iterate(
-    g: Graph,
-    budget: int,
-    max_levels: int = 10,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-) -> RefinementIteration:
+def gamma_refinement_iterate(g: Graph, budget: int, max_levels: int = 10) -> RefinementIteration:
     if budget < 0:
         raise ValueError("budget must be non-negative")
     if max_levels < 1:
@@ -451,7 +436,7 @@ def gamma_refinement_iterate(
     levels = []
     fixpoint = False
     for _ in range(max_levels):
-        classes = _suborbit_classes(g, colours, group, budget, group.element_list(cap))
+        classes = _suborbit_classes(g, colours, group, budget)
         levels.append(RefinementLevel(group.order(), classes))
         class_of = _block_index(classes.classes, g.vertex_count)
         colours = tuple(zip(colours, class_of))

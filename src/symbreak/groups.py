@@ -38,7 +38,7 @@ class _Level:
         self.orbit_order = [point]
 
 
-def _transversal(point, gens, degree):
+def transversal(point, gens, degree):
     """Breadth-first orbit of `point` under `gens`: (orbit order, transversal).
 
     The transversal maps each orbit point q to a coset representative u
@@ -163,7 +163,7 @@ class PermGroup:
         while i >= 0:
             lv = self._levels[i]
             gens = self._gens_for_level(i)
-            lv.orbit_order, lv.transversal = _transversal(lv.point, gens, self.degree)
+            lv.orbit_order, lv.transversal = transversal(lv.point, gens, self.degree)
             stall = None
             for p in lv.orbit_order:
                 up = lv.transversal[p]

@@ -8,7 +8,7 @@ from symbreak.autsearch import automorphism_group
 from symbreak.colourings import colouring_stabiliser, random_colouring
 from symbreak.conditions import DscReport
 from symbreak.graphs import Graph
-from symbreak.groups import DEFAULT_ENUMERATION_CAP, PermGroup, _orbit_partition, _transversal
+from symbreak.groups import DEFAULT_ENUMERATION_CAP, PermGroup, _orbit_partition, transversal
 from symbreak.perms import Perm
 from symbreak.suites import standard_corpus
 
@@ -203,7 +203,7 @@ def stabiliser_generators(group, s):
     generators for the stabiliser of a point, from the strong generators."""
     group._check_point(s)
     gens = group.strong_generators
-    order, trans = _transversal(s, gens, group.degree)
+    order, trans = transversal(s, gens, group.degree)
     out = []
     seen = set()
     for p in order:

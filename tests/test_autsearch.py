@@ -1,10 +1,12 @@
 import hashlib
+import math
 import random
 import sys
 from collections import Counter
 
 import pytest
 
+from symbreak import autsearch
 from symbreak.autsearch import (
     _first_nonsingleton,
     _individualize,
@@ -364,6 +366,19 @@ def test_search_results_are_pinned(corpus):
         for colours in (None, tuple(rnd.randrange(2) for _ in range(g.vertex_count))):
             digest.update(repr(search_record(g, colours)).encode())
     assert digest.hexdigest() == PINNED_SEARCH_DIGEST
+
+
+def test_search_lists_the_fixing_generators_once_per_level(monkeypatch):
+    """Each left-path level filters the generators fixing its prefix once and
+    extends that list as it finds more, rather than once per candidate: a
+    perfect matching of 20 edges has a left path of depth 20."""
+    calls = []
+    fixing = autsearch._fixing
+    monkeypatch.setattr(autsearch, "_fixing", lambda gens, points: calls.append(1) or fixing(gens, points))
+    g = Graph.from_edges(40, [(2 * i, 2 * i + 1) for i in range(20)])
+    assert not g.is_tree()
+    assert automorphism_group(g).order() == 2**20 * math.factorial(20)
+    assert len(calls) == 20
 
 
 def test_search_order_matches_the_chain(corpus):

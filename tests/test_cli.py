@@ -171,6 +171,20 @@ def test_gamma_subcommand(capsys, c4_file):
     assert data["result"]["equivalent"] is True
 
 
+def test_gamma_runs_above_the_enumeration_cap(capsys, tmp_path):
+    # suborbits and gamma enumerate no elements, so the cap does not apply
+    # to them; d3 R4 has |Aut| = 12,582,912 > 10^6
+    spec = json.dumps({"kind": "regular_tree", "params": {"degree": 3}, "radius": 4})
+    data = run_json(capsys, "gamma", "--family", spec, "--budget", "46")
+    tree = generate_family(FamilySpec.from_json_dict(json.loads(spec)))
+    assert data["result"]["classes"] == json_value(automorphism_group(tree).orbits())
+    c6 = tmp_path / "c6.txt"
+    c6.write_text(format_graph_text(cycle_graph(6)))
+    data = run_json(capsys, "--enumeration-cap", "5", "gamma", "--graph", str(c6))
+    assert data["config"]["caps"]["enumeration"] == 5
+    assert data["result"] == json_value(suborbit_classes(cycle_graph(6), 0))
+
+
 def test_product_subcommand(capsys, tmp_path):
     k2 = tmp_path / "k2.txt"
     k2.write_text("2 1\n0 1\n")

@@ -38,6 +38,7 @@ from symbreak.graphs import (
     path_graph,
     star_graph,
 )
+from symbreak.groups import DEFAULT_ENUMERATION_CAP, PermGroup, transversal
 from symbreak.rng import SeededRng
 
 
@@ -281,9 +282,10 @@ class TestGammaEquivalence:
         assert counts == {6}
 
     def test_mismatch_count_depending_on_phi_raises(self, monkeypatch):
-        # {0, 1} is no suborbit of 0 in C4: the rotation 0 -> 1 moves it and
-        # the reflection 0 <-> 1 keeps it, so the two counts differ
-        monkeypatch.setattr(conditions, "_suborbits", lambda g, colours, s: [(0, 1), (2,), (3,)])
+        # {0, 2} is no suborbit in C4: every phi with phi(0) = 1 maps it onto
+        # {1, 3}, which is none of the given parts, so the count cannot be
+        # the same for every phi
+        monkeypatch.setattr(conditions, "_suborbits", lambda g, colours, s: [(0, 2), (1,), (3,)])
         with pytest.raises(InvariantError):
             suborbit_equivalence(cycle_graph(4), 0, 1, 0)
 
@@ -370,6 +372,69 @@ class TestSuborbitsByColouredSearch:
             for s in range(g.vertex_count):
                 got = conditions._suborbits(g, colours, s)
                 assert got == suborbits(group, s), (name, s)
+
+
+def gamma_level_colourings(g, budget):
+    """The colourings whose stabilisers are the levels of the gamma
+    iteration: level i + 1 pairs each vertex's level-i colour with its class."""
+    colours = (0,) * g.vertex_count
+    out = [colours]
+    for level in gamma_refinement_iterate(g, budget).levels[:-1]:
+        colours = tuple(zip(colours, conditions._block_index(level.classes.classes, g.vertex_count)))
+        out.append(colours)
+    return out
+
+
+class TestOnePhiPerPair:
+    """The mismatch count is the same for every phi with phi(s) = t, so the
+    one phi from the orbit transversal of s decides the pair; every such
+    phi in the element list is the oracle."""
+
+    def test_every_phi_gives_the_transversal_count(self, corpus):
+        graphs = list(corpus.items())
+        graphs += [(f"random{i}", g) for i, g in enumerate(seeded_random_graphs(7, 40))]
+        coloured_levels = 0
+        for name, g in graphs:
+            n = g.vertex_count
+            for level, colours in enumerate(gamma_level_colourings(g, 0)):
+                coloured_levels += level > 0
+                group = automorphism_group(g, colours)
+                subs = [conditions._suborbits(g, colours, s) for s in range(n)]
+                counts = {}
+                for s in range(n):
+                    _, reps = transversal(s, group.generators, n)
+                    for t, phi in reps.items():
+                        counts[s, t] = conditions._suborbit_mismatch_count(subs[s], subs[t], phi)
+                for phi in group.elements():
+                    for s in range(n):
+                        expected = sum(
+                            len(cls) for cls in subs[s] if frozenset(map(phi, cls)) != frozenset(cls)
+                        )
+                        assert counts[s, phi(s)] == expected, (name, level, s, phi(s))
+        assert coloured_levels >= 20
+
+    def test_conditions_build_no_chain(self, corpus, monkeypatch):
+        def refuse(group):
+            raise RuntimeError("a stabiliser chain was built")
+
+        monkeypatch.setattr(PermGroup, "_ensure_chain", refuse)
+        for name, g in corpus.items():
+            n = g.vertex_count
+            assert suborbit_classes(g, n).classes == automorphism_group(g).orbits(), name
+            gamma_refinement_iterate(g, 0)
+            for t in range(n):
+                suborbit_equivalence(g, 0, t, 0)
+
+    def test_d3_ball_above_the_old_enumeration_cap(self):
+        g = generate_family(FamilySpec("regular_tree", {"degree": 3}, 4))
+        group = automorphism_group(g)
+        assert group.order() == 12582912 > DEFAULT_ENUMERATION_CAP
+        assert suborbit_classes(g, g.vertex_count).classes == group.orbits()
+
+    def test_gamma_orders_above_the_old_enumeration_cap(self):
+        for radius, order in ((4, 12582912), (5, 211106232532992)):
+            g = generate_family(FamilySpec("regular_tree", {"degree": 3}, radius))
+            assert gamma_refinement_iterate(g, 0).orders[0] == order
 
 
 class TestGammaIteration:

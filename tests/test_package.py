@@ -1,6 +1,6 @@
 """Package-wide rules: one JSON form per report, no `assert` statements, no
-module importing another's private names or setting the recursion limit,
-and every name the bench tracer wraps still exists."""
+module importing another's private names or setting the recursion limit, no
+parameter left unread, and every name the bench tracer wraps still exists."""
 
 import ast
 import importlib.util
@@ -188,6 +188,38 @@ def test_package_sets_no_recursion_limit():
         if isinstance(node, ast.Call)
         and getattr(node.func, "attr", getattr(node.func, "id", None)) == "setrecursionlimit"
     ]
+    assert found == []
+
+
+#: Parameters a body may leave unread: a frozen class's `__setattr__` refuses
+#: every call, and `motion(cap)` is still called as `motion(0)` by the bench.
+UNREAD_PARAMETERS_ALLOWED = {("__setattr__", "self"), ("__setattr__", "name"),
+                             ("__setattr__", "value"), ("motion", "cap")}
+
+
+def test_package_functions_read_every_parameter():
+    """A parameter the body never reads is an option nobody can set."""
+    found = []
+    for path in sorted(Path(symbreak.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            args = node.args
+            params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+            params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {
+                n.id
+                for statement in body
+                for n in ast.walk(statement)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            }
+            name = getattr(node, "name", "<lambda>")
+            found += [
+                f"{path.name}:{node.lineno} {name}({p})"
+                for p in params
+                if p not in read and (name, p) not in UNREAD_PARAMETERS_ALLOWED
+            ]
     assert found == []
 
 
