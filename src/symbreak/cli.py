@@ -243,7 +243,7 @@ def _parse_colours(text):
 
 
 def _colouring_from_args(args, g, rng):
-    if args.colours:
+    if args.colours is not None:
         return _parse_colours(args.colours)
     return random_colouring(g, 2, rng)
 
@@ -285,7 +285,8 @@ def _run(args):
         right, right_src = _load_spec_or_graph(args.right)
         c = _colouring_from_args(args, cartesian_product(left, right), rng)
         report = layer_fixing_report(left, right, c, cap=args.enumeration_cap)
-        options = {"left": left_src, "right": right_src, "colours": args.colours or "random"}
+        colours = "random" if args.colours is None else args.colours
+        options = {"left": left_src, "right": right_src, "colours": colours}
         return report, None, options
 
     if cmd == "growth" and args.bound is not None:
@@ -297,7 +298,7 @@ def _run(args):
     g, source = _graph_from_args(args)
 
     if cmd == "autgroup":
-        colours = _parse_colours(args.colours).colours if args.colours else None
+        colours = None if args.colours is None else _parse_colours(args.colours).colours
         options = {"colours": args.colours}
         return automorphism_group(g, vertex_colours=colours), source, options
 
@@ -344,7 +345,10 @@ def _run(args):
         return deco, source, options
 
     if cmd == "haar":
-        return expected_stabiliser_measure(g, enum_cap=args.enumeration_cap), source, options
+        report = expected_stabiliser_measure(
+            g, enum_cap=args.enumeration_cap, colour_cap=args.colour_cap
+        )
+        return report, source, options
 
     if cmd == "dsc":
         options = {"root": args.root, "radius": args.radius}
@@ -428,6 +432,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         report, source, options = _run(args)
         payload = _render(args, report, source, options)
+        if args.output:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(payload + "\n")
+            return 0
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     except CapExceededError as exc:
@@ -437,10 +445,6 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(payload + "\n")
-        return 0
     try:
         print(payload)
         sys.stdout.flush()

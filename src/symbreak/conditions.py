@@ -92,10 +92,11 @@ DSC_PAIR_CAP = 10**7
 def dsc_check(g: Graph, v0: int = 0, radius: Optional[int] = None) -> DscReport:
     """Compare spheres of equidistant vertex pairs within the safe horizon.
 
-    Each vertex's spheres come from a BFS that stops at its safe horizon
-    radius - d(root, v), or earlier at its first empty sphere; they are
-    kept only while that vertex's depth is being compared, and no distance
-    row other than the root's is computed or cached.  The pairs are counted
+    The root's distance row comes from one search; without a truncation or
+    an explicit radius, the radius is that row's maximum.  Each vertex's
+    spheres come from a BFS that stops at its safe horizon radius -
+    d(root, v), or earlier at its first empty sphere; they are kept only
+    while that vertex's depth is being compared.  The pairs are counted
     first: above `DSC_PAIR_CAP` it raises `CapExceededError` before any
     sphere is built.
     """
@@ -108,12 +109,12 @@ def dsc_check(g: Graph, v0: int = 0, radius: Optional[int] = None) -> DscReport:
             radius = g.truncation.radius
         elif radius != g.truncation.radius:
             raise ValueError("radius differs from the truncation radius")
-    if radius is None:
-        radius = g.eccentricity(v0)
-    elif radius < 0:
+    if radius is not None and radius < 0:
         raise ValueError("radius must be non-negative")
-
     dist = g.distances(v0)
+    if radius is None:
+        radius = max(dist)
+
     by_depth = {}
     for v in range(g.vertex_count):
         if dist[v] >= 0:
@@ -242,11 +243,13 @@ class SphereEquivalenceResult(JsonFields):
 
 
 def _vertex_spheres(g: Graph, vertices):
-    """vertex -> [S_v(1), S_v(2), ...], up to its safe range on a truncation."""
+    """(vertex -> [S_v(1), S_v(2), ...], depth row): spheres up to the safe
+    range and the root's distance row on a truncation; no row otherwise."""
     if g.truncation is None:
-        return {v: _spheres_within(g, v, g.vertex_count) for v in vertices}
+        return {v: _spheres_within(g, v, g.vertex_count) for v in vertices}, None
     depth = g.distances(g.truncation.root)
-    return {v: _spheres_within(g, v, g.truncation.radius - depth[v]) for v in vertices}
+    spheres = {v: _spheres_within(g, v, g.truncation.radius - depth[v]) for v in vertices}
+    return spheres, depth
 
 
 def _check_sphere_bounds(n0_max, horizon):
@@ -264,12 +267,11 @@ def _block_index(partition, n):
     return index
 
 
-def _sphere_pair(g: Graph, u, v, spheres, n0_max, horizon, orbit) -> SphereEquivalenceResult:
+def _sphere_pair(g: Graph, u, v, spheres, depth, n0_max, horizon, orbit) -> SphereEquivalenceResult:
     su, sv = spheres[u], spheres[v]
-    if g.truncation is None:
+    if depth is None:
         safe = max(len(su), len(sv))
     else:
-        depth = g.distances(g.truncation.root)
         safe = g.truncation.radius - max(depth[u], depth[v])
     if horizon is None:
         horizon = max(safe, 0)
@@ -308,9 +310,9 @@ def sphere_equivalence(
     g._check_vertex(u)
     g._check_vertex(v)
     _check_sphere_bounds(n0_max, horizon)
-    spheres = _vertex_spheres(g, (u, v))
+    spheres, depth = _vertex_spheres(g, (u, v))
     orbit = _block_index(automorphism_group(g).orbits(), g.vertex_count)
-    return _sphere_pair(g, u, v, spheres, n0_max, horizon, orbit)
+    return _sphere_pair(g, u, v, spheres, depth, n0_max, horizon, orbit)
 
 
 def sphere_classes(
@@ -321,10 +323,10 @@ def sphere_classes(
     """Classes of `sphere_equivalence`, each vertex's spheres built once."""
     _check_sphere_bounds(n0_max, horizon)
     orbit = _block_index(automorphism_group(g).orbits(), g.vertex_count)
-    spheres = _vertex_spheres(g, range(g.vertex_count))
+    spheres, depth = _vertex_spheres(g, range(g.vertex_count))
 
     def pair_fn(s, t):
-        return _sphere_pair(g, s, t, spheres, n0_max, horizon, orbit).equivalent
+        return _sphere_pair(g, s, t, spheres, depth, n0_max, horizon, orbit).equivalent
 
     return _classes_from_pairwise(
         g.vertex_count, pair_fn, "sphere", {"n0_max": n0_max, "horizon": horizon}

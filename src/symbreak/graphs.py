@@ -17,9 +17,6 @@ from dataclasses import dataclass
 from .errors import GraphFormatError
 from .jsonfields import JsonFields, json_value
 
-#: Full distance-row caching is enabled only below this vertex count.
-DISTANCE_CACHE_CAP = 4096
-
 UNREACHABLE = -1
 
 
@@ -35,7 +32,7 @@ class Truncation:
 class Graph:
     """Simple undirected graph on vertices 0..n-1."""
 
-    __slots__ = ("adjacency", "labels", "truncation", "_dist_rows")
+    __slots__ = ("adjacency", "labels", "truncation")
 
     def __init__(self, adjacency, labels=None, truncation=None):
         adj = tuple(tuple(sorted(nbrs)) for nbrs in adjacency)
@@ -59,7 +56,6 @@ class Graph:
         if self.labels is not None and len(self.labels) != n:
             raise GraphFormatError("labels length differs from vertex count")
         object.__setattr__(self, "truncation", truncation)
-        object.__setattr__(self, "_dist_rows", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -100,17 +96,12 @@ class Graph:
             raise ValueError(f"invalid vertex index {v!r} for graph on {self.vertex_count} vertices")
 
     def distances(self, v):
-        """BFS distances from v; UNREACHABLE (-1) marks other components."""
-        self._check_vertex(v)
-        cached = self._dist_rows.get(v)
-        if cached is not None:
-            return cached
-        row = self._bfs(v)
-        if self.vertex_count <= DISTANCE_CACHE_CAP:
-            self._dist_rows[v] = row
-        return row
+        """BFS distances from v; UNREACHABLE (-1) marks other components.
 
-    def _bfs(self, v):
+        Each call runs one search and nothing is cached: a caller that reads
+        a row more than once keeps it.
+        """
+        self._check_vertex(v)
         dist = [UNREACHABLE] * self.vertex_count
         dist[v] = 0
         queue = deque([v])
@@ -144,8 +135,7 @@ class Graph:
         return tuple(u for u in range(self.vertex_count) if 0 <= dist[u] <= n)
 
     def is_connected(self):
-        # an uncached BFS: a connectivity check leaves no distance row behind
-        return self.vertex_count == 0 or UNREACHABLE not in self._bfs(0)
+        return self.vertex_count == 0 or UNREACHABLE not in self.distances(0)
 
     def is_tree(self):
         return self.is_connected() and self.edge_count == self.vertex_count - 1
@@ -252,7 +242,8 @@ def truncate_to_ball(g: Graph, root: int, radius: int, family: str = "custom") -
 
     The root becomes vertex 0 and the result records its truncation data.
     """
-    g._check_vertex(root)
+    if radius < 0:
+        raise ValueError("radius must be non-negative")
     dist = g.distances(root)
     keep = sorted(
         (v for v in range(g.vertex_count) if 0 <= dist[v] <= radius),

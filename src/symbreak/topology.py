@@ -15,6 +15,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .autsearch import automorphism_group
+from .colourings import DEFAULT_COLOUR_CAP
 from .errors import CapExceededError, InvariantError
 from .graphs import Graph
 from .groups import DEFAULT_ENUMERATION_CAP, PermGroup
@@ -250,14 +251,10 @@ class StabiliserMeasureReport:
         }
 
 
-#: Exhaustive colouring enumeration is limited to this many vertices.
-DEFAULT_MEASURE_VERTEX_CAP = 20
-
-
 def expected_stabiliser_measure(
     g: Graph,
     enum_cap: int = DEFAULT_ENUMERATION_CAP,
-    vertex_cap: int = DEFAULT_MEASURE_VERTEX_CAP,
+    colour_cap: int = DEFAULT_COLOUR_CAP,
 ) -> StabiliserMeasureReport:
     """Average stabiliser fraction of a uniform random 2-colouring, both ways.
 
@@ -265,32 +262,30 @@ def expected_stabiliser_measure(
     c(v) for all v, one comparison per element over the (2^n, n) matrix of
     all colourings.  Group-first: sum 2^cycles(gamma) over the group.  The
     two exact rationals must coincide (else `InvariantError`); both are
-    returned.
+    returned.  Above `colour_cap` colourings (2^n) it raises
+    `CapExceededError`, as `distinguishing_probability_exact` does.
     """
     import numpy as np
 
     n = g.vertex_count
-    if n > vertex_cap:
+    total = 2**n
+    if total > colour_cap:
         raise CapExceededError(
-            f"{n} vertices exceed the exhaustive colouring cap {vertex_cap}",
-            required=n,
-            cap=vertex_cap,
+            f"{total} colourings exceed cap {colour_cap}", required=total, cap=colour_cap
         )
     aut = automorphism_group(g)
     order = aut.order()
     elems = aut.element_list(enum_cap)
 
     # row i is the colouring whose vertex v has colour bit v of i
-    colourings = ((np.arange(2**n)[:, None] >> np.arange(n)) & 1).astype(np.int8)
+    colourings = ((np.arange(total)[:, None] >> np.arange(n)) & 1).astype(np.int8)
     preserved_total = 0
     for gamma in elems:
         preserved = (colourings[:, list(gamma.images)] == colourings).all(axis=1)
         preserved_total += int(preserved.sum())
-    colour_first = Fraction(preserved_total, (2**n) * order)
+    colour_first = Fraction(preserved_total, total * order)
 
-    group_first = Fraction(
-        sum(2 ** gamma.cycle_count() for gamma in elems), (2**n) * order
-    )
+    group_first = Fraction(sum(2 ** gamma.cycle_count() for gamma in elems), total * order)
 
     report = StabiliserMeasureReport(colour_first, group_first)
     if not report.agree:

@@ -256,6 +256,30 @@ def test_colouring_longer_than_an_empty_graph_exits_2(tmp_path, capsys):
     assert captured.err.startswith("error: vertex colouring must be total")
 
 
+@pytest.mark.parametrize("argv", [
+    ["autgroup", "--graph", "C4"],
+    ["distinguish", "--graph", "C4"],
+    ["layers", "--left", "C4", "--right", "C4"],
+])
+def test_empty_colours_are_an_explicit_colouring(capsys, c4_file, argv):
+    # "" is a colouring of no vertex, not a request for a random one
+    code = main([c4_file if a == "C4" else a for a in argv] + ["--colours", ""])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
+def test_empty_colours_on_the_empty_graph(tmp_path, capsys):
+    empty = tmp_path / "empty.txt"
+    empty.write_text("0 0\n")
+    data = run_json(capsys, "distinguish", "--graph", str(empty), "--colours", "")
+    assert data["config"]["options"]["colours"] == ""
+    assert data["result"]["distinguishing"] is True
+    data = run_json(capsys, "layers", "--left", str(empty), "--right", str(empty), "--colours", "")
+    assert data["config"]["options"]["colours"] == ""
+
+
 def test_only_json_output_encodes_the_report(capsys, monkeypatch):
     import symbreak.cli as cli
 
@@ -277,6 +301,14 @@ def test_only_json_output_encodes_the_report(capsys, monkeypatch):
 
 def test_cap_exceeded_exits_3(capsys, c4_file):
     assert main(["--colour-cap", "4", "prob-exact", "--graph", c4_file]) == 3
+
+
+def test_haar_honours_the_colour_cap(capsys, c4_file):
+    assert main(["--colour-cap", "15", "haar", "--graph", c4_file]) == 3
+    assert capsys.readouterr().err == "error: 16 colourings exceed cap 15\n"
+    assert run_json(capsys, "--colour-cap", "16", "haar", "--graph", c4_file)["result"][
+        "expected_stabiliser_measure"
+    ] == "3/8"
 
 
 def test_missing_graph_exits_2(capsys):
@@ -365,6 +397,15 @@ def test_output_to_file(tmp_path, capsys, p4_file):
     code, _ = run_cli(capsys, "--output", str(out), "prob-exact", "--graph", p4_file)
     assert code == 0
     assert json.loads(out.read_text())["result"]["probability"] == "3/4"
+
+
+@pytest.mark.parametrize("target", [".", "missing/report.json"], ids=["directory", "no-parent"])
+def test_unwritable_output_exits_2(tmp_path, capsys, p4_file, target):
+    code = main(["--output", str(tmp_path / target), "motion", "--graph", p4_file])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_batch_mode(tmp_path, capsys):

@@ -92,6 +92,14 @@ def test_out_of_range_arguments_rejected(call, message):
         call(cycle_graph(6))
 
 
+def count_searches(monkeypatch):
+    """The source of every `Graph.distances` call made from now on."""
+    sources = []
+    search = Graph.distances
+    monkeypatch.setattr(Graph, "distances", lambda g, v: sources.append(v) or search(g, v))
+    return sources
+
+
 class TestDsc:
     @pytest.mark.parametrize("spec", DSC_FAMILIES, ids=lambda s: f"{s.kind}-R{s.radius}")
     def test_matches_full_distance_oracle_on_families(self, spec):
@@ -128,10 +136,14 @@ class TestDsc:
         assert time.perf_counter() - start < 1.0
         assert (info.value.required, info.value.cap) == (25_159_680, DSC_PAIR_CAP)
 
-    def test_caches_no_distance_rows_but_the_roots(self):
-        g = generate_family(FamilySpec("grid", {"dimension": 2}, 6))
-        dsc_check(g)
-        assert set(g._dist_rows) == {0}
+    def test_caches_no_distance_rows_but_the_roots(self, monkeypatch):
+        # one search from the root, which also gives the default radius
+        searches = count_searches(monkeypatch)
+        dsc_check(path_graph(9), 4)
+        assert searches == [4]
+        searches.clear()
+        dsc_check(generate_family(FamilySpec("grid", {"dimension": 2}, 6)))
+        assert searches == [0]
 
     def test_double_ray_pair_separates_at_one(self):
         g = generate_family(FamilySpec("double_ray", {}, 4))
@@ -238,6 +250,21 @@ class TestSphereEquivalence:
                     expected = expected and in_orbit
                     got = sphere_equivalence(g, u, v).equivalent
                     assert got == expected, (u, v)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [FamilySpec("regular_tree", {"degree": 3}, 4), FamilySpec("grid", {"dimension": 2}, 4)],
+        ids=["d3-R4", "grid2-R4"],
+    )
+    def test_classes_read_the_root_row_once(self, spec, monkeypatch):
+        # the depth row goes to every pair (1,035 pairs on d3 R4); the other
+        # search is the tree test of the automorphism search
+        g = generate_family(spec)
+        searches = count_searches(monkeypatch)
+        for call in (lambda: sphere_classes(g), lambda: sphere_equivalence(g, 1, 2)):
+            searches.clear()
+            call()
+            assert len(searches) <= 2
 
     def test_classes_need_no_closure_on_families(self):
         for spec in [

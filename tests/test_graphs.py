@@ -272,6 +272,10 @@ class TestTruncateToBall:
         assert t.truncation.root == 0
         assert t.eccentricity(0) == 2
 
+    def test_negative_radius_rejected(self):
+        with pytest.raises(ValueError, match="radius must be non-negative"):
+            truncate_to_ball(path_graph(3), 0, -1)
+
 
 class TestSerialization:
     def test_text_round_trip(self):
@@ -336,7 +340,7 @@ def test_rooted_tree_shape():
 def test_is_connected_caches_no_rows(g, connected):
     assert g.is_connected() is connected
     assert g.is_tree() is (connected and g.edge_count == g.vertex_count - 1)
-    assert g._dist_rows == {}
+    assert Graph.__slots__ == ("adjacency", "labels", "truncation")  # no row cache
 
 
 def test_graph_is_immutable():

@@ -370,6 +370,9 @@ class TestExpectedStabiliserMeasure:
             expected_stabiliser_measure(cycle_graph(4))
 
     def test_vertex_cap(self):
+        # the cap counts colourings, 2^n, as `distinguishing_probability_exact` does
         g = path_graph(4)
-        with pytest.raises(CapExceededError):
-            expected_stabiliser_measure(g, vertex_cap=3)
+        with pytest.raises(CapExceededError) as info:
+            expected_stabiliser_measure(g, colour_cap=15)
+        assert (info.value.required, info.value.cap) == (16, 15)
+        assert expected_stabiliser_measure(g, colour_cap=16).value == Fraction(5, 8)
