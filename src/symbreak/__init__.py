@@ -14,7 +14,6 @@ from .colourings import (
     distinguishing_probability_exact,
     distinguishing_probability_mc,
     find_tree_automorphism,
-    fix_probability,
     is_distinguishing,
     partial_stabiliser,
     preserves_partial,

@@ -70,17 +70,8 @@ def build_parser():
     parser.add_argument("--config", help="JSON file with defaults for the flags below")
     parser.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
     parser.add_argument("--trials", type=int, default=10_000, help="Monte Carlo trials")
-    # string defaults go through type=int too, so the environment gets the flag's check
-    parser.add_argument(
-        "--enumeration-cap",
-        type=int,
-        default=os.environ.get("SYMBREAK_ENUMERATION_CAP", str(DEFAULT_ENUMERATION_CAP)),
-    )
-    parser.add_argument(
-        "--colour-cap",
-        type=int,
-        default=os.environ.get("SYMBREAK_COLOUR_CAP", str(DEFAULT_COLOUR_CAP)),
-    )
+    parser.add_argument("--enumeration-cap", type=int, default=DEFAULT_ENUMERATION_CAP)
+    parser.add_argument("--colour-cap", type=int, default=DEFAULT_COLOUR_CAP)
     parser.add_argument("--format", choices=("json", "csv", "text"), default="json")
     parser.add_argument("--output", default=None, help="write the report here instead of stdout")
 
@@ -378,13 +369,13 @@ def _run(args):
 
     if cmd == "growth":
         radius = args.radius
-        if radius is None:
-            radius = g.truncation.radius if g.truncation else g.eccentricity(args.root)
+        if radius is None and g.truncation:
+            radius = g.truncation.radius
         profile = growth_sequence(g, args.root, radius)
         result = {"profile": profile}
-        options = {"root": args.root, "radius": radius, "epsilon": args.epsilon}
+        options = {"root": args.root, "radius": len(profile.ball_sizes) - 1, "epsilon": args.epsilon}
         if args.epsilon is not None:
-            result["classifier"] = growth_classifier(g, args.root, radius, args.epsilon)
+            result["classifier"] = growth_classifier(profile, args.epsilon)
         return result, source, options
 
     if cmd == "treeauto":
@@ -424,9 +415,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        # The first pass only finds --config; presetting the caps keeps it from
-        # reading the environment, which a config file's caps override.
-        args = parser.parse_args(argv, argparse.Namespace(enumeration_cap=None, colour_cap=None))
+        args = parser.parse_args(argv)  # the first pass only finds --config
         if args.config:
             argv = _config_flags(args.config) + argv
         args = parser.parse_args(argv)

@@ -59,10 +59,6 @@ class Colouring:
             raise ValueError("string form supports at most 10 colours")
         return "".join(_DIGITS[c] for c in self.colours)
 
-    @classmethod
-    def from_string(cls, text, k=2):
-        return cls(tuple(int(ch) for ch in text.strip()), k)
-
 
 @dataclass(frozen=True)
 class PartialColouring:
@@ -88,10 +84,6 @@ class PartialColouring:
 
     def to_json_dict(self):
         return {"domain": list(self.domain), "colours": list(self.colours)}
-
-    @classmethod
-    def from_json_dict(cls, data, k=2):
-        return cls(tuple(data["domain"]), tuple(data["colours"]), k)
 
 
 @dataclass(frozen=True)
@@ -160,11 +152,6 @@ def is_distinguishing(g: Graph, c: Colouring) -> DistinguishReport:
     _check_total(g, c)
     witness = first_automorphism(g, c.colours)
     return DistinguishReport(witness is None, witness)
-
-
-def fix_probability(gamma: Perm, k: int = 2) -> Fraction:
-    """P[c(gamma(s)) = c(s) for all s] for uniform c: each cycle monochromatic."""
-    return Fraction(1, k ** (gamma.degree - gamma.cycle_count()))
 
 
 #: Memory budget, in bytes, for one block of array work: a block of Monte

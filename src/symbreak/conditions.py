@@ -22,7 +22,7 @@ from typing import Optional
 from .autsearch import automorphism_group
 from .colourings import Colouring, colouring_stabiliser
 from .errors import CapExceededError, InvariantError
-from .graphs import Graph, cartesian_product, growth_sequence
+from .graphs import Graph, GrowthProfile, cartesian_product
 from .groups import DEFAULT_ENUMERATION_CAP, PermGroup, transversal
 from .jsonfields import JsonFields, json_value
 
@@ -581,24 +581,16 @@ class GrowthClassifierReport(JsonFields):
     c_fit: float
     ball_sizes: tuple
     ratios: tuple
-    satisfied: tuple
 
 
-def growth_classifier(
-    g: Graph, v0: int, radius: int, eps: float, c: Optional[float] = None
-) -> GrowthClassifierReport:
+def growth_classifier(profile: GrowthProfile, eps: float) -> GrowthClassifierReport:
+    """The ratios |B(m)| / 2^((1/2-eps)*sqrt(m)) of a growth profile; c_fit is their maximum."""
     if not 0 < eps < 0.5:
         raise ValueError("eps must lie strictly between 0 and 1/2")
-    profile = growth_sequence(g, v0, radius)
     ratios = []
     for m, size in enumerate(profile.ball_sizes):
         ratios.append(size / (2 ** ((0.5 - eps) * math.sqrt(m))))
     c_fit = max(ratios)
-    threshold = c_fit if c is None else c
-    satisfied = tuple(
-        size <= threshold * (2 ** ((0.5 - eps) * math.sqrt(m))) * (1 + 1e-12)
-        for m, size in enumerate(profile.ball_sizes)
-    )
     return GrowthClassifierReport(
-        eps, c_fit, profile.ball_sizes, tuple(ratios), satisfied
+        eps, c_fit, profile.ball_sizes, tuple(ratios)
     )

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
+from typing import Optional
 
 from .errors import GraphFormatError
 from .jsonfields import JsonFields, json_value
@@ -26,7 +27,6 @@ class Truncation:
 
     root: int
     radius: int
-    family: str
 
 
 class Graph:
@@ -62,17 +62,11 @@ class Graph:
 
     @classmethod
     def from_edges(cls, vertex_count, edges, labels=None, truncation=None):
+        """Self-loops and duplicate edges are refused by `Graph` itself."""
         adj = [[] for _ in range(vertex_count)]
-        seen = set()
         for u, v in edges:
             if not (0 <= u < vertex_count and 0 <= v < vertex_count):
                 raise GraphFormatError(f"edge ({u}, {v}) out of range")
-            if u == v:
-                raise GraphFormatError(f"self-loop at vertex {u}")
-            key = (min(u, v), max(u, v))
-            if key in seen:
-                raise GraphFormatError(f"duplicate edge ({u}, {v})")
-            seen.add(key)
             adj[u].append(v)
             adj[v].append(u)
         return cls(adj, labels=labels, truncation=truncation)
@@ -113,26 +107,6 @@ class Graph:
                     dist[w] = du + 1
                     queue.append(w)
         return tuple(dist)
-
-    def distance(self, u, v):
-        return self.distances(u)[v]
-
-    def eccentricity(self, v):
-        return max(self.distances(v))
-
-    def sphere(self, v, n):
-        """Vertices at distance exactly n from v, as a sorted tuple."""
-        if n < 0:
-            raise ValueError("sphere radius must be non-negative")
-        dist = self.distances(v)
-        return tuple(u for u in range(self.vertex_count) if dist[u] == n)
-
-    def ball(self, v, n):
-        """Vertices at distance at most n from v, as a sorted tuple."""
-        if n < 0:
-            raise ValueError("ball radius must be non-negative")
-        dist = self.distances(v)
-        return tuple(u for u in range(self.vertex_count) if 0 <= dist[u] <= n)
 
     def is_connected(self):
         return self.vertex_count == 0 or UNREACHABLE not in self.distances(0)
@@ -237,7 +211,7 @@ def cartesian_product(g1: Graph, g2: Graph) -> Graph:
     return Graph.from_edges(n1 * n2, edges, labels=labels)
 
 
-def truncate_to_ball(g: Graph, root: int, radius: int, family: str = "custom") -> Graph:
+def truncate_to_ball(g: Graph, root: int, radius: int) -> Graph:
     """Induced subgraph on B_root(radius), relabelled in (distance, index) order.
 
     The root becomes vertex 0 and the result records its truncation data.
@@ -260,7 +234,7 @@ def truncate_to_ball(g: Graph, root: int, radius: int, family: str = "custom") -
     if g.labels is not None:
         labels = [g.labels[v] for v in keep]
     return Graph.from_edges(
-        len(keep), edges, labels=labels, truncation=Truncation(0, radius, family)
+        len(keep), edges, labels=labels, truncation=Truncation(0, radius)
     )
 
 
@@ -304,7 +278,7 @@ class FamilySpec(JsonFields):
 def _generate_regular_tree(degree, radius):
     if degree < 3:
         raise ValueError("regular_tree needs degree >= 3")
-    return _bfs_tree(degree, degree - 1, radius, Truncation(0, radius, "regular_tree"))
+    return _bfs_tree(degree, degree - 1, radius, Truncation(0, radius))
 
 
 def _generate_double_ray(radius):
@@ -317,7 +291,7 @@ def _generate_double_ray(radius):
         (index[a], index[a + 1]) for a in range(-radius, radius) if a + 1 in index
     ]
     return Graph.from_edges(
-        len(labels), edges, labels=labels, truncation=Truncation(0, radius, "double_ray")
+        len(labels), edges, labels=labels, truncation=Truncation(0, radius)
     )
 
 
@@ -347,7 +321,7 @@ def _generate_grid(dimension, radius):
             if j is not None:
                 edges.append((i, j))
     return Graph.from_edges(
-        len(points), edges, labels=points, truncation=Truncation(0, radius, "grid")
+        len(points), edges, labels=points, truncation=Truncation(0, radius)
     )
 
 
@@ -383,12 +357,12 @@ def generate_family(spec: FamilySpec) -> Graph:
     if kind == "ladder":
         rail = _generate_double_ray(spec.radius)
         rung = Graph.from_edges(2, [(0, 1)], labels=[0, 1])
-        return truncate_to_ball(cartesian_product(rail, rung), 0, spec.radius, "ladder")
+        return truncate_to_ball(cartesian_product(rail, rung), 0, spec.radius)
     if kind == "cartesian_product":
         left = _factor_graph(spec.params["left"], spec.radius)
         right = _factor_graph(spec.params["right"], spec.radius)
         product = cartesian_product(left, right)
-        return truncate_to_ball(product, 0, spec.radius, "cartesian_product")
+        return truncate_to_ball(product, 0, spec.radius)
     if kind == "custom":
         if "graph" in spec.params:
             g = graph_from_json_dict(spec.params["graph"])
@@ -397,7 +371,7 @@ def generate_family(spec: FamilySpec) -> Graph:
         else:
             raise GraphFormatError("custom family needs a 'file' or inline 'graph'")
         root = int(spec.params.get("root", 0))
-        return truncate_to_ball(g, root, spec.radius, "custom")
+        return truncate_to_ball(g, root, spec.radius)
     raise GraphFormatError(f"unknown family kind {kind!r}")
 
 
@@ -413,22 +387,20 @@ class GrowthProfile(JsonFields):
     sphere_sizes: tuple
     eccentricity: int
 
-    @property
-    def exhausted(self):
-        """True when the requested range ran past the root's eccentricity."""
-        return len(self.ball_sizes) - 1 > self.eccentricity
 
-
-def growth_sequence(g: Graph, v0: int, radius: int) -> GrowthProfile:
+def growth_sequence(g: Graph, v0: int, radius: Optional[int] = None) -> GrowthProfile:
     """Exact |S_v0(n)| and |B_v0(n)| for n = 0..radius.
 
-    Entries beyond the eccentricity of v0 are zero spheres; the profile
-    records the eccentricity so callers can see where the graph ran out.
+    Without a radius, the radius is the eccentricity of v0, read from the
+    same distance row.  Entries beyond the eccentricity are zero spheres;
+    the profile records it so callers can see where the graph ran out.
     """
-    if radius < 0:
+    if radius is not None and radius < 0:
         raise ValueError("radius must be non-negative")
     dist = g.distances(v0)
     ecc = max(dist)
+    if radius is None:
+        radius = ecc
     sphere_sizes = [0] * (radius + 1)
     for d in dist:
         if 0 <= d <= radius:
@@ -443,12 +415,6 @@ def growth_sequence(g: Graph, v0: int, radius: int) -> GrowthProfile:
 
 # ---------------------------------------------------------------------------
 # Serialization: text format ("n m" header then "u v" lines) and JSON
-
-
-def format_graph_text(g: Graph) -> str:
-    lines = [f"{g.vertex_count} {g.edge_count}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges())
-    return "\n".join(lines) + "\n"
 
 
 def parse_graph_text(text: str) -> Graph:
@@ -519,12 +485,3 @@ def load_graph(path: str) -> Graph:
             raise GraphFormatError(f"invalid JSON: {exc}", line=exc.lineno)
         return graph_from_json_dict(data)
     return parse_graph_text(text)
-
-
-def save_graph(g: Graph, path: str):
-    with open(path, "w", encoding="utf-8") as fh:
-        if path.endswith(".json"):
-            json.dump(graph_to_json_dict(g), fh)
-            fh.write("\n")
-        else:
-            fh.write(format_graph_text(g))

@@ -29,17 +29,6 @@ class Perm:
     def identity(cls, degree):
         return cls(range(degree), validate=False)
 
-    @classmethod
-    def from_cycles(cls, degree, cycles):
-        """Build a permutation from disjoint cycles, e.g. [(0, 1, 2), (3, 4)]."""
-        images = list(range(degree))
-        for cycle in cycles:
-            for a, b in zip(cycle, cycle[1:]):
-                images[a] = b
-            if cycle:
-                images[cycle[-1]] = cycle[0]
-        return cls(images)
-
     @property
     def degree(self):
         return len(self.images)
@@ -100,10 +89,6 @@ class Perm:
 
     def __setattr__(self, name, value):
         raise AttributeError("Perm is immutable")
-
-    def to_json(self):
-        """One-line image array, e.g. "[1, 0, 2]"."""
-        return json.dumps(list(self.images))
 
     @classmethod
     def from_json(cls, text):

@@ -58,15 +58,9 @@ class ExhaustionSequence:
         return cls(tuple(sets), g.vertex_count)
 
     @classmethod
-    def prefixes(cls, degree: int, step: int = 1):
-        """S_i = {0, ..., i*step - 1}: index-order prefixes."""
-        if step < 1:
-            raise ValueError("step must be positive")
-        out = []
-        upper = step
-        while upper < degree:
-            out.append(tuple(range(upper)))
-            upper += step
+    def prefixes(cls, degree: int):
+        """S_i = {0, ..., i - 1}: index-order prefixes."""
+        out = [tuple(range(i)) for i in range(1, degree)]
         out.append(tuple(range(degree)))
         return cls(tuple(out), degree)
 

@@ -1,6 +1,7 @@
 import itertools
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -17,6 +18,30 @@ from symbreak.suites import standard_corpus
 def corpus():
     """The standard small-graph corpus as a name -> Graph dict."""
     return dict(standard_corpus())
+
+
+def graph_text(g: Graph):
+    """The "n m" header then one "u v" line per edge: the text graph file format."""
+    return f"{g.vertex_count} {g.edge_count}\n" + "".join(f"{u} {v}\n" for u, v in g.edges())
+
+
+def sphere(g: Graph, v, n):
+    """The vertices at distance exactly n from v, read from v's distance row."""
+    return tuple(u for u, d in enumerate(g.distances(v)) if d == n)
+
+
+def from_cycles(degree, cycles):
+    """The permutation with these disjoint cycles, e.g. [(0, 1, 2), (3, 4)]."""
+    images = list(range(degree))
+    for cycle in cycles:
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            images[a] = b
+    return Perm(images)
+
+
+def fix_probability(gamma: Perm, k=2):
+    """P[c(gamma(s)) = c(s) for all s] for uniform c: each cycle monochromatic."""
+    return Fraction(1, k ** (gamma.degree - gamma.cycle_count()))
 
 
 def brute_force_automorphisms(g: Graph, colours=None):
@@ -305,12 +330,11 @@ def gamma_refinement_by_elements(g: Graph, budget, max_levels=10):
 def dsc_by_full_distances(g: Graph, v0=0, radius=None):
     """The library's former `dsc_check`, on full BFS distance rows.
 
-    Every compared vertex gets its whole distance row (cached on the graph)
-    and a depth -> sphere table; pairs at equal depth are compared over
-    1 <= n <= radius - depth.
+    Every compared vertex gets its whole distance row and a depth -> sphere
+    table; pairs at equal depth are compared over 1 <= n <= radius - depth.
     """
     if radius is None:
-        radius = g.truncation.radius if g.truncation is not None else g.eccentricity(v0)
+        radius = g.truncation.radius if g.truncation is not None else max(g.distances(v0))
 
     dist = g.distances(v0)
     by_depth = {}

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import graph_text
 from symbreak.autsearch import automorphism_group
 from symbreak.cli import build_parser, main
 from symbreak.colourings import Colouring
@@ -19,8 +20,8 @@ from symbreak.conditions import (
 )
 from symbreak.graphs import (
     FamilySpec,
+    Graph,
     cycle_graph,
-    format_graph_text,
     generate_family,
     path_graph,
 )
@@ -32,14 +33,14 @@ from symbreak.topology import ExhaustionSequence, ball_decomposition
 @pytest.fixture
 def p4_file(tmp_path):
     path = tmp_path / "p4.txt"
-    path.write_text(format_graph_text(path_graph(4)))
+    path.write_text(graph_text(path_graph(4)))
     return str(path)
 
 
 @pytest.fixture
 def c4_file(tmp_path):
     path = tmp_path / "c4.txt"
-    path.write_text(format_graph_text(cycle_graph(4)))
+    path.write_text(graph_text(cycle_graph(4)))
     return str(path)
 
 
@@ -179,7 +180,7 @@ def test_gamma_runs_above_the_enumeration_cap(capsys, tmp_path):
     tree = generate_family(FamilySpec.from_json_dict(json.loads(spec)))
     assert data["result"]["classes"] == json_value(automorphism_group(tree).orbits())
     c6 = tmp_path / "c6.txt"
-    c6.write_text(format_graph_text(cycle_graph(6)))
+    c6.write_text(graph_text(cycle_graph(6)))
     data = run_json(capsys, "--enumeration-cap", "5", "gamma", "--graph", str(c6))
     assert data["config"]["caps"]["enumeration"] == 5
     assert data["result"] == json_value(suborbit_classes(cycle_graph(6), 0))
@@ -196,6 +197,19 @@ def test_product_subcommand(capsys, tmp_path):
 def test_growth_bound_mode(capsys):
     data = run_json(capsys, "growth", "--bound", "16", "1", "1", "0.25")
     assert data["result"]["log2_failure_bound"] == 0
+
+
+def test_growth_searches_once(capsys, tmp_path, monkeypatch):
+    """The profile, the echoed radius and the classifier share one distance row."""
+    c6 = tmp_path / "c6.txt"
+    c6.write_text(graph_text(cycle_graph(6)))
+    sources = []
+    search = Graph.distances
+    monkeypatch.setattr(Graph, "distances", lambda g, v: sources.append(v) or search(g, v))
+    data = run_json(capsys, "growth", "--graph", str(c6), "--epsilon", "0.25")
+    assert sources == [0]
+    assert data["config"]["options"]["radius"] == 3
+    assert list(data["result"]["classifier"]) == ["eps", "c_fit", "ball_sizes", "ratios"]
 
 
 def test_spheres_pair(capsys):
@@ -218,6 +232,24 @@ def test_malformed_graph_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "text, message",
+    [
+        ("3 2\n0 1\n1 1\n", "self-loop at vertex 1"),
+        ("3 2\n1 0\n0 1\n", "duplicate edge 0-1"),
+        ("3 1\n0 3\n", "edge (0, 3) out of range"),
+    ],
+    ids=["self-loop", "duplicate", "out-of-range"],
+)
+def test_bad_edge_exits_2_with_one_error_line(tmp_path, capsys, text, message):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text)
+    assert main(["motion", "--graph", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
     "argv, message",
     [
         (["gamma", "--graph", "C4", "--pair", "0", "99"], "invalid point 99"),
@@ -236,6 +268,7 @@ def test_malformed_graph_exits_2(tmp_path, capsys):
         (["spheres", "--graph", "C4", "--n0-max", "-3"], "n0_max must be non-negative"),
         (["spheres", "--graph", "C4", "--pair", "0", "1", "--horizon", "-1"],
          "horizon must be non-negative"),
+        (["growth", "--graph", "C4", "--epsilon", "0.5"], "eps must lie strictly between 0 and 1/2"),
     ],
 )
 def test_out_of_range_inputs_exit_2(capsys, c4_file, argv, message):
@@ -323,9 +356,11 @@ def test_config_file_supplies_defaults(capsys, tmp_path, p4_file):
     assert data["config"]["trials"] == 64
 
 
-def test_env_cap_override(capsys, c4_file, monkeypatch):
+def test_environment_caps_are_not_read(capsys, c4_file, monkeypatch):
     monkeypatch.setenv("SYMBREAK_COLOUR_CAP", "4")
-    assert main(["prob-exact", "--graph", c4_file]) == 3
+    monkeypatch.setenv("SYMBREAK_ENUMERATION_CAP", "abc")
+    data = run_json(capsys, "prob-exact", "--graph", c4_file)
+    assert data["config"]["caps"] == {"enumeration": 10**6, "colour_exhaustion": 2**20}
 
 
 BOUND_ARGV = ["growth", "--bound", "16", "1", "1", "0.25"]
@@ -340,14 +375,10 @@ def run_config(capsys, tmp_path, config, *argv):
     return run_json(capsys, *argv, *BOUND_ARGV)["config"]
 
 
-def test_run_option_precedence(capsys, tmp_path, monkeypatch):
-    """A flag beats the config file, which beats the environment, which
-    beats the built-in default."""
+def test_run_option_precedence(capsys, tmp_path):
+    """A flag beats the config file, which beats the built-in default."""
     cap = lambda cfg: cfg["caps"]["enumeration"]
-    monkeypatch.delenv("SYMBREAK_ENUMERATION_CAP", raising=False)
     assert cap(run_config(capsys, tmp_path, None)) == 10**6
-    monkeypatch.setenv("SYMBREAK_ENUMERATION_CAP", "7")
-    assert cap(run_config(capsys, tmp_path, None)) == 7
     assert cap(run_config(capsys, tmp_path, {"caps": {"enumeration": 8}})) == 8
     for argv in (("--enumeration-cap", "9"), ("--enumeration-cap=9",)):
         assert cap(run_config(capsys, tmp_path, {"caps": {"enumeration": 8}}, *argv)) == 9
@@ -384,12 +415,6 @@ def test_invalid_config_values_exit_2(capsys, tmp_path, p4_file, config):
     assert code == 2
     assert captured.out == ""
     assert "Traceback" not in captured.err and captured.err.strip()
-
-
-def test_invalid_environment_cap_exits_2(capsys, monkeypatch):
-    monkeypatch.setenv("SYMBREAK_ENUMERATION_CAP", "abc")
-    assert main(BOUND_ARGV) == 2
-    assert "invalid int value: 'abc'" in capsys.readouterr().err
 
 
 def test_output_to_file(tmp_path, capsys, p4_file):
@@ -492,7 +517,7 @@ def test_text_format_uses_the_reports_own_text(capsys, c4_file, tmp_path):
     gamma = suborbit_classes(c4, 1)
     assert text_body(capsys, "gamma", "--graph", c4_file, "--budget", "1") == gamma.to_text()
     p2 = tmp_path / "p2.txt"
-    p2.write_text(format_graph_text(path_graph(2)))
+    p2.write_text(graph_text(path_graph(2)))
     layers = layer_fixing_report(path_graph(2), path_graph(2), Colouring((0, 1, 1, 0), 2))
     body = text_body(capsys, "layers", "--left", str(p2), "--right", str(p2), "--colours", "0110")
     assert body == layers.to_text()
@@ -551,7 +576,7 @@ def readme_flat_field_rows():
 
 def test_readme_flat_result_rows_match_the_printed_keys(capsys, c4_file, p4_file, tmp_path):
     p2 = tmp_path / "p2.txt"
-    p2.write_text(format_graph_text(path_graph(2)))
+    p2.write_text(graph_text(path_graph(2)))
     runs = {
         "autgroup": ["autgroup", "--graph", c4_file],
         "motion": ["motion", "--graph", c4_file],

@@ -8,6 +8,7 @@ from conftest import (
     dsc_by_full_distances,
     gamma_refinement_by_elements,
     seeded_random_graphs,
+    sphere,
     suborbits,
 )
 from symbreak import conditions
@@ -35,6 +36,7 @@ from symbreak.graphs import (
     complete_graph,
     cycle_graph,
     generate_family,
+    growth_sequence,
     path_graph,
     star_graph,
 )
@@ -73,7 +75,7 @@ def random_graph(rnd, connected):
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda g: growth_classifier(g, 0, -2, 0.2), "radius must be non-negative"),
+        (lambda g: growth_sequence(g, 0, -2), "radius must be non-negative"),
         (lambda g: dsc_check(g, 0, -1), "radius must be non-negative"),
         (lambda g: suborbit_classes(g, -1), "budget must be non-negative"),
         (lambda g: sphere_classes(g, horizon=-1), "horizon must be non-negative"),
@@ -115,7 +117,7 @@ class TestDsc:
         for _ in range(150):
             g = random_graph(rnd, connected)
             root = rnd.randrange(g.vertex_count)
-            ecc = g.eccentricity(root)
+            ecc = max(g.distances(root))
             for radius in (None, 0, 1, rnd.randint(0, ecc), ecc + rnd.randint(1, 5)):
                 assert_same_dsc(dsc_check(g, root, radius), dsc_by_full_distances(g, root, radius))
 
@@ -237,12 +239,12 @@ class TestSphereEquivalence:
             aut = automorphism_group(g)
             for u in range(n):
                 for v in range(n):
-                    horizon = max(g.eccentricity(u), g.eccentricity(v))
+                    horizon = max(g.distances(u) + g.distances(v))
                     in_orbit = v in aut.orbit(u)
                     expected = False
                     for n0 in range(0, horizon + 1):
                         if all(
-                            g.sphere(u, m) == g.sphere(v, m)
+                            sphere(g, u, m) == sphere(g, v, m)
                             for m in range(n0, horizon + 1)
                         ):
                             expected = True
@@ -618,12 +620,6 @@ class TestGrowthBound:
 
     def test_double_ray_classifier(self):
         g = generate_family(FamilySpec("double_ray", {}, 64))
-        report = growth_classifier(g, 0, 64, 0.25)
-        assert all(report.satisfied)
+        report = growth_classifier(growth_sequence(g, 0, 64), 0.25)
+        assert report.c_fit == max(report.ratios)
         assert report.c_fit < 40  # linear growth stays well under exp(sqrt)
-
-    def test_classifier_with_explicit_c(self):
-        g = generate_family(FamilySpec("double_ray", {}, 16))
-        tight = growth_classifier(g, 0, 16, 0.25)
-        starved = growth_classifier(g, 0, 16, 0.25, c=tight.c_fit / 10)
-        assert not all(starved.satisfied)

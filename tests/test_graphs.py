@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import graph_text, sphere
 from symbreak.errors import GraphFormatError
 from symbreak.graphs import (
     FamilySpec,
@@ -11,7 +12,6 @@ from symbreak.graphs import (
     cartesian_product,
     complete_graph,
     cycle_graph,
-    format_graph_text,
     generate_family,
     graph_from_json_dict,
     graph_to_json_dict,
@@ -43,7 +43,7 @@ def test_bfs_symmetry():
     g = cycle_graph(7)
     for u in range(7):
         for v in range(7):
-            assert g.distance(u, v) == g.distance(v, u)
+            assert g.distances(u)[v] == g.distances(v)[u]
 
 
 def test_bfs_invalid_vertex():
@@ -58,24 +58,24 @@ def test_bfs_unreachable_sentinel():
 
 def test_sphere_zero_is_centre():
     g = cycle_graph(6)
-    assert g.sphere(2, 0) == (2,)
+    assert sphere(g, 2, 0) == (2,)
 
 
 def test_sphere_c6():
-    assert cycle_graph(6).sphere(0, 3) == (3,)
+    assert sphere(cycle_graph(6), 0, 3) == (3,)
 
 
 def test_sphere_double_ray_by_label():
     g = generate_family(FamilySpec("double_ray", {}, 3))
-    labels = {g.labels[v] for v in g.sphere(0, 2)}
+    labels = {g.labels[v] for v in sphere(g, 0, 2)}
     assert labels == {-2, 2}
 
 
 def test_spheres_partition_component():
     g = cycle_graph(8)
     seen = set()
-    for n in range(g.eccentricity(0) + 1):
-        s = set(g.sphere(0, n))
+    for n in range(max(g.distances(0)) + 1):
+        s = set(sphere(g, 0, n))
         assert not (s & seen)
         seen |= s
     assert seen == set(range(8))
@@ -112,7 +112,7 @@ class TestCartesianProduct:
         b = data.draw(st.integers(0, n1 * n2 - 1))
         a1, a2 = divmod(a, n2)
         b1, b2 = divmod(b, n2)
-        assert p.distance(a, b) == g1.distance(a1, b1) + g2.distance(a2, b2)
+        assert p.distances(a)[b] == g1.distances(a1)[b1] + g2.distances(a2)[b2]
 
 
 class TestFamilies:
@@ -140,7 +140,7 @@ class TestFamilies:
         ]:
             g = generate_family(spec)
             assert g.truncation.root == 0
-            assert g.eccentricity(0) <= spec.radius
+            assert max(g.distances(0)) <= spec.radius
 
     def test_generation_is_deterministic(self):
         spec = FamilySpec("ladder", {}, 5)
@@ -240,6 +240,11 @@ class TestGrowth:
         g = generate_family(FamilySpec("regular_tree", {"degree": 3}, 2))
         assert growth_sequence(g, 0, 2).sphere_sizes == (1, 3, 6)
 
+    def test_radius_defaults_to_the_eccentricity(self):
+        g = generate_family(FamilySpec("grid", {"dimension": 2}, 3))
+        assert growth_sequence(g, 0) == growth_sequence(g, 0, 3)
+        assert growth_sequence(path_graph(4), 1) == growth_sequence(path_graph(4), 1, 2)
+
     def test_ball_zero_is_root_only(self):
         g = cycle_graph(7)
         assert growth_sequence(g, 0, 0).ball_sizes == (1,)
@@ -259,7 +264,7 @@ class TestGrowth:
     def test_range_past_eccentricity_reports(self):
         g = path_graph(3)
         prof = growth_sequence(g, 0, 5)
-        assert prof.exhausted
+        assert prof.eccentricity == 2
         assert prof.sphere_sizes == (1, 1, 1, 0, 0, 0)
         assert prof.ball_sizes[-1] == 3
 
@@ -270,7 +275,7 @@ class TestTruncateToBall:
         t = truncate_to_ball(g, 5, 2)
         assert t.vertex_count == 5
         assert t.truncation.root == 0
-        assert t.eccentricity(0) == 2
+        assert max(t.distances(0)) == 2
 
     def test_negative_radius_rejected(self):
         with pytest.raises(ValueError, match="radius must be non-negative"):
@@ -280,7 +285,7 @@ class TestTruncateToBall:
 class TestSerialization:
     def test_text_round_trip(self):
         g = cycle_graph(5)
-        assert parse_graph_text(format_graph_text(g)).adjacency == g.adjacency
+        assert parse_graph_text(graph_text(g)).adjacency == g.adjacency
 
     def test_json_round_trip(self):
         g = generate_family(FamilySpec("double_ray", {}, 2))
@@ -307,13 +312,14 @@ class TestSerialization:
         assert FamilySpec.from_json_dict(spec.to_json_dict()) == spec
 
     def test_file_round_trip_both_formats(self, tmp_path):
-        from symbreak.graphs import load_graph, save_graph
+        from symbreak.graphs import load_graph
 
         g = generate_family(FamilySpec("ladder", {}, 3))
-        for name in ("g.txt", "g.json"):
-            path = str(tmp_path / name)
-            save_graph(g, path)
-            back = load_graph(path)
+        files = {"g.txt": graph_text(g), "g.json": json.dumps(graph_to_json_dict(g))}
+        for name, text in files.items():
+            path = tmp_path / name
+            path.write_text(text)
+            back = load_graph(str(path))
             assert back.adjacency == g.adjacency
             if name.endswith(".json"):
                 assert back.labels == g.labels

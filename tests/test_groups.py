@@ -2,6 +2,7 @@ import pytest
 
 from conftest import (
     elements_by_recursion,
+    from_cycles,
     from_elements,
     motion_by_enumeration,
     setwise_stabiliser,
@@ -54,7 +55,7 @@ def test_symmetric_group_order():
 
 def test_contains_rejects_non_member():
     aut = automorphism_group(path_graph(4))
-    three_cycle = Perm.from_cycles(4, [(0, 1, 2)])
+    three_cycle = from_cycles(4, [(0, 1, 2)])
     assert not aut.contains(three_cycle)
     assert aut.contains(Perm([3, 2, 1, 0]))
 

@@ -3,6 +3,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from conftest import from_cycles
 from symbreak.autsearch import automorphism_group
 from symbreak.errors import CapExceededError, InvariantError
 from symbreak.graphs import Graph, complete_graph, cycle_graph, hypercube, path_graph
@@ -32,8 +33,9 @@ class TestExhaustionSequence:
         assert ExhaustionSequence.balls(g, 3).sets == ((3,), (3, 4), (0, 1, 2, 3, 4))
 
     def test_prefix_sequence(self):
-        seq = ExhaustionSequence.prefixes(5, step=2)
-        assert seq.sets == ((0, 1), (0, 1, 2, 3), (0, 1, 2, 3, 4))
+        assert ExhaustionSequence.prefixes(3).sets == ((0,), (0, 1), (0, 1, 2))
+        assert ExhaustionSequence.prefixes(1).sets == ((0,),)
+        assert ExhaustionSequence.prefixes(0).sets == ((),)
 
     def test_nesting_enforced(self):
         with pytest.raises(ValueError):
@@ -94,7 +96,7 @@ _perm8 = st.permutations(range(8)).map(Perm)
 @given(_perm8, _perm8, _perm8)
 def test_ultrametric_holds_for_arbitrary_permutations(a, b, c):
     # the metric is defined on all of Pi_V, not just automorphisms
-    seq = ExhaustionSequence.prefixes(8, step=2)
+    seq = ExhaustionSequence.prefixes(8)
     dab = ultrametric_distance(a, b, seq)
     dbc = ultrametric_distance(b, c, seq)
     dac = ultrametric_distance(a, c, seq)
@@ -312,7 +314,7 @@ class TestHaarFraction:
     def test_non_member_rejected(self):
         group = automorphism_group(path_graph(4))
         with pytest.raises(ValueError):
-            haar_fraction([Perm.from_cycles(4, [(0, 1, 2)])], group)
+            haar_fraction([from_cycles(4, [(0, 1, 2)])], group)
 
 
 class TestExpectedStabiliserMeasure:
