@@ -154,47 +154,127 @@ def is_distinguishing(g: Graph, c: Colouring) -> DistinguishReport:
     return DistinguishReport(witness is None, witness)
 
 
-#: Memory budget, in bytes, for one block of array work: a block of Monte
-#: Carlo trials checked against the cycle partitions, or a block of elements.
+#: Memory budget, in bytes, for one block of array work: a block of element
+#: rows, or a block of Monte Carlo trials checked against the cycle partitions.
 BLOCK_BYTES = 1 << 24
+
+#: Columns the first stage of the enumerated Monte Carlo check compares.
+SIEVE_WIDTH = 8
+
+
+def element_blocks(aut: PermGroup, cap: int):
+    """Every element's image row, in ``elements()`` order, as intp arrays of
+    at most about ``BLOCK_BYTES`` (one row at least); refuses above the cap.
+
+    Row r of a block is the images of one product rep_0 * ... * rep_{k-1}
+    of the chain's coset representatives.  The deepest levels whose
+    products fit one block are multiplied out once into a tail array, each
+    level by one fancy index; a plain walk over the upper levels gives the
+    prefixes p, and p contributes the rows p[tail].
+    """
+    order = aut.order()
+    if order > cap:
+        raise CapExceededError(
+            f"group order {order} exceeds enumeration cap {cap}", required=order, cap=cap
+        )
+    return _element_blocks(aut)
+
+
+def _element_blocks(aut):
+    import numpy as np
+
+    n = aut.degree
+    rows = max(1, BLOCK_BYTES // (8 * max(n, 1)))
+    reps = []
+    for point, trans in zip(aut.base, aut.transversals):
+        points = [point] + sorted(p for p in trans if p != point)
+        reps.append(np.array([trans[p].images for p in points], dtype=np.intp))
+    # (a * b).images == a.images[b.images]: a row array indexed by the tail
+    tail = np.arange(n, dtype=np.intp)[None, :]
+    while reps and len(reps[-1]) * len(tail) <= rows:
+        level = reps.pop()
+        tail = level[:, tail].reshape(len(level) * len(tail), n)
+    walk = _walk_rows(reps, n)
+    while prefixes := list(itertools.islice(walk, rows // len(tail))):
+        yield np.array(prefixes)[:, tail].reshape(len(prefixes) * len(tail), n)
+
+
+def _walk_rows(reps, n):
+    """Each product of one row per level of `reps`, level 0 varying slowest."""
+    import numpy as np
+
+    if not reps:
+        yield np.arange(n, dtype=np.intp)
+        return
+    stack = [(1, rep) for rep in reps[0][::-1]]
+    while stack:
+        i, g = stack.pop()
+        if i == len(reps):
+            yield g
+        else:
+            stack.extend((i + 1, g[rep]) for rep in reps[i][::-1])
 
 
 def _prime_order_partitions(aut: PermGroup, enum_cap: int):
     """One array row per distinct cycle partition of the prime-order elements.
 
-    Row entry v is the smallest vertex on v's cycle, so a colouring c is
-    preserved by an element with that partition iff c[row] == c.  A
-    non-trivial stabiliser contains an element of prime order (Cauchy) and
-    an element preserves c iff c is constant on its cycles, so these rows
-    detect exactly the colourings that some non-identity element preserves.
+    Reads the group from `element_blocks`.  Row entry v is the smallest
+    vertex on v's cycle, so a colouring c is preserved by an element with
+    that partition iff c[row] == c.  A non-trivial stabiliser contains an
+    element of prime order (Cauchy) and an element preserves c iff c is
+    constant on its cycles, so these rows detect exactly the colourings
+    that some non-identity element preserves.
     """
     import numpy as np
 
-    n = aut.degree
-    elements = (gamma.images for gamma in aut.elements(enum_cap) if not gamma.is_identity())
-    per_block = max(1, BLOCK_BYTES // (8 * max(n, 1)))
-    found = [np.empty((0, n), dtype=np.intp)]
-    while batch := list(itertools.islice(elements, per_block)):
-        found.append(_prime_cycle_labels(np.array(batch, dtype=np.intp)))
+    found = [_prime_cycle_labels(block) for block in element_blocks(aut, enum_cap)]
     return np.unique(np.concatenate(found), axis=0)
 
 
-def _prime_cycle_labels(images):
-    """Distinct cycle-minimum label rows of the prime-order rows of `images`."""
+def cycle_labels(images):
+    """Row-wise cycle labels of a (count, n) image array: entry v is the
+    smallest point on v's cycle.
+
+    Pointer doubling: after j steps label[v] is the least point among v's
+    first 2^j successors and jump[v] is its 2^j-th successor, so
+    ceil(log2 n) steps cover every cycle.
+    """
     import numpy as np
 
     count, n = images.shape
-    rows = np.arange(count)[:, None]
-    # pointer doubling: after j steps, label[v] is the least vertex among
-    # v's first 2^j successors, and jump[v] is its 2^j-th successor
-    label, jump = np.broadcast_to(np.arange(n), images.shape), images
+    offset = (np.arange(count, dtype=np.intp) * n)[:, None]
+    jump = (images + offset).ravel()
+    label = np.tile(np.arange(n, dtype=np.intp), count)
     for _ in range(max(1, (n - 1).bit_length())):
-        label = np.minimum(label, label[rows, jump])
-        jump = jump[rows, jump]
+        label = np.minimum(label, label[jump])
+        jump = jump[jump]
+    return label.reshape(count, n)
+
+
+def agrees_on(images, colours, columns):
+    """(image rows, colourings) booleans: entry (r, i) is whether colouring i
+    gives each listed vertex v the colour of its image, colours[r[v], i] ==
+    colours[v, i].  Row v of `colours` holds vertex v's colour in every
+    colouring, so each listed vertex gathers whole rows."""
+    import numpy as np
+
+    agree = np.ones((len(images), colours.shape[1]), dtype=bool)
+    for v in columns:
+        agree &= colours[images[:, v]] == colours[v]
+    return agree
+
+
+def _prime_cycle_labels(images):
+    """Distinct cycle-label rows of the prime-order rows of `images`."""
+    import numpy as np
+
+    count, n = images.shape
+    label = cycle_labels(images)
+    rows = np.arange(count)[:, None]
     sizes = np.bincount((label + rows * n).ravel(), minlength=count * n)
     cycle_len = sizes.reshape(count, n)[rows, label]
     # the order is the lcm of the cycle lengths: prime iff they are 1 or one prime
-    longest = cycle_len.max(axis=1)
+    longest = cycle_len.max(axis=1, initial=1)
     uniform = ((cycle_len == 1) | (cycle_len == longest[:, None])).all(axis=1)
     primes = [p for p in np.unique(longest).tolist() if _is_prime(p)]
     return np.unique(label[uniform & np.isin(longest, primes)], axis=0)
@@ -258,13 +338,18 @@ def distinguishing_probability_mc(
     once (``SeededRng.trial_block``); a block's arrays stay within about
     ``BLOCK_BYTES``.
 
-    When |Aut| <= min(enum_cap, trials * n), each block is checked against
-    one element per cycle partition of the prime-order automorphisms.
-    Otherwise each trial runs the colour-constrained automorphism search
-    until its first automorphism: a colouring is distinguishing iff there
-    is none.  Both decide every trial exactly, so the count does not depend
-    on the path.  |Aut| comes from the search, or a tree's subtree codes,
-    so choosing the path builds no stabiliser chain.
+    When |Aut| <= min(enum_cap, trials * n), the group is read in element
+    blocks (``element_blocks``) down to one row per cycle partition of the
+    prime-order automorphisms, and each block of trials is checked against
+    those rows in two exact stages: the first compares only the
+    ``SIEVE_WIDTH`` columns that the most rows move, and the second checks
+    the surviving (trial, row) pairs on the other columns, one column at a
+    time, dropping a pair at its first mismatch.  Otherwise each trial
+    runs the colour-constrained automorphism search until its first
+    automorphism: a colouring is distinguishing iff there is none.  Every
+    path decides every trial exactly, so the count does not depend on the
+    path.  |Aut| comes from the search, or a tree's subtree codes, so
+    choosing the path builds no stabiliser chain.
     """
     if k < 2:
         raise ValueError("at least 2 colours required")
@@ -275,27 +360,35 @@ def distinguishing_probability_mc(
     n = g.vertex_count
     aut = automorphism_group(g)
     successes = 0
+    per_block = max(1, BLOCK_BYTES // (8 * max(n, 1)))  # trials' 64-bit draws
     if aut.order() <= min(enum_cap, trials * n):
         labels = _prime_order_partitions(aut, enum_cap)
         if not len(labels):
             successes = trials
         else:
             dtype = np.min_scalar_type(k - 1)  # holds every colour 0..k-1
-            # rows x labels x n comparisons, and the rows' 64-bit draws, per block
-            per_chunk = max(1, min(len(labels), BLOCK_BYTES // n))
-            rows = max(1, BLOCK_BYTES // (max(per_chunk, 8) * n))
-            for done in range(0, trials, rows):
-                size = min(rows, trials - done)
-                block = rng.trial_block(k, done, size, n).astype(dtype)
+            moved = (labels != np.arange(n)).sum(axis=0)
+            by_moved = np.argsort(-moved, kind="stable").tolist()
+            sieve, rest = by_moved[:SIEVE_WIDTH], by_moved[SIEVE_WIDTH:]
+            for done in range(0, trials, per_block):
+                size = min(per_block, trials - done)
+                # colours[v] holds vertex v's colour in every trial of the block
+                colours = rng.trial_block(k, done, size, n).T.astype(dtype, order="C")
                 hit = np.zeros(size, dtype=bool)
+                # a surviving (label row, trial) pair takes two intp indices
+                per_chunk = max(1, BLOCK_BYTES // (16 * size))
                 for lo in range(0, len(labels), per_chunk):
                     chunk = labels[lo : lo + per_chunk]
-                    hit |= (block[:, chunk] == block[:, None, :]).all(axis=2).any(axis=1)
+                    survive = agrees_on(chunk, colours, sieve)
+                    row, trial = np.divmod(np.flatnonzero(survive), size)
+                    for v in rest:
+                        same = colours[chunk[row, v], trial] == colours[v, trial]
+                        row, trial = row[same], trial[same]
+                    hit[trial] = True
                 successes += int((~hit).sum())
     else:
-        rows = max(1, BLOCK_BYTES // (8 * max(n, 1)))
-        for done in range(0, trials, rows):
-            block = rng.trial_block(k, done, min(rows, trials - done), n)
+        for done in range(0, trials, per_block):
+            block = rng.trial_block(k, done, min(per_block, trials - done), n)
             successes += sum(first_automorphism(g, c) is None for c in block.tolist())
     p = successes / trials
     return McEstimate(successes, trials, p, math.sqrt(p * (1 - p) / trials))

@@ -469,10 +469,17 @@ def _label_from_json(label):
 def graph_from_json_dict(data) -> Graph:
     if not isinstance(data, dict) or "vertex_count" not in data or "edges" not in data:
         raise GraphFormatError("graph JSON needs 'vertex_count' and 'edges'")
+    edges = data["edges"]
+    if not isinstance(edges, list):
+        raise GraphFormatError("graph JSON 'edges' must be a list of [u, v] pairs")
+    for e in edges:
+        # bool is a subclass of int, but `true` is no vertex
+        if not (isinstance(e, list) and len(e) == 2 and all(type(v) is int for v in e)):
+            raise GraphFormatError(f"edge {json.dumps(e)} is not a pair of integers")
     labels = data.get("labels")
     if labels is not None:
         labels = [_label_from_json(lab) for lab in labels]
-    return Graph.from_edges(int(data["vertex_count"]), [tuple(e) for e in data["edges"]], labels=labels)
+    return Graph.from_edges(int(data["vertex_count"]), [tuple(e) for e in edges], labels=labels)
 
 
 def load_graph(path: str) -> Graph:

@@ -56,28 +56,6 @@ class Perm:
         """The points moved by this permutation, as a sorted tuple."""
         return tuple(s for s, t in enumerate(self.images) if s != t)
 
-    def cycles(self, include_fixed=False):
-        """The cycle decomposition; singleton cycles only if requested."""
-        seen = [False] * len(self.images)
-        out = []
-        for s in range(len(self.images)):
-            if seen[s]:
-                continue
-            cycle = [s]
-            seen[s] = True
-            t = self.images[s]
-            while t != s:
-                seen[t] = True
-                cycle.append(t)
-                t = self.images[t]
-            if len(cycle) > 1 or include_fixed:
-                out.append(tuple(cycle))
-        return out
-
-    def cycle_count(self):
-        """Number of cycles including fixed points (feeds 2^(cycles - n) counts)."""
-        return len(self.cycles(include_fixed=True))
-
     def __eq__(self, other):
         return isinstance(other, Perm) and self.images == other.images
 

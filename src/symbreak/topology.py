@@ -15,7 +15,13 @@ from fractions import Fraction
 from typing import Optional
 
 from .autsearch import automorphism_group
-from .colourings import DEFAULT_COLOUR_CAP
+from .colourings import (
+    BLOCK_BYTES,
+    DEFAULT_COLOUR_CAP,
+    agrees_on,
+    cycle_labels,
+    element_blocks,
+)
 from .errors import CapExceededError, InvariantError
 from .graphs import Graph
 from .groups import DEFAULT_ENUMERATION_CAP, PermGroup
@@ -252,12 +258,14 @@ def expected_stabiliser_measure(
 ) -> StabiliserMeasureReport:
     """Average stabiliser fraction of a uniform random 2-colouring, both ways.
 
+    Both routes read the group once, in element blocks (`element_blocks`).
     Colour-first: count the (colouring, element) pairs with c(gamma(v)) =
-    c(v) for all v, one comparison per element over the (2^n, n) matrix of
-    all colourings.  Group-first: sum 2^cycles(gamma) over the group.  The
-    two exact rationals must coincide (else `InvariantError`); both are
-    returned.  Above `colour_cap` colourings (2^n) it raises
-    `CapExceededError`, as `distinguishing_probability_exact` does.
+    c(v) for all v, comparing a slice of a block against all 2^n
+    colourings at once (`agrees_on`).  Group-first: sum 2^cycles(gamma)
+    over the group, the cycles counted from `cycle_labels`.  The two exact
+    rationals must coincide (else `InvariantError`); both are returned.
+    Above `colour_cap` colourings (2^n) it raises `CapExceededError`, as
+    `distinguishing_probability_exact` does.
     """
     import numpy as np
 
@@ -269,17 +277,21 @@ def expected_stabiliser_measure(
         )
     aut = automorphism_group(g)
     order = aut.order()
-    elems = aut.element_list(enum_cap)
 
-    # row i is the colouring whose vertex v has colour bit v of i
-    colourings = ((np.arange(total)[:, None] >> np.arange(n)) & 1).astype(np.int8)
+    # column i is the colouring whose vertex v has colour bit v of i
+    colours = ((np.arange(total) >> np.arange(n)[:, None]) & 1).astype(np.int8)
+    per_slice = max(1, BLOCK_BYTES // total)  # elements x colourings booleans
     preserved_total = 0
-    for gamma in elems:
-        preserved = (colourings[:, list(gamma.images)] == colourings).all(axis=1)
-        preserved_total += int(preserved.sum())
+    by_cycles = np.zeros(n + 1, dtype=np.int64)  # element count per cycle count
+    for block in element_blocks(aut, enum_cap):
+        for lo in range(0, len(block), per_slice):
+            preserved_total += int(agrees_on(block[lo : lo + per_slice], colours, range(n)).sum())
+        cycles = (cycle_labels(block) == np.arange(n)).sum(axis=1)
+        by_cycles += np.bincount(cycles, minlength=n + 1)
     colour_first = Fraction(preserved_total, total * order)
-
-    group_first = Fraction(sum(2 ** gamma.cycle_count() for gamma in elems), total * order)
+    group_first = Fraction(
+        sum(count << c for c, count in enumerate(by_cycles.tolist())), total * order
+    )
 
     report = StabiliserMeasureReport(colour_first, group_first)
     if not report.agree:

@@ -39,9 +39,36 @@ def from_cycles(degree, cycles):
     return Perm(images)
 
 
+def cycles(gamma: Perm, include_fixed=False):
+    """The library's former `Perm.cycles`: the cycle decomposition, singleton
+    cycles only if requested; the oracle for the pointer-doubling
+    `cycle_labels`."""
+    images = gamma.images
+    seen = [False] * len(images)
+    out = []
+    for s in range(len(images)):
+        if seen[s]:
+            continue
+        cycle = [s]
+        seen[s] = True
+        t = images[s]
+        while t != s:
+            seen[t] = True
+            cycle.append(t)
+            t = images[t]
+        if len(cycle) > 1 or include_fixed:
+            out.append(tuple(cycle))
+    return out
+
+
+def cycle_count(gamma: Perm):
+    """The library's former `Perm.cycle_count`: cycles including fixed points."""
+    return len(cycles(gamma, include_fixed=True))
+
+
 def fix_probability(gamma: Perm, k=2):
     """P[c(gamma(s)) = c(s) for all s] for uniform c: each cycle monochromatic."""
-    return Fraction(1, k ** (gamma.degree - gamma.cycle_count()))
+    return Fraction(1, k ** (gamma.degree - cycle_count(gamma)))
 
 
 def brute_force_automorphisms(g: Graph, colours=None):
@@ -134,6 +161,44 @@ def mc_by_stabilisers(g: Graph, k, trials, rng):
         colouring_stabiliser(g, random_colouring(g, k, rng.trial_stream(t))).is_trivial()
         for t in range(trials)
     )
+
+
+def prime_order_labels(group):
+    """One cycle-minimum label row per cycle partition of the prime-order
+    elements, from `cycles` of each element, sorted; no arrays."""
+    rows = set()
+    for gamma in group.elements():
+        parts = cycles(gamma, include_fixed=True)
+        lengths = {len(c) for c in parts} - {1}
+        if len(lengths) == 1 and all(p % d for p in lengths for d in range(2, p)):
+            label = [0] * gamma.degree
+            for c in parts:
+                for v in c:
+                    label[v] = min(c)
+            rows.add(tuple(label))
+    return sorted(rows)
+
+
+def mc_one_stage(g: Graph, k, trials, rng):
+    """The library's former enumerated Monte Carlo check, in one stage.
+
+    Each block of trials (drawn as `SeededRng.trial_block` draws them) is
+    compared on all n columns against every label row at once: a trial is a
+    success iff no row r has c[r] == c.  The oracle for the two-stage check
+    that compares a few sieve columns first.
+    """
+    import numpy as np
+
+    labels = np.array(prime_order_labels(automorphism_group(g)), dtype=np.intp)
+    if not len(labels):
+        return trials
+    n, per_block = g.vertex_count, 512
+    successes = 0
+    for done in range(0, trials, per_block):
+        block = rng.trial_block(k, done, min(per_block, trials - done), n)
+        hit = (block[:, labels] == block[:, None, :]).all(axis=2).any(axis=1)
+        successes += int((~hit).sum())
+    return successes
 
 
 def elements_by_recursion(group):

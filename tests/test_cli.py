@@ -250,6 +250,25 @@ def test_bad_edge_exits_2_with_one_error_line(tmp_path, capsys, text, message):
 
 
 @pytest.mark.parametrize(
+    "edges, message",
+    [
+        ([[0, 1.5]], "edge [0, 1.5] is not a pair of integers"),
+        ([[0, "1"]], 'edge [0, "1"] is not a pair of integers'),
+        ([[0, 1, 2]], "edge [0, 1, 2] is not a pair of integers"),
+        ([[0, True]], "edge [0, true] is not a pair of integers"),
+    ],
+    ids=["float", "string", "triple", "bool"],
+)
+def test_bad_json_edge_exits_2_with_one_error_line(tmp_path, capsys, edges, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"vertex_count": 3, "edges": edges}))
+    assert main(["motion", "--graph", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
     "argv, message",
     [
         (["gamma", "--graph", "C4", "--pair", "0", "99"], "invalid point 99"),

@@ -3,11 +3,14 @@ import random
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from conftest import (
+    cycles,
     fix_probability,
     mc_by_stabilisers,
+    mc_one_stage,
     petersen_graph,
     seeded_random_graphs,
     seeded_random_trees,
@@ -29,6 +32,7 @@ from symbreak.colourings import (
     random_colouring,
     russel_sundaram_bound,
 )
+from symbreak.errors import CapExceededError
 from symbreak.graphs import (
     FamilySpec,
     Graph,
@@ -60,7 +64,7 @@ def exact_oracle(g, k=2):
     for gamma in automorphism_group(g).elements():
         if gamma.is_identity():
             continue
-        cycs = gamma.cycles(include_fixed=True)
+        cycs = cycles(gamma, include_fixed=True)
         for assignment in itertools.product(range(k), repeat=len(cycs)):
             colours = [0] * n
             for col, cyc in zip(assignment, cycs):
@@ -337,6 +341,156 @@ class TestMonteCarloEstimate:
     def test_one_check_per_prime_order_cycle_partition(self, d, count):
         labels = colourings._prime_order_partitions(automorphism_group(hypercube(d)), 10**6)
         assert labels.shape == (count, 2**d)
+
+
+def asymmetric_graph():
+    """The smallest asymmetric graphs have 6 vertices: this one has |Aut| = 1."""
+    return Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5), (3, 5)])
+
+
+#: The seeded runs of the benchmark's enumerated Monte Carlo items:
+#: (graph, stream, trials), at bench seeds 1 and 2.
+BENCH_MC_RUNS = {
+    "C8": (cycle_graph(8), 1, 20_000),
+    "Q4": (hypercube(4), 2, 10_000),
+    "Q5": (hypercube(5), 3, 4096),
+}
+
+
+class TestTwoStageCheck:
+    """The enumerated Monte Carlo path compares a few sieve columns first and
+    the surviving (trial, label row) pairs on the rest; its counts must equal
+    the one-stage check on all columns."""
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_GRAPHS))
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_matches_one_stage_check(self, name, k):
+        g = ORACLE_GRAPHS[name]
+        for seed, stream in ((0, 0), (23, 5)):
+            got = distinguishing_probability_mc(g, k, 700, SeededRng(seed, stream)).successes
+            assert got == mc_one_stage(g, k, 700, SeededRng(seed, stream)), seed
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_fewer_columns_than_the_sieve(self, k):
+        for g in (cycle_graph(5), complete_graph(4), path_graph(6), star_graph(4), cycle_graph(7)):
+            assert g.vertex_count < colourings.SIEVE_WIDTH
+            got = distinguishing_probability_mc(g, k, 400, SeededRng(9, 1)).successes
+            assert got == mc_one_stage(g, k, 400, SeededRng(9, 1))
+
+    def test_no_label_rows(self):
+        g = asymmetric_graph()
+        assert automorphism_group(g).order() == 1
+        assert colourings._prime_order_partitions(automorphism_group(g), 10**6).shape == (0, 6)
+        assert distinguishing_probability_mc(g, 2, 300, SeededRng(1)).successes == 300
+        assert mc_one_stage(g, 2, 300, SeededRng(1)) == 300
+
+    def test_random_graphs_match_one_stage_check(self):
+        for index, g in enumerate(seeded_random_graphs(12, 30, max_n=11)):
+            for k in (2, 3):
+                got = distinguishing_probability_mc(g, k, 200, SeededRng(3, index)).successes
+                assert got == mc_one_stage(g, k, 200, SeededRng(3, index)), (index, k)
+
+    @pytest.mark.parametrize("budget", [1, 200, 5000])
+    def test_small_budget_keeps_counts_and_chunks(self, monkeypatch, budget):
+        # a (label row, trial) pair of the first stage may survive into two
+        # intp indices, so a chunk of pairs stays within budget / 16
+        shapes = []
+        agrees_on = colourings.agrees_on
+
+        def recording(images, colours, columns):
+            shapes.append((len(images), colours.shape[1]))
+            return agrees_on(images, colours, columns)
+
+        g = hypercube(4)
+        want = mc_one_stage(g, 2, 100, SeededRng(6, 2))
+        monkeypatch.setattr(colourings, "BLOCK_BYTES", budget)
+        monkeypatch.setattr(colourings, "agrees_on", recording)
+        assert distinguishing_probability_mc(g, 2, 100, SeededRng(6, 2)).successes == want
+        per_block = max(1, budget // (8 * 16))
+        assert shapes and all(trials <= per_block for _, trials in shapes)
+        assert all(rows == 1 or rows * trials <= budget // 16 for rows, trials in shapes)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("name", sorted(BENCH_MC_RUNS))
+    def test_benchmark_runs_match_one_stage_check(self, name, seed):
+        g, stream, trials = BENCH_MC_RUNS[name]
+        got = distinguishing_probability_mc(g, 2, trials, SeededRng(seed, stream)).successes
+        assert got == mc_one_stage(g, 2, trials, SeededRng(seed, stream))
+
+
+def test_cycle_labels_are_the_cycle_minima():
+    rnd = random.Random(5)
+    for n in range(40):
+        rows = [rnd.sample(range(n), n) for _ in range(4)]
+        labels = colourings.cycle_labels(np.array(rows, dtype=np.intp).reshape(4, n))
+        for row, label in zip(rows, labels.tolist()):
+            want = [0] * n
+            for cycle in cycles(Perm(row), include_fixed=True):
+                for v in cycle:
+                    want[v] = min(cycle)
+            assert label == want, row
+
+
+def chain_elements(group, cap=10**6):
+    """`elements()` as a list of image rows."""
+    return [list(e.images) for e in group.elements(cap)]
+
+
+class TestElementBlocks:
+    """`element_blocks` yields the rows of `elements()`, in order, in blocks."""
+
+    @staticmethod
+    def rows(group, cap=10**6):
+        blocks = list(colourings.element_blocks(group, cap))
+        assert blocks and all(b.dtype == np.intp and b.ndim == 2 for b in blocks)
+        return [row for b in blocks for row in b.tolist()]
+
+    def test_corpus_rows_in_elements_order(self, corpus):
+        for name, g in corpus.items():
+            aut = automorphism_group(g)
+            assert self.rows(aut) == chain_elements(aut), name
+
+    def test_random_graphs_rows_in_elements_order(self):
+        for index, g in enumerate(seeded_random_graphs(4, 40)):
+            aut = automorphism_group(g)
+            assert self.rows(aut) == chain_elements(aut), index
+
+    @pytest.mark.parametrize("n", [0, 1, 6])
+    def test_trivial_group_is_one_identity_row(self, n):
+        g = asymmetric_graph() if n == 6 else Graph.from_edges(n, [])
+        blocks = list(colourings.element_blocks(automorphism_group(g), 1))
+        assert len(blocks) == 1 and blocks[0].shape == (1, n)
+        assert blocks[0].tolist() == [list(range(n))]
+
+    @pytest.mark.parametrize("budget", [1, 8 * 16 * 5, 8 * 16 * 48, 8 * 16 * 100])
+    def test_small_budget_splits_blocks_within_it(self, monkeypatch, budget):
+        # Q4: 384 rows of 16 points; every block but a one-row block fits
+        aut = automorphism_group(hypercube(4))
+        want = chain_elements(aut)
+        monkeypatch.setattr(colourings, "BLOCK_BYTES", budget)
+        blocks = list(colourings.element_blocks(aut, 10**6))
+        assert len(blocks) > 1
+        assert all(len(b) == 1 or b.nbytes <= budget for b in blocks)
+        assert [row for b in blocks for row in b.tolist()] == want
+
+    def test_small_budget_on_corpus(self, monkeypatch, corpus):
+        monkeypatch.setattr(colourings, "BLOCK_BYTES", 8 * 7 * 12)
+        for name, g in corpus.items():
+            aut = automorphism_group(g)
+            blocks = list(colourings.element_blocks(aut, 10**6))
+            n = g.vertex_count
+            assert all(len(b) == 1 or b.nbytes <= max(8 * 7 * 12, 8 * n) for b in blocks), name
+            assert [row for b in blocks for row in b.tolist()] == chain_elements(aut), name
+
+    def test_cap_below_the_order_raises_as_elements_does(self):
+        aut = automorphism_group(hypercube(3))
+        with pytest.raises(CapExceededError) as want:
+            aut.elements(47)
+        with pytest.raises(CapExceededError) as got:
+            colourings.element_blocks(aut, 47)
+        assert str(got.value) == str(want.value)
+        assert (got.value.required, got.value.cap) == (want.value.required, want.value.cap) == (48, 47)
+        assert len(self.rows(aut, 48)) == 48
 
 
 CERTIFICATE_GRAPHS = {

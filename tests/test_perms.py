@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import from_cycles
+from conftest import cycle_count, cycles, from_cycles
 from symbreak.perms import Perm
 
 perms = st.integers(min_value=1, max_value=12).flatmap(
@@ -39,15 +39,15 @@ def test_degree_mismatch_rejected():
 
 def test_four_cycle_has_one_cycle():
     g = from_cycles(4, [(0, 1, 2, 3)])
-    assert g.cycles() == [(0, 1, 2, 3)]
-    assert g.cycle_count() == 1
+    assert cycles(g) == [(0, 1, 2, 3)]
+    assert cycle_count(g) == 1
 
 
 def test_p4_reversal_cycles_and_support():
     rev = Perm([3, 2, 1, 0])
-    assert len(rev.cycles()) == 2
+    assert len(cycles(rev)) == 2
     assert rev.support() == (0, 1, 2, 3)
-    assert rev.cycle_count() == 2
+    assert cycle_count(rev) == 2
 
 
 def test_not_a_permutation_rejected():
@@ -79,9 +79,9 @@ def test_compose_associative(a, data):
 @given(perms)
 def test_cycles_partition_points(g):
     seen = set()
-    for cyc in g.cycles(include_fixed=True):
+    for cyc in cycles(g, include_fixed=True):
         assert not (set(cyc) & seen)
         seen.update(cyc)
     assert seen == set(range(g.degree))
-    for cyc in g.cycles():
+    for cyc in cycles(g):
         assert len(cyc) > 1

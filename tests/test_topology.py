@@ -4,6 +4,7 @@ from types import SimpleNamespace
 import pytest
 
 from conftest import from_cycles
+from symbreak import topology
 from symbreak.autsearch import automorphism_group
 from symbreak.errors import CapExceededError, InvariantError
 from symbreak.graphs import Graph, complete_graph, cycle_graph, hypercube, path_graph
@@ -366,8 +367,8 @@ class TestExpectedStabiliserMeasure:
             assert expected_stabiliser_measure(g).colour_first == want, name
 
     def test_fubini_mismatch_raises_invariant_error(self, monkeypatch):
-        # a wrong cycle count breaks the group-first route only
-        monkeypatch.setattr(Perm, "cycle_count", lambda self: 0)
+        # wrong cycle labels break the group-first route only
+        monkeypatch.setattr(topology, "cycle_labels", lambda images: 0 * images)
         with pytest.raises(InvariantError):
             expected_stabiliser_measure(cycle_graph(4))
 
