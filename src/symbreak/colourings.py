@@ -344,12 +344,14 @@ def distinguishing_probability_mc(
     those rows in two exact stages: the first compares only the
     ``SIEVE_WIDTH`` columns that the most rows move, and the second checks
     the surviving (trial, row) pairs on the other columns, one column at a
-    time, dropping a pair at its first mismatch.  Otherwise each trial
-    runs the colour-constrained automorphism search until its first
-    automorphism: a colouring is distinguishing iff there is none.  Every
-    path decides every trial exactly, so the count does not depend on the
-    path.  |Aut| comes from the search, or a tree's subtree codes, so
-    choosing the path builds no stabiliser chain.
+    time, dropping a pair at its first mismatch.  Otherwise a trial is
+    not distinguishing when some non-identity generator of Aut(G) gives
+    every point it moves the colour of its image, comparing only those
+    points; each other trial runs the colour-constrained automorphism
+    search until its first automorphism: a colouring is distinguishing iff
+    there is none.  Every path decides every trial exactly, so the count
+    does not depend on the path.  |Aut| comes from the search, or a tree's
+    subtree codes, so choosing the path builds no stabiliser chain.
     """
     if k < 2:
         raise ValueError("at least 2 colours required")
@@ -361,12 +363,12 @@ def distinguishing_probability_mc(
     aut = automorphism_group(g)
     successes = 0
     per_block = max(1, BLOCK_BYTES // (8 * max(n, 1)))  # trials' 64-bit draws
+    dtype = np.min_scalar_type(k - 1)  # holds every colour 0..k-1
     if aut.order() <= min(enum_cap, trials * n):
         labels = _prime_order_partitions(aut, enum_cap)
         if not len(labels):
             successes = trials
         else:
-            dtype = np.min_scalar_type(k - 1)  # holds every colour 0..k-1
             moved = (labels != np.arange(n)).sum(axis=0)
             by_moved = np.argsort(-moved, kind="stable").tolist()
             sieve, rest = by_moved[:SIEVE_WIDTH], by_moved[SIEVE_WIDTH:]
@@ -387,9 +389,19 @@ def distinguishing_probability_mc(
                     hit[trial] = True
                 successes += int((~hit).sum())
     else:
+        # each non-identity generator as (images of its moved points, moved points)
+        certificates = [
+            (np.array([gen.images[v] for v in support], dtype=np.intp), np.array(support))
+            for gen in aut.generators
+            if (support := gen.support())
+        ]
         for done in range(0, trials, per_block):
             block = rng.trial_block(k, done, min(per_block, trials - done), n)
-            successes += sum(first_automorphism(g, c) is None for c in block.tolist())
+            colours = block.T.astype(dtype, order="C")
+            held = np.zeros(len(block), dtype=bool)
+            for images, support in certificates:
+                held |= (colours[images] == colours[support]).all(axis=0)
+            successes += sum(first_automorphism(g, c) is None for c in block[~held].tolist())
     p = successes / trials
     return McEstimate(successes, trials, p, math.sqrt(p * (1 - p) / trials))
 

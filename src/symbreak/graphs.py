@@ -63,6 +63,8 @@ class Graph:
     @classmethod
     def from_edges(cls, vertex_count, edges, labels=None, truncation=None):
         """Self-loops and duplicate edges are refused by `Graph` itself."""
+        if vertex_count < 0:
+            raise GraphFormatError(f"vertex count {vertex_count} is negative")
         adj = [[] for _ in range(vertex_count)]
         for u, v in edges:
             if not (0 <= u < vertex_count and 0 <= v < vertex_count):
@@ -469,7 +471,9 @@ def _label_from_json(label):
 def graph_from_json_dict(data) -> Graph:
     if not isinstance(data, dict) or "vertex_count" not in data or "edges" not in data:
         raise GraphFormatError("graph JSON needs 'vertex_count' and 'edges'")
-    edges = data["edges"]
+    vertex_count, edges = data["vertex_count"], data["edges"]
+    if type(vertex_count) is not int:  # `true` and 2.7 are no vertex counts
+        raise GraphFormatError("graph JSON 'vertex_count' must be an integer")
     if not isinstance(edges, list):
         raise GraphFormatError("graph JSON 'edges' must be a list of [u, v] pairs")
     for e in edges:
@@ -478,8 +482,10 @@ def graph_from_json_dict(data) -> Graph:
             raise GraphFormatError(f"edge {json.dumps(e)} is not a pair of integers")
     labels = data.get("labels")
     if labels is not None:
+        if not isinstance(labels, list):
+            raise GraphFormatError("graph JSON 'labels' must be a list")
         labels = [_label_from_json(lab) for lab in labels]
-    return Graph.from_edges(int(data["vertex_count"]), [tuple(e) for e in edges], labels=labels)
+    return Graph.from_edges(vertex_count, [tuple(e) for e in edges], labels=labels)
 
 
 def load_graph(path: str) -> Graph:

@@ -237,8 +237,9 @@ def test_malformed_graph_exits_2(tmp_path, capsys):
         ("3 2\n0 1\n1 1\n", "self-loop at vertex 1"),
         ("3 2\n1 0\n0 1\n", "duplicate edge 0-1"),
         ("3 1\n0 3\n", "edge (0, 3) out of range"),
+        ("-1 0\n", "vertex count -1 is negative"),
     ],
-    ids=["self-loop", "duplicate", "out-of-range"],
+    ids=["self-loop", "duplicate", "out-of-range", "negative-count"],
 )
 def test_bad_edge_exits_2_with_one_error_line(tmp_path, capsys, text, message):
     bad = tmp_path / "bad.txt"
@@ -263,6 +264,26 @@ def test_bad_json_edge_exits_2_with_one_error_line(tmp_path, capsys, edges, mess
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"vertex_count": 3, "edges": edges}))
     assert main(["motion", "--graph", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"vertex_count": 2.7}, "graph JSON 'vertex_count' must be an integer"),
+        ({"vertex_count": -1}, "vertex count -1 is negative"),
+        ({"vertex_count": True}, "graph JSON 'vertex_count' must be an integer"),
+        ({"vertex_count": "3"}, "graph JSON 'vertex_count' must be an integer"),
+        ({"labels": 5}, "graph JSON 'labels' must be a list"),
+    ],
+    ids=["float-count", "negative-count", "bool-count", "string-count", "int-labels"],
+)
+def test_bad_json_graph_field_exits_2_with_one_error_line(tmp_path, capsys, fields, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"vertex_count": 3, "edges": [], **fields}))
+    assert main(["autgroup", "--graph", str(bad)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"

@@ -503,7 +503,8 @@ CERTIFICATE_GRAPHS = {
 
 
 class TestCertificatePath:
-    """Above the enumeration cap, or when |Aut| exceeds trials * n, each
+    """Above the enumeration cap, or when |Aut| exceeds trials * n, a trial
+    that some generator of Aut(G) preserves is decided at once; every other
     trial stops at its colouring's first automorphism."""
 
     @pytest.mark.parametrize("name", sorted(CERTIFICATE_GRAPHS))
@@ -563,6 +564,62 @@ class TestCertificatePath:
         monkeypatch.setattr(PermGroup, "_ensure_chain", refuse)
         g = generate_family(FamilySpec("regular_tree", {"degree": 3}, 6))
         assert distinguishing_probability_mc(g, 2, 20, SeededRng(3)).successes == 0
+
+    @staticmethod
+    def count_searches(monkeypatch):
+        calls = []
+        search = colourings.first_automorphism
+        monkeypatch.setattr(
+            colourings, "first_automorphism", lambda g, c: calls.append(c) or search(g, c)
+        )
+        return calls
+
+    @pytest.mark.parametrize("name", ["K10", "regular_tree d3 R4"])
+    def test_generators_decide_every_trial_without_a_search(self, monkeypatch, name):
+        g = CERTIFICATE_GRAPHS[name]
+        want = mc_by_stabilisers(g, 2, 200, SeededRng(1))
+        calls = self.count_searches(monkeypatch)
+        assert distinguishing_probability_mc(g, 2, 200, SeededRng(1)).successes == want
+        assert calls == []
+
+    @pytest.mark.parametrize("name", ["Q7", "asymmetric"])
+    def test_trials_no_generator_preserves_are_searched(self, monkeypatch, name):
+        g = hypercube(7) if name == "Q7" else asymmetric_graph()
+        want = mc_by_stabilisers(g, 2, 200, SeededRng(1))
+        calls = self.count_searches(monkeypatch)
+        assert distinguishing_probability_mc(g, 2, 200, SeededRng(1), enum_cap=0).successes == want
+        assert len(calls) == 200
+
+    @pytest.mark.parametrize("n", [0, 1, 7])
+    def test_trivial_groups_certify_nothing(self, n):
+        # n = 7: the spider with legs 1, 2, 3, the smallest asymmetric tree
+        edges = [(0, 1), (0, 2), (2, 3), (0, 4), (4, 5), (5, 6)] if n == 7 else []
+        g = Graph.from_edges(n, edges)
+        assert distinguishing_probability_mc(g, 2, 30, SeededRng(1), enum_cap=0).successes == 30
+
+    @pytest.mark.parametrize("name", sorted(CERTIFICATE_GRAPHS))
+    def test_one_byte_blocks_give_the_same_certified_count(self, monkeypatch, name):
+        g = CERTIFICATE_GRAPHS[name]
+        want = distinguishing_probability_mc(g, 3, 60, SeededRng(5), enum_cap=0).successes
+        monkeypatch.setattr(colourings, "BLOCK_BYTES", 1)
+        assert distinguishing_probability_mc(g, 3, 60, SeededRng(5), enum_cap=0).successes == want
+
+    @pytest.mark.parametrize("name", ["asymmetric", "Petersen", "C8"])
+    def test_an_identity_generator_certifies_nothing(self, monkeypatch, name):
+        from symbreak.groups import PermGroup
+
+        g = asymmetric_graph() if name == "asymmetric" else CERTIFICATE_GRAPHS[name]
+        want = mc_by_stabilisers(g, 2, 100, SeededRng(6))
+        search = colourings.automorphism_group
+
+        def with_identity(graph, vertex_colours=None):
+            aut = search(graph, vertex_colours)
+            gens = (Perm.identity(aut.degree),) + aut.generators
+            return PermGroup(aut.degree, gens, order=aut.order())
+
+        monkeypatch.setattr(colourings, "automorphism_group", with_identity)
+        got = distinguishing_probability_mc(g, 2, 100, SeededRng(6), enum_cap=0).successes
+        assert got == want
 
 
 class TestRusselSundaram:
