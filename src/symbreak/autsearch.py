@@ -14,8 +14,10 @@ neighbour in a piece of a cell that split, every piece but its largest.
 The search keeps an explicit stack, so no depth needs the recursion limit
 raised, and returns |Aut| when exhausted: the product over the levels L of
 its left path of the orbit length of left_seq[L] under the generators
-fixing left_seq[:L] (McKay 1981).  Trees skip the search: their generators
-and order come from subtree codes.
+fixing left_seq[:L] (McKay 1981).  Those generators are a strong
+generating set relative to the base left_seq, so the search hands the
+left path over too, and the group's stabiliser chain is read off it.
+Trees skip the search: their generators and order come from subtree codes.
 """
 
 from __future__ import annotations
@@ -244,18 +246,21 @@ def _automorphisms(g: Graph, colours):
 
     A tree yields its sibling swaps in BFS order and then, for a centre
     edge, the swap of the halves; any other graph yields each search
-    generator as it is found.  Exhausted, it returns the group order.
+    generator as it is found.  Exhausted, it returns the group order and
+    a base relative to which the generators are strong, or None for a
+    tree.
     """
     n = g.vertex_count
     if colours is not None and len(colours) != n:
         raise ValueError("vertex colouring must be total")
     if g.is_tree():
-        return (yield from _tree_automorphisms(g, colours))
+        return (yield from _tree_automorphisms(g, colours)), None
     return (yield from _search(g, colours))
 
 
 def _search(g: Graph, vertex_colours):
-    """Yield search generators in the order the search finds them; return |Aut|."""
+    """Yield search generators in the order the search finds them; return
+    |Aut| and the left path."""
     n = g.vertex_count
     adj = g.adjacency
     adj_sets = [frozenset(nbrs) for nbrs in adj]
@@ -347,7 +352,7 @@ def _search(g: Graph, vertex_colours):
                 yield found
                 tried = orbit_of(tried | {w}, fixing)
         group_order *= len(orbit_of((left_seq[level],), fixing))
-    return group_order
+    return group_order, tuple(left_seq)
 
 
 def first_automorphism(g: Graph, vertex_colours=None):
@@ -364,7 +369,9 @@ def automorphism_group(g: Graph, vertex_colours=None) -> PermGroup:
     """The automorphism group of g, colour-preserving when colours are given.
 
     The group carries the order the search returns, so its ``order()``
-    builds no stabiliser chain.
+    builds no stabiliser chain.  On a graph that is not a tree it also
+    carries the search's left path as its base, so its chain needs no
+    Schreier-Sims.
     """
     search = _automorphisms(g, vertex_colours)
     gens = []
@@ -372,4 +379,5 @@ def automorphism_group(g: Graph, vertex_colours=None) -> PermGroup:
         try:
             gens.append(next(search))
         except StopIteration as done:
-            return PermGroup(g.vertex_count, gens, order=done.value)
+            order, base = done.value
+            return PermGroup(g.vertex_count, gens, order=order, base=base)

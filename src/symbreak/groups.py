@@ -1,11 +1,16 @@
 """Permutation groups via a base and strong generating set.
 
-``PermGroup`` carries a deterministic Schreier-Sims stabiliser chain,
-giving exact (big-integer) order, membership tests, capped element
-enumeration, orbits, and exact motion (minimal support of a non-identity
-element).  Subgroups of Aut(G) are Aut(G, c) for a colouring c, from the
-automorphism search; the one subgroup built here, the pointwise stabiliser
-by base change, serves ``ball_decomposition``, which has only the group.
+``PermGroup`` carries a stabiliser chain, giving exact (big-integer) order,
+membership tests, capped element enumeration, orbits, and exact motion
+(minimal support of a non-identity element).  A group from the
+automorphism search of a graph that is not a tree arrives with its chain:
+the search's generators are a strong generating set relative to its left
+path, so only the transversals are built.  A group given by generators
+alone (a tree's sibling swaps, a pointwise stabiliser) runs a
+deterministic Schreier-Sims.  Subgroups of Aut(G) are Aut(G, c) for a
+colouring c, from the automorphism search; the one subgroup built here,
+the pointwise stabiliser by base change, serves ``ball_decomposition``,
+which has only the group.
 
 Elements and motion share one walk over the chain: the products
 rep_0 * rep_1 * ... * rep_{k-1} of one coset representative per level.
@@ -94,19 +99,26 @@ class MotionReport(JsonFields):
 class PermGroup:
     """Group generated by permutations of 0..degree-1, with a BSGS chain.
 
-    The Schreier-Sims chain is built lazily on the first query that needs
-    it; triviality is decidable from the generators alone.  A known `order`
-    (from the automorphism search, or a tree's subtree codes) answers
-    ``order()`` without a chain; a chain built later must agree with it.
+    The chain is built lazily on the first query that needs it; triviality
+    is decidable from the generators alone.  A known `order` (from the
+    automorphism search, or a tree's subtree codes) answers ``order()``
+    without a chain; a chain built later must agree with it.  A `base`,
+    given with the order, says the generators are a strong generating set
+    relative to it: the chain is then read off the generators, with no
+    Schreier-Sims.  Without one, Schreier-Sims builds the chain, its base
+    starting with `base_prefix`.
     """
 
-    def __init__(self, degree, generators, base_prefix=(), order=None):
+    def __init__(self, degree, generators, base_prefix=(), order=None, base=None):
         self.degree = degree
         self.generators = tuple(generators)
         for g in self.generators:
             if g.degree != degree:
                 raise ValueError("generator degree mismatch")
+        if base is not None and order is None:
+            raise ValueError("a base needs the group order, which checks the chain")
         self._base_prefix = tuple(base_prefix)
+        self._given_base = None if base is None else tuple(base)
         self._order = order
         self._levels = None
         self._chain_ready = False
@@ -118,12 +130,15 @@ class PermGroup:
         with self._chain_lock:
             if self._chain_ready:
                 return
-            self._levels = [_Level(b, self.degree) for b in dict.fromkeys(self._base_prefix)]
-            for g in self.generators:
-                residue, j = self._strip(g, 0)
-                if not residue.is_identity():
-                    self._add_strong_gen(j, residue)
-            self._schreier_sims()
+            if self._given_base is not None:
+                self._levels_from_base()
+            else:
+                self._levels = [_Level(b, self.degree) for b in dict.fromkeys(self._base_prefix)]
+                for g in self.generators:
+                    residue, j = self._strip(g, 0)
+                    if not residue.is_identity():
+                        self._add_strong_gen(j, residue)
+                self._schreier_sims()
             chain_order = 1
             for lv in self._levels:
                 chain_order *= len(lv.transversal)
@@ -135,6 +150,33 @@ class PermGroup:
             self._chain_ready = True
 
     # -- chain construction -------------------------------------------------
+
+    def _levels_from_base(self):
+        """The chain of a strong generating set relative to the given base.
+
+        Each generator goes to the first base point it moves, and a level is
+        made only for a base point that some generator moves first: a point
+        no generator moves first has the trivial basic orbit.  Each level's
+        transversal comes from its own and the deeper levels' generators.
+        """
+        base = self._given_base
+        first_moved = {}
+        for g in self.generators:
+            images = g.images
+            i = next((i for i, b in enumerate(base) if images[b] != b), None)
+            if i is not None:
+                first_moved.setdefault(i, []).append(g)
+            elif not g.is_identity():
+                raise InvariantError(
+                    f"a generator moving {len(g.support())} points fixes every base point"
+                )
+        self._levels = []
+        for i in sorted(first_moved):
+            lv = _Level(base[i], self.degree)
+            lv.gens = first_moved[i]
+            self._levels.append(lv)
+        for i, lv in enumerate(self._levels):
+            lv.orbit_order, lv.transversal = transversal(lv.point, self._gens_for_level(i), self.degree)
 
     def _strip(self, g, start):
         for i in range(start, len(self._levels)):

@@ -344,7 +344,7 @@ def search_record(g, colours):
     )
 
 
-PINNED_SEARCH_DIGEST = "bf8a0e83deb13bfc487bf0752edc3f61d5c08434b779d789ba3feadc1e2fa515"
+PINNED_SEARCH_DIGEST = "a888eec95aec66c4285b7ae987f69065ea0238dc37a397172d296864ab9c2286"
 
 
 def test_search_results_are_pinned(corpus):

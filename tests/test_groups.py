@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from conftest import (
@@ -5,15 +7,19 @@ from conftest import (
     from_cycles,
     from_elements,
     motion_by_enumeration,
+    petersen_graph,
+    seeded_random_graphs,
     setwise_stabiliser,
     stabiliser_generators,
     suborbits,
 )
+from symbreak import autsearch
 from symbreak.autsearch import automorphism_group
 from symbreak.conditions import _suborbits
 from symbreak.errors import CapExceededError, InvariantError
 from symbreak.graphs import (
     FamilySpec,
+    Graph,
     complete_bipartite,
     complete_graph,
     cycle_graph,
@@ -436,3 +442,120 @@ def test_wrong_known_order_raises_when_the_chain_is_built():
     assert group.order() == 6  # taken on trust until a chain exists
     with pytest.raises(InvariantError, match="chain order 12 differs from the known order 6"):
         group.base
+
+
+# -- chains handed over by the automorphism search ------------------------------
+
+
+def left_path(g, colours=None):
+    """The search's left path: the base it hands `PermGroup` on a non-tree."""
+    search = autsearch._search(g, colours)
+    while True:
+        try:
+            next(search)
+        except StopIteration as done:
+            return done.value[1]
+
+
+def handed_over_cases(corpus):
+    """The corpus, Q4, Q5, K7, Petersen and 60 seeded random graphs, each
+    plain and with a seeded 2-colouring."""
+    graphs = (
+        list(corpus.values())
+        + [hypercube(4), hypercube(5), complete_graph(7), petersen_graph()]
+        + seeded_random_graphs(81, 60, max_n=12)
+    )
+    rnd = random.Random(82)
+    for g in graphs:
+        yield g, None
+        yield g, tuple(rnd.randrange(2) for _ in range(g.vertex_count))
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("the chain was built by Schreier-Sims")
+
+
+class TestHandedOverChain:
+    """Every query on a group from the search against `PermGroup(n, gens)`,
+    which builds its chain from the same generators by Schreier-Sims."""
+
+    def test_agrees_with_schreier_sims(self, corpus):
+        rnd = random.Random(83)
+        for index, (g, colours) in enumerate(handed_over_cases(corpus)):
+            n = g.vertex_count
+            group = automorphism_group(g, colours)
+            oracle = PermGroup(n, group.generators)
+            elements = set(group.elements())
+            assert elements == set(oracle.elements()), index
+            assert len(elements) == group.order() == oracle.order(), index
+            assert all(group.contains(e) and oracle.contains(e) for e in elements), index
+            for _ in range(20):
+                images = list(range(n))
+                rnd.shuffle(images)
+                p = Perm(images)
+                assert group.contains(p) == oracle.contains(p) == (p in elements), index
+            report = group.motion()
+            assert (report.motion, report.witness) == motion_by_enumeration(group), index
+            assert report.motion == oracle.motion().motion, index
+            for points in ([0], list(range(min(n, 3))), rnd.sample(range(n), rnd.randint(1, n))):
+                stabiliser = group.pointwise_stabiliser(points).order()
+                assert stabiliser == oracle.pointwise_stabiliser(points).order(), (index, points)
+                assert stabiliser == sum(all(e(s) == s for s in points) for e in elements), index
+
+    def test_base_is_the_left_path_where_a_generator_moves_first(self, corpus):
+        for index, (g, colours) in enumerate(handed_over_cases(corpus)):
+            if g.is_tree():
+                continue
+            group = automorphism_group(g, colours)
+            path = left_path(g, colours)
+            remaining = iter(path)
+            assert all(b in remaining for b in group.base), index  # a subsequence
+            # a level only where some generator moves its point first
+            firsts = {next(b for b in path if h(b) != b) for h in group.generators}
+            assert set(group.base) == firsts, index
+            assert all(len(t) > 1 for t in group.transversals), index
+
+    def test_non_tree_groups_run_no_schreier_sims(self, corpus, monkeypatch):
+        graphs = [g for g, _ in handed_over_cases(corpus) if not g.is_tree()]
+        monkeypatch.setattr(PermGroup, "_schreier_sims", refuse)
+        monkeypatch.setattr(PermGroup, "_strip", refuse)
+        groups = []
+        for g in graphs:
+            group = automorphism_group(g)
+            group.base, group.strong_generators, group.transversals, group.order()
+            assert len(list(group.elements())) == group.order()
+            group.motion()
+            groups.append(group)
+        # membership sifts through the chain; the chain itself is not rebuilt
+        monkeypatch.undo()
+        monkeypatch.setattr(PermGroup, "_schreier_sims", refuse)
+        for group in groups:
+            assert all(group.contains(h) for h in group.generators)
+        # a tree's sibling swaps still go through Schreier-Sims
+        with pytest.raises(AssertionError, match="Schreier-Sims"):
+            automorphism_group(path_graph(5)).base
+
+    def test_perfect_matching_motion_needs_no_schreier_sims(self, monkeypatch):
+        monkeypatch.setattr(PermGroup, "_schreier_sims", refuse)
+        g = Graph.from_edges(80, [(2 * i, 2 * i + 1) for i in range(40)])
+        report = automorphism_group(g).motion()
+        assert report.motion == 2
+        assert len(report.witness.support()) == 2
+
+    def test_a_generator_fixing_every_base_point_raises(self):
+        # the reflection s -> -s of C6 fixes 0
+        group = PermGroup(6, dihedral_generators(6), order=12, base=(0,))
+        with pytest.raises(InvariantError, match="fixes every base point"):
+            group.base
+
+    def test_generators_not_strong_for_the_base_raise(self):
+        # (0 1 2) and (0 1) generate S3, but both move 0 first, so the chain
+        # has one level of orbit length 3 and misses the stabiliser of 0
+        gens = [Perm([1, 2, 0]), Perm([1, 0, 2])]
+        group = PermGroup(3, gens, order=6, base=(0, 1))
+        with pytest.raises(InvariantError, match="chain order 3 differs from the known order 6"):
+            group.motion()
+
+    def test_a_base_needs_the_order(self):
+        with pytest.raises(ValueError, match="a base needs the group order"):
+            PermGroup(6, dihedral_generators(6), base=(0, 1))
