@@ -6,11 +6,13 @@ Carlo distinguishing probabilities, the motion-based random-colouring
 bound of Russel and Sundaram, and partial-colouring preservation.  The
 root-fixing tree witness is the colour stabiliser's first automorphism with
 the root individualised, as every subgroup of Aut(G) here is some Aut(G, c).
+The estimators read a group through ``PermGroup.element_blocks`` (element
+image rows in arrays) or its generators, never through its stabiliser
+chain, and share its ``BLOCK_BYTES`` budget for their trial blocks.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,7 +21,7 @@ from typing import Optional
 from .autsearch import automorphism_group, first_automorphism
 from .errors import CapExceededError
 from .graphs import Graph
-from .groups import DEFAULT_ENUMERATION_CAP, PermGroup
+from .groups import BLOCK_BYTES, DEFAULT_ENUMERATION_CAP, PermGroup
 from .jsonfields import JsonFields
 from .perms import Perm
 from .rng import SeededRng
@@ -154,71 +156,14 @@ def is_distinguishing(g: Graph, c: Colouring) -> DistinguishReport:
     return DistinguishReport(witness is None, witness)
 
 
-#: Memory budget, in bytes, for one block of array work: a block of element
-#: rows, or a block of Monte Carlo trials checked against the cycle partitions.
-BLOCK_BYTES = 1 << 24
-
 #: Columns the first stage of the enumerated Monte Carlo check compares.
 SIEVE_WIDTH = 8
-
-
-def element_blocks(aut: PermGroup, cap: int):
-    """Every element's image row, in ``elements()`` order, as intp arrays of
-    at most about ``BLOCK_BYTES`` (one row at least); refuses above the cap.
-
-    Row r of a block is the images of one product rep_0 * ... * rep_{k-1}
-    of the chain's coset representatives.  The deepest levels whose
-    products fit one block are multiplied out once into a tail array, each
-    level by one fancy index; a plain walk over the upper levels gives the
-    prefixes p, and p contributes the rows p[tail].
-    """
-    order = aut.order()
-    if order > cap:
-        raise CapExceededError(
-            f"group order {order} exceeds enumeration cap {cap}", required=order, cap=cap
-        )
-    return _element_blocks(aut)
-
-
-def _element_blocks(aut):
-    import numpy as np
-
-    n = aut.degree
-    rows = max(1, BLOCK_BYTES // (8 * max(n, 1)))
-    reps = []
-    for point, trans in zip(aut.base, aut.transversals):
-        points = [point] + sorted(p for p in trans if p != point)
-        reps.append(np.array([trans[p].images for p in points], dtype=np.intp))
-    # (a * b).images == a.images[b.images]: a row array indexed by the tail
-    tail = np.arange(n, dtype=np.intp)[None, :]
-    while reps and len(reps[-1]) * len(tail) <= rows:
-        level = reps.pop()
-        tail = level[:, tail].reshape(len(level) * len(tail), n)
-    walk = _walk_rows(reps, n)
-    while prefixes := list(itertools.islice(walk, rows // len(tail))):
-        yield np.array(prefixes)[:, tail].reshape(len(prefixes) * len(tail), n)
-
-
-def _walk_rows(reps, n):
-    """Each product of one row per level of `reps`, level 0 varying slowest."""
-    import numpy as np
-
-    if not reps:
-        yield np.arange(n, dtype=np.intp)
-        return
-    stack = [(1, rep) for rep in reps[0][::-1]]
-    while stack:
-        i, g = stack.pop()
-        if i == len(reps):
-            yield g
-        else:
-            stack.extend((i + 1, g[rep]) for rep in reps[i][::-1])
 
 
 def _prime_order_partitions(aut: PermGroup, enum_cap: int):
     """One array row per distinct cycle partition of the prime-order elements.
 
-    Reads the group from `element_blocks`.  Row entry v is the smallest
+    Reads the group from ``aut.element_blocks``.  Row entry v is the smallest
     vertex on v's cycle, so a colouring c is preserved by an element with
     that partition iff c[row] == c.  A non-trivial stabiliser contains an
     element of prime order (Cauchy) and an element preserves c iff c is
@@ -227,7 +172,7 @@ def _prime_order_partitions(aut: PermGroup, enum_cap: int):
     """
     import numpy as np
 
-    found = [_prime_cycle_labels(block) for block in element_blocks(aut, enum_cap)]
+    found = [_prime_cycle_labels(block) for block in aut.element_blocks(enum_cap)]
     return np.unique(np.concatenate(found), axis=0)
 
 
@@ -339,7 +284,7 @@ def distinguishing_probability_mc(
     ``BLOCK_BYTES``.
 
     When |Aut| <= min(enum_cap, trials * n), the group is read in element
-    blocks (``element_blocks``) down to one row per cycle partition of the
+    blocks (``aut.element_blocks``) down to one row per cycle partition of the
     prime-order automorphisms, and each block of trials is checked against
     those rows in two exact stages: the first compares only the
     ``SIEVE_WIDTH`` columns that the most rows move, and the second checks

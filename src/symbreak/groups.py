@@ -9,18 +9,25 @@ path, so only the transversals are built.  A group given by generators
 alone (a tree's sibling swaps, a pointwise stabiliser) runs a
 deterministic Schreier-Sims.  Subgroups of Aut(G) are Aut(G, c) for a
 colouring c, from the automorphism search; the one subgroup built here,
-the pointwise stabiliser by base change, serves ``ball_decomposition``,
-which has only the group.
+the pointwise stabiliser, serves ``ball_decomposition``, which has only
+the group.  It is read off one Schreier-Sims run with the points as the
+base prefix.
 
-Elements and motion share one walk over the chain: the products
-rep_0 * rep_1 * ... * rep_{k-1} of one coset representative per level.
-``elements()`` yields every product; motion walks the same products in the
-same order, pruning a partial product once the points it already decides
-move as many as the best support found.
+Elements, element rows and motion share one walk over the chain: the
+products rep_0 * rep_1 * ... * rep_{k-1} of one coset representative per
+level, each level's representatives in one order.  ``elements()`` yields
+every product; ``element_blocks()`` yields the same products as numpy
+image rows, the deepest levels multiplied out once into an array and the
+walk covering only the upper levels; motion walks the same products in
+the same order, pruning a partial product once the points it already
+decides move as many as the best support found.  No other module reads
+the chain: the others see a group through its generators and queries.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 import threading
 from dataclasses import dataclass
 from typing import Optional
@@ -31,6 +38,10 @@ from .perms import Perm
 
 #: Default cap on explicit element enumeration.
 DEFAULT_ENUMERATION_CAP = 10**6
+
+#: Memory budget, in bytes, for one block of array work: a block of element
+#: rows, or a block of Monte Carlo trials checked against the cycle partitions.
+BLOCK_BYTES = 1 << 24
 
 
 class _Level:
@@ -261,23 +272,28 @@ class PermGroup:
         if not 0 <= s < self.degree:
             raise ValueError(f"invalid point {s}")
 
-    def _walk(self, keep=None):
+    def _coset_reps(self):
+        """Each chain level's coset representatives in walk order: the base
+        point's first, then the other orbit points' in increasing order."""
+        self._ensure_chain()
+        return [
+            [lv.transversal[p] for p in sorted(lv.transversal, key=lambda p: (p != lv.point, p))]
+            for lv in self._levels
+        ]
+
+    def _walk(self, keep=None, depth=None):
         """Yield rep_0 * rep_1 * ... * rep_{k-1}, one coset representative per
-        chain level, level 0 varying slowest; each level's base point comes
-        first, then its other orbit points in increasing order.
+        chain level (the first `depth` levels, if given), level 0 varying
+        slowest, each level in ``_coset_reps`` order.
 
         Prefix products wait on an explicit stack, so an element costs at most
         one multiplication; a level-0 representative is its own prefix.  A
         prefix g of i representatives (1 <= i <= k) for which `keep(i, g)` is
         false is dropped with every product below it; `keep` is asked as g
         is reached, so it may read state the caller updated since the last
-        yield.  A chain with no levels yields the identity once.
+        yield.  A walk over no levels yields the identity once.
         """
-        self._ensure_chain()
-        reps = []
-        for lv in self._levels:
-            points = [lv.point] + sorted(p for p in lv.transversal if p != lv.point)
-            reps.append([lv.transversal[p] for p in points])
+        reps = self._coset_reps()[:depth]
         k = len(reps)
         if k == 0:
             yield Perm.identity(self.degree)
@@ -292,8 +308,7 @@ class PermGroup:
             else:
                 stack.extend((i + 1, g * rep) for rep in reversed(reps[i]))
 
-    def elements(self, cap=DEFAULT_ENUMERATION_CAP):
-        """Yield each group element exactly once; refuses above the cap."""
+    def _check_cap(self, cap):
         order = self.order()
         if order > cap:
             raise CapExceededError(
@@ -301,11 +316,45 @@ class PermGroup:
                 required=order,
                 cap=cap,
             )
+
+    def elements(self, cap=DEFAULT_ENUMERATION_CAP):
+        """Yield each group element exactly once; refuses above the cap."""
+        self._check_cap(cap)
         return self._walk()
 
     def element_list(self, cap=DEFAULT_ENUMERATION_CAP):
         """A new list of every element, in elements() order; refuses above the cap."""
         return list(self.elements(cap))
+
+    def element_blocks(self, cap):
+        """Every element's image row, in elements() order, as intp arrays of
+        at most about ``BLOCK_BYTES`` (one row at least); refuses above the cap.
+
+        The deepest levels whose products fit one block are multiplied out
+        once into a tail array, each level by one fancy index; the walk over
+        the upper levels gives the prefixes p, and p contributes the rows
+        p[tail].
+        """
+        self._check_cap(cap)
+        return self._element_rows()
+
+    def _element_rows(self):
+        import numpy as np
+
+        n = self.degree
+        rows = max(1, BLOCK_BYTES // (8 * max(n, 1)))
+        reps = self._coset_reps()
+        depth = len(reps)
+        # (a * b).images == a.images[b.images]: a row array indexed by the tail
+        tail = np.arange(n, dtype=np.intp)[None, :]
+        while depth and len(reps[depth - 1]) * len(tail) <= rows:
+            depth -= 1
+            level = np.array([u.images for u in reps[depth]], dtype=np.intp)
+            tail = level[:, tail].reshape(len(level) * len(tail), n)
+        walk = self._walk(depth=depth)
+        while prefixes := list(itertools.islice(walk, rows // len(tail))):
+            heads = np.array([p.images for p in prefixes], dtype=np.intp)
+            yield heads[:, tail].reshape(len(prefixes) * len(tail), n)
 
     def orbit(self, s):
         """The orbit of a point, as a sorted tuple; the generators suffice, so
@@ -318,16 +367,20 @@ class PermGroup:
         return _orbit_partition(self.degree, self.generators)
 
     def pointwise_stabiliser(self, points):
-        """The subgroup fixing every given point, via a base change."""
+        """The subgroup fixing every given point, from one Schreier-Sims run
+        over the generators with the points as the base prefix; the levels
+        below the points are the subgroup's chain, so it needs no second run."""
         points = tuple(dict.fromkeys(points))
         for s in points:
             self._check_point(s)
         if not points:
             return self
-        chain = PermGroup(self.degree, self.strong_generators, base_prefix=points)
+        chain = PermGroup(self.degree, self.generators, base_prefix=points, order=self._order)
         chain._ensure_chain()
+        deeper = chain._levels[len(points) :]
+        order = math.prod(len(lv.transversal) for lv in deeper)
         gens = chain._gens_for_level(len(points))
-        return PermGroup(self.degree, gens)
+        return PermGroup(self.degree, gens, order=order, base=[lv.point for lv in deeper])
 
     # -- motion -------------------------------------------------------------
 

@@ -15,16 +15,10 @@ from fractions import Fraction
 from typing import Optional
 
 from .autsearch import automorphism_group
-from .colourings import (
-    BLOCK_BYTES,
-    DEFAULT_COLOUR_CAP,
-    agrees_on,
-    cycle_labels,
-    element_blocks,
-)
+from .colourings import DEFAULT_COLOUR_CAP, agrees_on, cycle_labels
 from .errors import CapExceededError, InvariantError
 from .graphs import Graph
-from .groups import DEFAULT_ENUMERATION_CAP, PermGroup
+from .groups import BLOCK_BYTES, DEFAULT_ENUMERATION_CAP, PermGroup
 from .jsonfields import JsonFields, json_value
 from .perms import Perm
 
@@ -160,10 +154,12 @@ def ball_decomposition(
 
     Balls are the right cosets of the pointwise stabiliser of S_level, so
     the number of balls equals the stabiliser's index.  Up to `cap`
-    elements every ball lists its members and its least member is the
-    representative; above the cap a breadth-first search over preimage
-    tuples gives each ball's key, a representative and the size, with
-    ``members`` None; more than `cap` balls raise `CapExceededError`.
+    elements every ball lists its members in increasing order of their
+    images, the first being the representative; above the cap a search
+    over preimage tuples, under the group's generators, gives each ball's
+    key, a representative and the size, with ``members`` None; more than
+    `cap` balls raise `CapExceededError`.  Neither depends on the group's
+    stabiliser chain.
     """
     if not 1 <= level <= len(seq):
         raise ValueError(f"level must be in 1..{len(seq)}")
@@ -175,27 +171,22 @@ def ball_decomposition(
 
     if order <= cap:
         groups = {}
-        for m in group.elements(cap):
+        for m in sorted(group.elements(cap), key=lambda m: m.images):
             groups.setdefault(_preimage_key(m, points), []).append(m)
-        balls = []
-        for key in sorted(groups):
-            members = tuple(groups[key])
-            rep = min(members, key=lambda m: m.images)
-            balls.append(Ball(key, rep, len(members), members))
-        return BallDecomposition(level, radius, tuple(balls), order)
+        balls = tuple(Ball(key, ms[0], len(ms), tuple(ms)) for key, ms in sorted(groups.items()))
+        return BallDecomposition(level, radius, balls, order)
 
     # Representatives only: BFS over right cosets acting on preimage tuples.
     size = group.pointwise_stabiliser(points).order()
     if order // size > cap:
         raise CapExceededError(f"{order // size} balls exceed the cap {cap}")
-    gens = group.strong_generators
     start = tuple(points)
     reps = {start: Perm.identity(group.degree)}
     queue = [start]
     while queue:
         key = queue.pop()
         rep = reps[key]
-        for gen in gens:
+        for gen in group.generators:
             new_rep = rep * gen
             new_key = _preimage_key(new_rep, points)
             if new_key not in reps:
@@ -258,7 +249,7 @@ def expected_stabiliser_measure(
 ) -> StabiliserMeasureReport:
     """Average stabiliser fraction of a uniform random 2-colouring, both ways.
 
-    Both routes read the group once, in element blocks (`element_blocks`).
+    Both routes read the group once, in element blocks (`PermGroup.element_blocks`).
     Colour-first: count the (colouring, element) pairs with c(gamma(v)) =
     c(v) for all v, comparing a slice of a block against all 2^n
     colourings at once (`agrees_on`).  Group-first: sum 2^cycles(gamma)
@@ -283,7 +274,7 @@ def expected_stabiliser_measure(
     per_slice = max(1, BLOCK_BYTES // total)  # elements x colourings booleans
     preserved_total = 0
     by_cycles = np.zeros(n + 1, dtype=np.int64)  # element count per cycle count
-    for block in element_blocks(aut, enum_cap):
+    for block in aut.element_blocks(enum_cap):
         for lo in range(0, len(block), per_slice):
             preserved_total += int(agrees_on(block[lo : lo + per_slice], colours, range(n)).sum())
         cycles = (cycle_labels(block) == np.arange(n)).sum(axis=1)

@@ -16,7 +16,7 @@ from conftest import (
     seeded_random_trees,
     tree_automorphism_by_nested_codes,
 )
-from symbreak import colourings
+from symbreak import colourings, groups
 from symbreak.autsearch import automorphism_group
 from symbreak.cli import _parse_colours
 from symbreak.colourings import (
@@ -329,6 +329,8 @@ class TestMonteCarloEstimate:
     def test_small_memory_budget_gives_same_count(self, monkeypatch):
         g = hypercube(3)
         want = distinguishing_probability_mc(g, 2, 500, SeededRng(4, 2)).successes
+        # element blocks and trial blocks both shrink to one row
+        monkeypatch.setattr(groups, "BLOCK_BYTES", 1)
         monkeypatch.setattr(colourings, "BLOCK_BYTES", 1)
         assert distinguishing_probability_mc(g, 2, 500, SeededRng(4, 2)).successes == want
 
@@ -437,11 +439,11 @@ def chain_elements(group, cap=10**6):
 
 
 class TestElementBlocks:
-    """`element_blocks` yields the rows of `elements()`, in order, in blocks."""
+    """`PermGroup.element_blocks` yields the rows of `elements()`, in order, in blocks."""
 
     @staticmethod
     def rows(group, cap=10**6):
-        blocks = list(colourings.element_blocks(group, cap))
+        blocks = list(group.element_blocks(cap))
         assert blocks and all(b.dtype == np.intp and b.ndim == 2 for b in blocks)
         return [row for b in blocks for row in b.tolist()]
 
@@ -458,7 +460,7 @@ class TestElementBlocks:
     @pytest.mark.parametrize("n", [0, 1, 6])
     def test_trivial_group_is_one_identity_row(self, n):
         g = asymmetric_graph() if n == 6 else Graph.from_edges(n, [])
-        blocks = list(colourings.element_blocks(automorphism_group(g), 1))
+        blocks = list(automorphism_group(g).element_blocks(1))
         assert len(blocks) == 1 and blocks[0].shape == (1, n)
         assert blocks[0].tolist() == [list(range(n))]
 
@@ -467,17 +469,17 @@ class TestElementBlocks:
         # Q4: 384 rows of 16 points; every block but a one-row block fits
         aut = automorphism_group(hypercube(4))
         want = chain_elements(aut)
-        monkeypatch.setattr(colourings, "BLOCK_BYTES", budget)
-        blocks = list(colourings.element_blocks(aut, 10**6))
+        monkeypatch.setattr(groups, "BLOCK_BYTES", budget)
+        blocks = list(aut.element_blocks(10**6))
         assert len(blocks) > 1
         assert all(len(b) == 1 or b.nbytes <= budget for b in blocks)
         assert [row for b in blocks for row in b.tolist()] == want
 
     def test_small_budget_on_corpus(self, monkeypatch, corpus):
-        monkeypatch.setattr(colourings, "BLOCK_BYTES", 8 * 7 * 12)
+        monkeypatch.setattr(groups, "BLOCK_BYTES", 8 * 7 * 12)
         for name, g in corpus.items():
             aut = automorphism_group(g)
-            blocks = list(colourings.element_blocks(aut, 10**6))
+            blocks = list(aut.element_blocks(10**6))
             n = g.vertex_count
             assert all(len(b) == 1 or b.nbytes <= max(8 * 7 * 12, 8 * n) for b in blocks), name
             assert [row for b in blocks for row in b.tolist()] == chain_elements(aut), name
@@ -487,7 +489,7 @@ class TestElementBlocks:
         with pytest.raises(CapExceededError) as want:
             aut.elements(47)
         with pytest.raises(CapExceededError) as got:
-            colourings.element_blocks(aut, 47)
+            aut.element_blocks(47)
         assert str(got.value) == str(want.value)
         assert (got.value.required, got.value.cap) == (want.value.required, want.value.cap) == (48, 47)
         assert len(self.rows(aut, 48)) == 48

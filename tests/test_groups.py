@@ -9,6 +9,7 @@ from conftest import (
     motion_by_enumeration,
     petersen_graph,
     seeded_random_graphs,
+    seeded_random_trees,
     setwise_stabiliser,
     stabiliser_generators,
     suborbits,
@@ -184,6 +185,29 @@ class TestStabilisers:
             assert setwise_stabiliser(aut, subset).order() == len(sw_expect)
             assert automorphism_group(g, individualised(6, subset)).order() == len(pw_expect)
             assert automorphism_group(g, indicator(6, subset)).order() == len(sw_expect)
+
+    def test_pointwise_stabiliser_of_a_tree_runs_one_schreier_sims(self, monkeypatch):
+        # one run with the points as the base prefix; the subgroup's order
+        # is read off its deeper levels, and the group's own chain is never built
+        calls = []
+        schreier_sims = PermGroup._schreier_sims
+
+        def counted(group):
+            calls.append(group)
+            schreier_sims(group)
+
+        monkeypatch.setattr(PermGroup, "_schreier_sims", counted)
+        trees = [path_graph(7), generate_family(FamilySpec("regular_tree", {"degree": 3}, 3))]
+        rnd = random.Random(21)
+        for index, g in enumerate(trees + seeded_random_trees(22, 10, max_n=12)):
+            n = g.vertex_count
+            elements = automorphism_group(g).element_list()
+            for points in ([0], list(range(min(n, 3))), rnd.sample(range(n), rnd.randint(1, n))):
+                aut = automorphism_group(g)
+                calls.clear()
+                order = aut.pointwise_stabiliser(points).order()
+                assert len(calls) == 1 and not aut._chain_ready, (index, points)
+                assert order == sum(all(e(s) == s for s in points) for e in elements), (index, points)
 
 
 class TestMotion:

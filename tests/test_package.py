@@ -1,7 +1,8 @@
 """Package-wide rules: one JSON form per report, no `assert` statements, no
 module importing another's private names or setting the recursion limit, no
-parameter left unread, no public name without a caller, and every name the
-bench tracer wraps still exists."""
+module but groups.py reading the stabiliser chain, no parameter left unread,
+no public name without a caller, and every name the bench tracer wraps
+still exists."""
 
 import ast
 import importlib.util
@@ -188,6 +189,24 @@ def test_package_sets_no_recursion_limit():
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.Call)
         and getattr(node.func, "attr", getattr(node.func, "id", None)) == "setrecursionlimit"
+    ]
+    assert found == []
+
+
+#: The stabiliser chain's attributes: groups.py alone reads them.
+CHAIN_ATTRIBUTES = {"base", "transversals", "strong_generators"}
+
+
+def test_only_groups_reads_the_stabiliser_chain():
+    """Enumeration, motion and membership read the chain inside `PermGroup`;
+    any other module sees a group through its generators and queries, so
+    its output cannot depend on which chain the group holds."""
+    found = [
+        f"{path.name}:{node.lineno} .{node.attr}"
+        for path in sorted(Path(symbreak.__file__).parent.glob("*.py"))
+        if path.name != "groups.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr in CHAIN_ATTRIBUTES
     ]
     assert found == []
 

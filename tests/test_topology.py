@@ -7,7 +7,17 @@ from conftest import from_cycles
 from symbreak import topology
 from symbreak.autsearch import automorphism_group
 from symbreak.errors import CapExceededError, InvariantError
-from symbreak.graphs import Graph, complete_graph, cycle_graph, hypercube, path_graph
+from symbreak.graphs import (
+    FamilySpec,
+    Graph,
+    complete_bipartite,
+    complete_graph,
+    cycle_graph,
+    generate_family,
+    hypercube,
+    path_graph,
+)
+from symbreak.groups import PermGroup
 from symbreak.perms import Perm
 from symbreak.rng import SeededRng
 from symbreak.topology import (
@@ -248,7 +258,7 @@ class TestBallDecomposition:
             degree=3,
             order=lambda: 4,
             pointwise_stabiliser=lambda points: SimpleNamespace(order=lambda: 2),
-            strong_generators=[Perm([1, 2, 0])],
+            generators=[Perm([1, 2, 0])],
         )
         seq = ExhaustionSequence.prefixes(3)
         with pytest.raises(InvariantError):
@@ -291,6 +301,30 @@ class TestBallDecomposition:
                 for b in deco.balls:
                     coset = {(h * b.representative).images for h in stab_elems}
                     assert coset == {m.images for m in b.members}
+
+    def test_balls_depend_only_on_the_group(self):
+        # the search's handed-over chain and a Schreier-Sims chain over the
+        # same generators give the same members, representatives and keys
+        def outcome(group, seq, level, cap):
+            try:
+                return ball_decomposition(group, seq, level, cap).to_json_dict()
+            except CapExceededError as exc:
+                return str(exc)
+
+        graphs = [hypercube(3), hypercube(4), cycle_graph(8), complete_graph(5)]
+        graphs += [complete_bipartite(3, 3), generate_family(FamilySpec("grid", {"dimension": 2}, 3))]
+        runs = 0
+        for g in graphs:
+            group = automorphism_group(g)
+            oracle = PermGroup(g.vertex_count, group.generators)
+            for root in (0, 1):
+                seq = ExhaustionSequence.balls(g, root)
+                for level in range(1, len(seq) + 1):
+                    for cap in (10**6, 5, 2):
+                        want = outcome(oracle, seq, level, cap)
+                        assert outcome(group, seq, level, cap) == want, (g, root, level, cap)
+                        runs += 1
+        assert runs == 141
 
 
 class TestHaarFraction:
