@@ -9,6 +9,10 @@ the root individualised, as every subgroup of Aut(G) here is some Aut(G, c).
 The estimators read a group through ``PermGroup.element_blocks`` (element
 image rows in arrays) or its generators, never through its stabiliser
 chain, and share its ``BLOCK_BYTES`` budget for their trial blocks.
+They hold a block of colourings as bit-planes, 64 colourings to a uint64
+word and one plane per bit of a colour, and `agreement` compares image
+rows against a whole word of colourings at a time; the Monte Carlo check,
+its generator certificates and the colour-first Haar count all use it.
 """
 
 from __future__ import annotations
@@ -156,10 +160,6 @@ def is_distinguishing(g: Graph, c: Colouring) -> DistinguishReport:
     return DistinguishReport(witness is None, witness)
 
 
-#: Columns the first stage of the enumerated Monte Carlo check compares.
-SIEVE_WIDTH = 8
-
-
 def _prime_order_partitions(aut: PermGroup, enum_cap: int):
     """One array row per distinct cycle partition of the prime-order elements.
 
@@ -173,7 +173,20 @@ def _prime_order_partitions(aut: PermGroup, enum_cap: int):
     import numpy as np
 
     found = [_prime_cycle_labels(block) for block in aut.element_blocks(enum_cap)]
-    return np.unique(np.concatenate(found), axis=0)
+    return _distinct_rows(np.concatenate(found))
+
+
+def _distinct_rows(rows):
+    """The distinct rows of a 2-d array, in the byte order of their contents:
+    ``np.unique`` over each row viewed as one opaque (void) value."""
+    import numpy as np
+
+    if len(rows) < 2 or not rows.shape[1]:  # at most one distinct row
+        return rows[:1]
+    rows = np.ascontiguousarray(rows)
+    whole = rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1])))
+    _, first = np.unique(whole.ravel(), return_index=True)
+    return rows[first]
 
 
 def cycle_labels(images):
@@ -196,17 +209,56 @@ def cycle_labels(images):
     return label.reshape(count, n)
 
 
-def agrees_on(images, colours, columns):
-    """(image rows, colourings) booleans: entry (r, i) is whether colouring i
-    gives each listed vertex v the colour of its image, colours[r[v], i] ==
-    colours[v, i].  Row v of `colours` holds vertex v's colour in every
-    colouring, so each listed vertex gathers whole rows."""
+def _pack_bits(bits):
+    """(..., count) array of 0/1 entries -> (..., ceil(count / 64)) uint64
+    words: bit t of word w is entry 64w + t; the padding bits are 0."""
     import numpy as np
 
-    agree = np.ones((len(images), colours.shape[1]), dtype=bool)
+    packed = np.packbits(bits.astype(bool, copy=False), axis=-1, bitorder="little")
+    words = np.zeros(bits.shape[:-1] + (-(-bits.shape[-1] // 64) * 8,), dtype=np.uint8)
+    words[..., : packed.shape[-1]] = packed
+    return words.view("<u8").astype(np.uint64, copy=False)
+
+
+def bit_planes(colours, k):
+    """The bit-planes of a (vertices, colourings) array of colours below k.
+
+    Plane j, row v, word w, bit t is bit j of colouring 64w + t's colour at
+    vertex v: a (ceil(log2 k), vertices, ceil(colourings / 64)) uint64
+    array.  The padding colourings of the last word are all 0.
+    """
+    import numpy as np
+
+    return np.stack([_pack_bits((colours >> j) & 1) for j in range((k - 1).bit_length())])
+
+
+def unpack_bits(words, count):
+    """The first `count` bits of each row of a uint64 word array, as a
+    (..., count) uint8 array of 0/1: entry i is bit i % 64 of word i // 64."""
+    import numpy as np
+
+    octets = words.astype("<u8", copy=False).view(np.uint8)
+    return np.unpackbits(octets, axis=-1, count=count, bitorder="little")
+
+
+def agreement(images, planes, columns):
+    """(image rows, words) uint64: bit t of word w in row r is set iff
+    colouring 64w + t gives each listed vertex v the colour of its image,
+    c[r[v]] == c[v].  `planes` holds the colourings as bit-planes
+    (`bit_planes`), so one word compares 64 colourings; the padding
+    colourings of the last word are all 0 and agree with every row."""
+    import numpy as np
+
+    differ = np.zeros((len(images), planes.shape[2]), dtype=np.uint64)
+    gathered = np.empty_like(differ)
     for v in columns:
-        agree &= colours[images[:, v]] == colours[v]
-    return agree
+        for plane in planes:
+            # the images are vertices, so "clip" changes none; it saves the
+            # buffer that the default mode copies `out` through
+            np.take(plane, images[:, v], axis=0, out=gathered, mode="clip")
+            gathered ^= plane[v]
+            differ |= gathered
+    return np.invert(differ, out=differ)
 
 
 def _prime_cycle_labels(images):
@@ -222,7 +274,7 @@ def _prime_cycle_labels(images):
     longest = cycle_len.max(axis=1, initial=1)
     uniform = ((cycle_len == 1) | (cycle_len == longest[:, None])).all(axis=1)
     primes = [p for p in np.unique(longest).tolist() if _is_prime(p)]
-    return np.unique(label[uniform & np.isin(longest, primes)], axis=0)
+    return _distinct_rows(label[uniform & np.isin(longest, primes)])
 
 
 def _is_prime(p):
@@ -283,20 +335,20 @@ def distinguishing_probability_mc(
     once (``SeededRng.trial_block``); a block's arrays stay within about
     ``BLOCK_BYTES``.
 
-    When |Aut| <= min(enum_cap, trials * n), the group is read in element
-    blocks (``aut.element_blocks``) down to one row per cycle partition of the
-    prime-order automorphisms, and each block of trials is checked against
-    those rows in two exact stages: the first compares only the
-    ``SIEVE_WIDTH`` columns that the most rows move, and the second checks
-    the surviving (trial, row) pairs on the other columns, one column at a
-    time, dropping a pair at its first mismatch.  Otherwise a trial is
-    not distinguishing when some non-identity generator of Aut(G) gives
-    every point it moves the colour of its image, comparing only those
-    points; each other trial runs the colour-constrained automorphism
-    search until its first automorphism: a colouring is distinguishing iff
-    there is none.  Every path decides every trial exactly, so the count
-    does not depend on the path.  |Aut| comes from the search, or a tree's
-    subtree codes, so choosing the path builds no stabiliser chain.
+    Each block of trials is packed into bit-planes (one uint64 word holds 64
+    trials' colourings, one plane per bit of a colour) and checked against
+    a set of image rows by `agreement`, 64 trials per word operation, on
+    the vertices the rows move.  When |Aut| <= min(enum_cap, trials * n),
+    the rows are one per cycle partition of the prime-order automorphisms,
+    read from the element blocks (``aut.element_blocks``): a trial is
+    distinguishing iff no row agrees with it.  Otherwise the rows are the
+    non-identity generators of Aut(G): a trial that some generator
+    preserves is not distinguishing, and each other trial runs the
+    colour-constrained automorphism search until its first automorphism:
+    a colouring is distinguishing iff there is none.  Every path decides
+    every trial exactly, so the count does not depend on the path.  |Aut|
+    comes from the search, or a tree's subtree codes, so choosing the path
+    builds no stabiliser chain.
     """
     if k < 2:
         raise ValueError("at least 2 colours required")
@@ -310,43 +362,29 @@ def distinguishing_probability_mc(
     per_block = max(1, BLOCK_BYTES // (8 * max(n, 1)))  # trials' 64-bit draws
     dtype = np.min_scalar_type(k - 1)  # holds every colour 0..k-1
     if aut.order() <= min(enum_cap, trials * n):
-        labels = _prime_order_partitions(aut, enum_cap)
-        if not len(labels):
-            successes = trials
-        else:
-            moved = (labels != np.arange(n)).sum(axis=0)
-            by_moved = np.argsort(-moved, kind="stable").tolist()
-            sieve, rest = by_moved[:SIEVE_WIDTH], by_moved[SIEVE_WIDTH:]
-            for done in range(0, trials, per_block):
-                size = min(per_block, trials - done)
-                # colours[v] holds vertex v's colour in every trial of the block
-                colours = rng.trial_block(k, done, size, n).T.astype(dtype, order="C")
-                hit = np.zeros(size, dtype=bool)
-                # a surviving (label row, trial) pair takes two intp indices
-                per_chunk = max(1, BLOCK_BYTES // (16 * size))
-                for lo in range(0, len(labels), per_chunk):
-                    chunk = labels[lo : lo + per_chunk]
-                    survive = agrees_on(chunk, colours, sieve)
-                    row, trial = np.divmod(np.flatnonzero(survive), size)
-                    for v in rest:
-                        same = colours[chunk[row, v], trial] == colours[v, trial]
-                        row, trial = row[same], trial[same]
-                    hit[trial] = True
-                successes += int((~hit).sum())
+        rows, certify = _prime_order_partitions(aut, enum_cap), False
+        if not len(rows):  # no non-identity automorphism: every colouring distinguishes
+            return McEstimate(trials, trials, 1.0, 0.0)
     else:
-        # each non-identity generator as (images of its moved points, moved points)
-        certificates = [
-            (np.array([gen.images[v] for v in support], dtype=np.intp), np.array(support))
-            for gen in aut.generators
-            if (support := gen.support())
-        ]
-        for done in range(0, trials, per_block):
-            block = rng.trial_block(k, done, min(per_block, trials - done), n)
-            colours = block.T.astype(dtype, order="C")
-            held = np.zeros(len(block), dtype=bool)
-            for images, support in certificates:
-                held |= (colours[images] == colours[support]).all(axis=0)
+        # a non-identity generator that preserves a colouring certifies that it
+        # is not distinguishing; only the other trials search
+        gens = [gen.images for gen in aut.generators if not gen.is_identity()]
+        rows, certify = np.array(gens, dtype=np.intp).reshape(len(gens), n), True
+    columns = np.flatnonzero((rows != np.arange(n)).any(axis=0)).tolist()
+    for done in range(0, trials, per_block):
+        size = min(per_block, trials - done)
+        block = rng.trial_block(k, done, size, n)
+        planes = bit_planes(block.T.astype(dtype, order="C"), k)
+        # a chunk of rows takes two (rows, words) uint64 arrays
+        per_chunk = max(1, BLOCK_BYTES // (16 * planes.shape[2]))
+        held = np.zeros(planes.shape[2], dtype=np.uint64)
+        for lo in range(0, len(rows), per_chunk):
+            held |= np.bitwise_or.reduce(agreement(rows[lo : lo + per_chunk], planes, columns))
+        held = unpack_bits(held, size).astype(bool)
+        if certify:
             successes += sum(first_automorphism(g, c) is None for c in block[~held].tolist())
+        else:
+            successes += size - int(np.count_nonzero(held))
     p = successes / trials
     return McEstimate(successes, trials, p, math.sqrt(p * (1 - p) / trials))
 

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import threading
 from dataclasses import dataclass
 from typing import Optional
 
@@ -110,14 +109,15 @@ class MotionReport(JsonFields):
 class PermGroup:
     """Group generated by permutations of 0..degree-1, with a BSGS chain.
 
-    The chain is built lazily on the first query that needs it; triviality
-    is decidable from the generators alone.  A known `order` (from the
-    automorphism search, or a tree's subtree codes) answers ``order()``
-    without a chain; a chain built later must agree with it.  A `base`,
-    given with the order, says the generators are a strong generating set
-    relative to it: the chain is then read off the generators, with no
-    Schreier-Sims.  Without one, Schreier-Sims builds the chain, its base
-    starting with `base_prefix`.
+    The chain is built lazily, without a lock, on the first query that
+    needs it, so a group is not thread-safe; triviality is decidable from
+    the generators alone.  A known `order` (from the automorphism search,
+    or a tree's subtree codes) answers ``order()`` without a chain; a
+    chain built later must agree with it.  A `base`, given with the order,
+    says the generators are a strong generating set relative to it: the
+    chain is then read off the generators, with no Schreier-Sims.  Without
+    one, Schreier-Sims builds the chain, its base starting with
+    `base_prefix`.
     """
 
     def __init__(self, degree, generators, base_prefix=(), order=None, base=None):
@@ -133,32 +133,28 @@ class PermGroup:
         self._order = order
         self._levels = None
         self._chain_ready = False
-        self._chain_lock = threading.Lock()
 
     def _ensure_chain(self):
         if self._chain_ready:
             return
-        with self._chain_lock:
-            if self._chain_ready:
-                return
-            if self._given_base is not None:
-                self._levels_from_base()
-            else:
-                self._levels = [_Level(b, self.degree) for b in dict.fromkeys(self._base_prefix)]
-                for g in self.generators:
-                    residue, j = self._strip(g, 0)
-                    if not residue.is_identity():
-                        self._add_strong_gen(j, residue)
-                self._schreier_sims()
-            chain_order = 1
-            for lv in self._levels:
-                chain_order *= len(lv.transversal)
-            if self._order is not None and chain_order != self._order:
-                raise InvariantError(
-                    f"stabiliser chain order {chain_order} differs from the known order {self._order}"
-                )
-            self._order = chain_order
-            self._chain_ready = True
+        if self._given_base is not None:
+            self._levels_from_base()
+        else:
+            self._levels = [_Level(b, self.degree) for b in dict.fromkeys(self._base_prefix)]
+            for g in self.generators:
+                residue, j = self._strip(g, 0)
+                if not residue.is_identity():
+                    self._add_strong_gen(j, residue)
+            self._schreier_sims()
+        chain_order = 1
+        for lv in self._levels:
+            chain_order *= len(lv.transversal)
+        if self._order is not None and chain_order != self._order:
+            raise InvariantError(
+                f"stabiliser chain order {chain_order} differs from the known order {self._order}"
+            )
+        self._order = chain_order
+        self._chain_ready = True
 
     # -- chain construction -------------------------------------------------
 

@@ -31,18 +31,27 @@ _PHILOX_W1 = 0xBB67AE8584CAA73B
 _PHILOX_ROUNDS = 10
 
 
-def _mulhilo(const, x):
-    """(low, high) 64-bit halves of const * x, from 32-bit partial products."""
+def _mulhi(const, x, out, s1, s2, s3):
+    """out = high 64 bits of const * x, from 32-bit partial products, computed
+    in place with the scratch arrays s1, s2 and s3 (all shaped like x)."""
     import numpy as np
 
     mask32, shift32 = np.uint64((1 << 32) - 1), np.uint64(32)
     c_lo, c_hi = np.uint64(const & 0xFFFFFFFF), np.uint64(const >> 32)
-    x_lo, x_hi = x & mask32, x >> shift32
-    t = c_lo * x_lo
-    m1 = c_hi * x_lo + (t >> shift32)
-    m2 = c_lo * x_hi + (m1 & mask32)
-    high = c_hi * x_hi + (m1 >> shift32) + (m2 >> shift32)
-    return np.uint64(const) * x, high
+    np.bitwise_and(x, mask32, out=s1)  # x_lo
+    np.multiply(s1, c_lo, out=s2)
+    s2 >>= shift32
+    s1 *= c_hi
+    s1 += s2  # m1 = c_hi * x_lo + (c_lo * x_lo >> 32)
+    np.right_shift(x, shift32, out=out)  # x_hi
+    np.multiply(out, c_lo, out=s2)
+    out *= c_hi
+    np.bitwise_and(s1, mask32, out=s3)
+    s2 += s3  # m2 = c_lo * x_hi + (m1 & mask32)
+    s1 >>= shift32
+    out += s1
+    s2 >>= shift32
+    out += s2  # c_hi * x_hi + (m1 >> 32) + (m2 >> 32)
 
 
 def _philox_words(key0, key1, blocks):
@@ -50,19 +59,28 @@ def _philox_words(key0, key1, blocks):
 
     Row i holds the first 4 * blocks words: numpy bumps the counter before
     each block, so block b is the Philox4x64-10 image of counter (b+1, 0, 0, 0).
+    The rounds run in place on four state arrays and four scratch arrays.
     """
     import numpy as np
 
-    k0, k1 = key0, key1[:, None]
-    x0 = np.broadcast_to(np.arange(1, blocks + 1, dtype=np.uint64), (len(key1), blocks))
-    zero = np.zeros_like(x0)
-    x1, x2, x3 = zero, zero, zero
+    shape = (len(key1), blocks)
+    x0, x1, x2, x3, hi, s1, s2, s3 = (np.zeros(shape, dtype=np.uint64) for _ in range(8))
+    x0[:] = np.arange(1, blocks + 1, dtype=np.uint64)
+    k0, k1 = key0, key1[:, None].astype(np.uint64)
+    m0, m1 = np.uint64(_PHILOX_M0), np.uint64(_PHILOX_M1)
     for _ in range(_PHILOX_ROUNDS):
-        lo0, hi0 = _mulhilo(_PHILOX_M0, x0)
-        lo1, hi1 = _mulhilo(_PHILOX_M1, x2)
-        x0, x1, x2, x3 = hi1 ^ x1 ^ np.uint64(k0), lo1, hi0 ^ x3 ^ k1, lo0
+        # (x0, x1, x2, x3) <- (hi(m1 x2) ^ x1 ^ k0, lo(m1 x2), hi(m0 x0) ^ x3 ^ k1, lo(m0 x0))
+        _mulhi(_PHILOX_M1, x2, hi, s1, s2, s3)
+        hi ^= x1
+        hi ^= np.uint64(k0)
+        np.multiply(x2, m1, out=x1)
+        _mulhi(_PHILOX_M0, x0, x2, s1, s2, s3)
+        x2 ^= x3
+        x2 ^= k1
+        np.multiply(x0, m0, out=x3)
+        x0, hi = hi, x0
         k0 = (k0 + _PHILOX_W0) & _MASK64
-        k1 = k1 + np.uint64(_PHILOX_W1)
+        k1 += np.uint64(_PHILOX_W1)
     return np.stack([x0, x1, x2, x3], axis=2).reshape(len(key1), 4 * blocks)
 
 

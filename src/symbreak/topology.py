@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .autsearch import automorphism_group
-from .colourings import DEFAULT_COLOUR_CAP, agrees_on, cycle_labels
+from .colourings import DEFAULT_COLOUR_CAP, agreement, bit_planes, cycle_labels, unpack_bits
 from .errors import CapExceededError, InvariantError
 from .graphs import Graph
 from .groups import BLOCK_BYTES, DEFAULT_ENUMERATION_CAP, PermGroup
@@ -251,10 +251,13 @@ def expected_stabiliser_measure(
 
     Both routes read the group once, in element blocks (`PermGroup.element_blocks`).
     Colour-first: count the (colouring, element) pairs with c(gamma(v)) =
-    c(v) for all v, comparing a slice of a block against all 2^n
-    colourings at once (`agrees_on`).  Group-first: sum 2^cycles(gamma)
-    over the group, the cycles counted from `cycle_labels`.  The two exact
-    rationals must coincide (else `InvariantError`); both are returned.
+    c(v) for all v.  The 2^n colourings are packed once into one bit-plane
+    (64 colourings per uint64 word), a slice of a block is compared against
+    all of them at once (`agreement`), and the pairs are the set bits of
+    the agreement words, the padding past 2^n < 64 left out.  Group-first:
+    sum 2^cycles(gamma) over the group, the cycles counted from
+    `cycle_labels`.  The two exact rationals must coincide (else
+    `InvariantError`); both are returned.
     Above `colour_cap` colourings (2^n) it raises `CapExceededError`, as
     `distinguishing_probability_exact` does.
     """
@@ -270,13 +273,16 @@ def expected_stabiliser_measure(
     order = aut.order()
 
     # column i is the colouring whose vertex v has colour bit v of i
-    colours = ((np.arange(total) >> np.arange(n)[:, None]) & 1).astype(np.int8)
-    per_slice = max(1, BLOCK_BYTES // total)  # elements x colourings booleans
+    colours = ((np.arange(total) >> np.arange(n)[:, None]) & 1).astype(np.uint8)
+    planes = bit_planes(colours, 2)
+    # agreement's two (elements, words) uint64 arrays and their bits unpacked
+    per_slice = max(1, BLOCK_BYTES // (80 * planes.shape[2]))
     preserved_total = 0
     by_cycles = np.zeros(n + 1, dtype=np.int64)  # element count per cycle count
     for block in aut.element_blocks(enum_cap):
         for lo in range(0, len(block), per_slice):
-            preserved_total += int(agrees_on(block[lo : lo + per_slice], colours, range(n)).sum())
+            agree = agreement(block[lo : lo + per_slice], planes, range(n))
+            preserved_total += int(np.count_nonzero(unpack_bits(agree, total)))
         cycles = (cycle_labels(block) == np.arange(n)).sum(axis=1)
         by_cycles += np.bincount(cycles, minlength=n + 1)
     colour_first = Fraction(preserved_total, total * order)

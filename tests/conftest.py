@@ -183,9 +183,10 @@ def mc_one_stage(g: Graph, k, trials, rng):
     """The library's former enumerated Monte Carlo check, in one stage.
 
     Each block of trials (drawn as `SeededRng.trial_block` draws them) is
-    compared on all n columns against every label row at once: a trial is a
-    success iff no row r has c[r] == c.  The oracle for the two-stage check
-    that compares a few sieve columns first.
+    compared on all n columns against every label row at once, one colour
+    per array entry: a trial is a success iff no row r has c[r] == c.  The
+    oracle for the packed check, which compares 64 trials' colourings per
+    word of their bit-planes (`colourings.agreement`).
     """
     import numpy as np
 
@@ -199,6 +200,23 @@ def mc_one_stage(g: Graph, k, trials, rng):
         hit = (block[:, labels] == block[:, None, :]).all(axis=2).any(axis=1)
         successes += int((~hit).sum())
     return successes
+
+
+def uncertified_trials(g: Graph, k, trials, rng):
+    """The trials no non-identity generator of Aut(G) preserves, by the
+    library's former certificate check: each trial's colours compared on
+    each generator's moved points, one colour per array entry.  Above the
+    enumeration cap, exactly these trials run the search."""
+    import numpy as np
+
+    block = rng.trial_block(k, 0, trials, g.vertex_count)
+    held = np.zeros(trials, dtype=bool)
+    for gen in automorphism_group(g).generators:
+        support = list(gen.support())
+        if support:
+            images = [gen.images[v] for v in support]
+            held |= (block[:, images] == block[:, support]).all(axis=1)
+    return int((~held).sum())
 
 
 def elements_by_recursion(group):

@@ -12,9 +12,11 @@ from conftest import (
     mc_by_stabilisers,
     mc_one_stage,
     petersen_graph,
+    prime_order_labels,
     seeded_random_graphs,
     seeded_random_trees,
     tree_automorphism_by_nested_codes,
+    uncertified_trials,
 )
 from symbreak import colourings, groups
 from symbreak.autsearch import automorphism_group
@@ -360,9 +362,10 @@ BENCH_MC_RUNS = {
 
 
 class TestTwoStageCheck:
-    """The enumerated Monte Carlo path compares a few sieve columns first and
-    the surviving (trial, label row) pairs on the rest; its counts must equal
-    the one-stage check on all columns."""
+    """The enumerated Monte Carlo path checks each block of trials, packed as
+    bit-planes, against the label rows with `agreement`; its counts must
+    equal the one-stage check on all columns (`mc_one_stage`).  The class
+    keeps the name of the two-stage sieve the packed check replaced."""
 
     @pytest.mark.parametrize("name", sorted(ORACLE_GRAPHS))
     @pytest.mark.parametrize("k", [2, 3])
@@ -373,11 +376,27 @@ class TestTwoStageCheck:
             assert got == mc_one_stage(g, k, 700, SeededRng(seed, stream)), seed
 
     @pytest.mark.parametrize("k", [2, 3])
-    def test_fewer_columns_than_the_sieve(self, k):
+    def test_small_graphs_match_one_stage_check(self, k):
         for g in (cycle_graph(5), complete_graph(4), path_graph(6), star_graph(4), cycle_graph(7)):
-            assert g.vertex_count < colourings.SIEVE_WIDTH
             got = distinguishing_probability_mc(g, k, 400, SeededRng(9, 1)).successes
             assert got == mc_one_stage(g, k, 400, SeededRng(9, 1))
+
+    @pytest.mark.parametrize("trials", [1, 63, 64, 65, 700])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_partial_words_and_planes(self, trials, k):
+        # 700 trials fill 10 words and 60 bits of an 11th; k = 2..5 take 1-3 planes
+        for name in ("C8", "Q3", "K4"):
+            g = ORACLE_GRAPHS[name]
+            got = distinguishing_probability_mc(g, k, trials, SeededRng(4, k)).successes
+            assert got == mc_one_stage(g, k, trials, SeededRng(4, k)), name
+
+    @pytest.mark.parametrize("n", [0, 1])
+    @pytest.mark.parametrize("enum_cap", [0, 10**6])
+    def test_zero_and_one_vertex(self, n, enum_cap):
+        g = Graph.from_edges(n, [])
+        for k in (2, 5):
+            got = distinguishing_probability_mc(g, k, 65, SeededRng(2), enum_cap=enum_cap)
+            assert got.successes == mc_one_stage(g, k, 65, SeededRng(2)) == 65
 
     def test_no_label_rows(self):
         g = asymmetric_graph()
@@ -394,23 +413,23 @@ class TestTwoStageCheck:
 
     @pytest.mark.parametrize("budget", [1, 200, 5000])
     def test_small_budget_keeps_counts_and_chunks(self, monkeypatch, budget):
-        # a (label row, trial) pair of the first stage may survive into two
-        # intp indices, so a chunk of pairs stays within budget / 16
+        # a block holds budget / (8 n) trials' draws, and a chunk of label rows
+        # two (rows, words) uint64 arrays within the budget
         shapes = []
-        agrees_on = colourings.agrees_on
+        agreement = colourings.agreement
 
-        def recording(images, colours, columns):
-            shapes.append((len(images), colours.shape[1]))
-            return agrees_on(images, colours, columns)
+        def recording(images, planes, columns):
+            shapes.append((len(images), planes.shape[2]))
+            return agreement(images, planes, columns)
 
         g = hypercube(4)
         want = mc_one_stage(g, 2, 100, SeededRng(6, 2))
         monkeypatch.setattr(colourings, "BLOCK_BYTES", budget)
-        monkeypatch.setattr(colourings, "agrees_on", recording)
+        monkeypatch.setattr(colourings, "agreement", recording)
         assert distinguishing_probability_mc(g, 2, 100, SeededRng(6, 2)).successes == want
-        per_block = max(1, budget // (8 * 16))
-        assert shapes and all(trials <= per_block for _, trials in shapes)
-        assert all(rows == 1 or rows * trials <= budget // 16 for rows, trials in shapes)
+        words = -(-max(1, budget // (8 * 16)) // 64)
+        assert shapes and all(w == words for _, w in shapes)
+        assert all(rows == 1 or 16 * rows * w <= budget for rows, w in shapes)
 
     @pytest.mark.parametrize("seed", [1, 2])
     @pytest.mark.parametrize("name", sorted(BENCH_MC_RUNS))
@@ -418,6 +437,63 @@ class TestTwoStageCheck:
         g, stream, trials = BENCH_MC_RUNS[name]
         got = distinguishing_probability_mc(g, 2, trials, SeededRng(seed, stream)).successes
         assert got == mc_one_stage(g, 2, trials, SeededRng(seed, stream))
+
+
+class TestBitPlanes:
+    """`bit_planes`, `unpack_bits` and `agreement` against their definitions."""
+
+    @pytest.mark.parametrize("count", [0, 1, 63, 64, 65, 130])
+    def test_bit_t_of_word_w_is_colouring_64w_plus_t(self, count):
+        colours = np.random.default_rng(count).integers(0, 5, (3, count))
+        planes = colourings.bit_planes(colours, 5)
+        assert planes.dtype == np.uint64 and planes.shape == (3, 3, -(-count // 64))
+        for j, plane in enumerate(planes.tolist()):
+            for row, words in zip(colours.tolist(), plane):
+                want = [0] * len(words)
+                for i, colour in enumerate(row):
+                    want[i // 64] |= ((colour >> j) & 1) << (i % 64)
+                assert words == want
+            unpacked = colourings.unpack_bits(planes[j], count)
+            assert unpacked.tolist() == ((colours >> j) & 1).tolist()
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 9])
+    @pytest.mark.parametrize("count", [1, 63, 64, 65, 130])
+    def test_agreement_matches_colour_comparison(self, k, count):
+        rnd = np.random.default_rng(k * 1000 + count)
+        n = 7
+        colours = rnd.integers(0, k, (n, count)).astype(np.uint8)
+        images = np.array([rnd.permutation(n) for _ in range(5)], dtype=np.intp)
+        planes = colourings.bit_planes(colours, k)
+        assert planes.shape == ((k - 1).bit_length(), n, -(-count // 64))
+        for columns in ([], [3], list(range(n))):
+            got = colourings.unpack_bits(colourings.agreement(images, planes, columns), count)
+            for r, row in enumerate(images):
+                agree = [all(colours[row[v], i] == colours[v, i] for v in columns)
+                         for i in range(count)]
+                assert got[r].tolist() == agree
+        assert colourings.agreement(images[:0], planes, range(n)).shape == (0, planes.shape[2])
+
+
+class TestDistinctRows:
+    """The label rows are deduplicated with `np.unique` over a void view of
+    each row; the set must be `np.unique(axis=0)`'s, in one order."""
+
+    @pytest.mark.parametrize("shape", [(0, 5), (1, 5), (2, 0), (40, 3), (300, 6)])
+    def test_same_rows_as_unique_axis_0(self, shape):
+        rows = np.random.default_rng(sum(shape)).integers(0, 3, shape).astype(np.intp)
+        got = colourings._distinct_rows(rows)
+        assert sorted(map(tuple, got.tolist())) == sorted(
+            map(tuple, np.unique(rows, axis=0).tolist())
+        )
+        # the order depends on the rows' contents only
+        shuffled = rows[np.random.default_rng(1).permutation(len(rows))]
+        assert colourings._distinct_rows(shuffled).tolist() == got.tolist()
+
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    def test_hypercube_labels(self, d):
+        labels = colourings._prime_order_partitions(automorphism_group(hypercube(d)), 10**6)
+        want = prime_order_labels(automorphism_group(hypercube(d)))
+        assert sorted(map(tuple, labels.tolist())) == want
 
 
 def test_cycle_labels_are_the_cycle_minima():
@@ -591,6 +667,16 @@ class TestCertificatePath:
         calls = self.count_searches(monkeypatch)
         assert distinguishing_probability_mc(g, 2, 200, SeededRng(1), enum_cap=0).successes == want
         assert len(calls) == 200
+
+    @pytest.mark.parametrize("name", sorted(CERTIFICATE_GRAPHS))
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_searches_only_the_trials_no_generator_preserves(self, monkeypatch, name, k):
+        g = CERTIFICATE_GRAPHS[name]
+        for seed in (1, 7):
+            want = uncertified_trials(g, k, 130, SeededRng(seed, 2))
+            calls = self.count_searches(monkeypatch)
+            distinguishing_probability_mc(g, k, 130, SeededRng(seed, 2), enum_cap=0)
+            assert len(calls) == want, seed
 
     @pytest.mark.parametrize("n", [0, 1, 7])
     def test_trivial_groups_certify_nothing(self, n):

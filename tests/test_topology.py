@@ -16,6 +16,7 @@ from symbreak.graphs import (
     generate_family,
     hypercube,
     path_graph,
+    star_graph,
 )
 from symbreak.groups import PermGroup
 from symbreak.perms import Perm
@@ -399,6 +400,23 @@ class TestExpectedStabiliserMeasure:
             )
             want = Fraction(pairs, 2**n * len(elems))
             assert expected_stabiliser_measure(g).colour_first == want, name
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+    @pytest.mark.parametrize("budget", [1, 1 << 24])
+    def test_packed_count_matches_brute_force(self, monkeypatch, n, budget):
+        # 2^n colourings fill part of one word for n < 6, one word at n = 6
+        # and two at n = 7; a one-byte budget takes one element per slice
+        monkeypatch.setattr(topology, "BLOCK_BYTES", budget)
+        graphs = [path_graph(n), star_graph(n - 1), complete_graph(n)]
+        for g in graphs + ([cycle_graph(n)] if n > 2 else []):
+            elems = [e.images for e in automorphism_group(g).elements()]
+            pairs = sum(
+                all((bits >> e[v]) & 1 == (bits >> v) & 1 for v in range(n))
+                for bits in range(2**n)
+                for e in elems
+            )
+            rep = expected_stabiliser_measure(g)
+            assert rep.colour_first == Fraction(pairs, 2**n * len(elems)), (n, g.edges())
 
     def test_fubini_mismatch_raises_invariant_error(self, monkeypatch):
         # wrong cycle labels break the group-first route only
