@@ -241,8 +241,14 @@ def _tree_automorphisms(g: Graph, colours):
     return group_order
 
 
-def _automorphisms(g: Graph, colours):
-    """Generators of the (colour-preserving) automorphism group of g, lazily.
+def _automorphisms(g: Graph, colours, fixing=()):
+    """Generators of the (colour-preserving) automorphism group of g that
+    fix every point of `fixing`, lazily.
+
+    The points are individualised (McKay 1981): the i-th distinct point s
+    is coloured (colours[s], i + 1) and every other vertex v (colours[v], 0),
+    so each point is a colour class of its own, sorting just after the rest
+    of its colour; the uniform colouring stands in for no colours.
 
     A tree yields its sibling swaps in BFS order and then, for a centre
     edge, the swap of the halves; any other graph yields each search
@@ -253,6 +259,12 @@ def _automorphisms(g: Graph, colours):
     n = g.vertex_count
     if colours is not None and len(colours) != n:
         raise ValueError("vertex colouring must be total")
+    rank = {}
+    for s in fixing:
+        g._check_vertex(s)
+        rank.setdefault(s, len(rank) + 1)
+    if rank:
+        colours = [(0 if colours is None else colours[v], rank.get(v, 0)) for v in range(n)]
     if g.is_tree():
         return (yield from _tree_automorphisms(g, colours)), None
     return (yield from _search(g, colours))
@@ -355,25 +367,29 @@ def _search(g: Graph, vertex_colours):
     return group_order, tuple(left_seq)
 
 
-def first_automorphism(g: Graph, vertex_colours=None):
-    """The first of g's automorphism generators, or None when the group is trivial.
+def first_automorphism(g: Graph, vertex_colours=None, fixing=()):
+    """The first generator of ``automorphism_group(g, vertex_colours, fixing)``,
+    or None when that group is trivial.
 
     The search stops there, so one automorphism certifies a non-trivial
     colour stabiliser; on a tree it is the first swap of code-equal
     siblings, or else of the halves.
     """
-    return next(_automorphisms(g, vertex_colours), None)
+    return next(_automorphisms(g, vertex_colours, fixing), None)
 
 
-def automorphism_group(g: Graph, vertex_colours=None) -> PermGroup:
-    """The automorphism group of g, colour-preserving when colours are given.
+def automorphism_group(g: Graph, vertex_colours=None, fixing=()) -> PermGroup:
+    """The automorphism group of g, colour-preserving when colours are given,
+    and fixing each vertex of the iterable `fixing`.
 
-    The group carries the order the search returns, so its ``order()``
-    builds no stabiliser chain.  On a graph that is not a tree it also
-    carries the search's left path as its base, so its chain needs no
-    Schreier-Sims.
+    The fixed points are individualised in the search, so the pointwise
+    stabiliser Aut(g, colours) ∩ Fix(fixing) costs one coloured search; a
+    repeated point counts once and each must be a vertex of g.  The group
+    carries the order the search returns, so its ``order()`` builds no
+    stabiliser chain.  On a graph that is not a tree it also carries the
+    search's left path as its base, so its chain needs no Schreier-Sims.
     """
-    search = _automorphisms(g, vertex_colours)
+    search = _automorphisms(g, vertex_colours, fixing)
     gens = []
     while True:
         try:

@@ -4,8 +4,8 @@ A colouring is distinguishing when no non-identity automorphism preserves
 it.  This module computes colouring stabilisers exactly, exact and Monte
 Carlo distinguishing probabilities, the motion-based random-colouring
 bound of Russel and Sundaram, and partial-colouring preservation.  The
-root-fixing tree witness is the colour stabiliser's first automorphism with
-the root individualised, as every subgroup of Aut(G) here is some Aut(G, c).
+root-fixing tree witness is ``first_automorphism(g, c, fixing=(root,))``:
+every subgroup of Aut(G) here is some Aut(G, c) ∩ Fix(S), from one search.
 The estimators read a group through ``PermGroup.element_blocks`` (element
 image rows in arrays) or its generators, never through its stabiliser
 chain, and share its ``BLOCK_BYTES`` budget for their trial blocks.
@@ -460,15 +460,11 @@ def partial_stabiliser(
 def find_tree_automorphism(g: Graph, root: int, c: Colouring) -> Optional[Perm]:
     """A non-identity colour-preserving automorphism fixing the root, or None.
 
-    Works on trees only: the first automorphism of the colouring with the
-    root individualised, each vertex v coloured (c[v], v == root).  That is
-    the first swap of code-equal sibling subtrees in the code table rooted
-    at the tree's centre.  Returns None exactly when the root-fixing colour
-    stabiliser is trivial.
+    Works on trees only: the first automorphism of the colouring that fixes
+    the root.  That is the first swap of code-equal sibling subtrees in the
+    code table rooted at the tree's centre.  Returns None exactly when the
+    root-fixing colour stabiliser is trivial.
     """
     if not g.is_tree():
         raise ValueError("graph is not a tree")
-    g._check_vertex(root)
-    if len(c) != g.vertex_count:
-        raise ValueError("colouring must be total")
-    return first_automorphism(g, [(c[v], v == root) for v in range(g.vertex_count)])
+    return first_automorphism(g, c.colours, fixing=(root,))

@@ -338,8 +338,8 @@ def sphere_classes(
 
 def _suborbits(g: Graph, colours, s):
     """The orbits of the stabiliser of s in Aut(g, colours): the coloured
-    search with s individualised, each vertex v coloured (colours[v], v == s)."""
-    return automorphism_group(g, [(c, v == s) for v, c in enumerate(colours)]).orbits()
+    search with s fixed."""
+    return automorphism_group(g, colours, fixing=(s,)).orbits()
 
 
 def _suborbit_mismatch_count(suborbits_s, suborbits_t, phi):

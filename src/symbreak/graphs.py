@@ -88,7 +88,7 @@ class Graph:
         return len(self.adjacency[v])
 
     def _check_vertex(self, v):
-        if not isinstance(v, int) or not 0 <= v < self.vertex_count:
+        if type(v) is not int or not 0 <= v < self.vertex_count:  # `True` is no vertex
             raise ValueError(f"invalid vertex index {v!r} for graph on {self.vertex_count} vertices")
 
     def distances(self, v):

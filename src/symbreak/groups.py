@@ -7,11 +7,12 @@ automorphism search of a graph that is not a tree arrives with its chain:
 the search's generators are a strong generating set relative to its left
 path, so only the transversals are built.  A group given by generators
 alone (a tree's sibling swaps, a pointwise stabiliser) runs a
-deterministic Schreier-Sims.  Subgroups of Aut(G) are Aut(G, c) for a
-colouring c, from the automorphism search; the one subgroup built here,
-the pointwise stabiliser, serves ``ball_decomposition``, which has only
-the group.  It is read off one Schreier-Sims run with the points as the
-base prefix.
+deterministic Schreier-Sims.  Subgroups of Aut(G) are Aut(G, c) ∩ Fix(S)
+for a colouring c and a point set S, from one automorphism search
+(``automorphism_group(g, c, fixing=S)``); the one subgroup built here, the
+pointwise stabiliser, serves ``ball_decomposition``, which has only the
+group.  It is read off one Schreier-Sims run with the points as the base
+prefix.
 
 Elements, element rows and motion share one walk over the chain: the
 products rep_0 * rep_1 * ... * rep_{k-1} of one coset representative per
@@ -351,12 +352,6 @@ class PermGroup:
         while prefixes := list(itertools.islice(walk, rows // len(tail))):
             heads = np.array([p.images for p in prefixes], dtype=np.intp)
             yield heads[:, tail].reshape(len(prefixes) * len(tail), n)
-
-    def orbit(self, s):
-        """The orbit of a point, as a sorted tuple; the generators suffice, so
-        no chain is built."""
-        self._check_point(s)
-        return tuple(sorted(orbit_of((s,), self.generators)))
 
     def orbits(self):
         """All orbits on 0..degree-1, sorted by smallest element; no chain."""

@@ -20,7 +20,7 @@ class Perm:
             n = len(images)
             seen = [False] * n
             for i in images:
-                if not isinstance(i, int) or not 0 <= i < n or seen[i]:
+                if type(i) is not int or not 0 <= i < n or seen[i]:  # `True` is no image
                     raise ValueError(f"not a permutation of 0..{n - 1}: {images!r}")
                 seen[i] = True
         object.__setattr__(self, "images", images)

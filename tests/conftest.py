@@ -137,6 +137,17 @@ def seeded_random_graphs(seed, count, max_n=9):
     return out
 
 
+def plain_and_coloured(graphs, seed):
+    """(name, graph, colours) for each (name, graph) uncoloured and randomly 2-coloured."""
+    rnd = random.Random(seed)
+    out = []
+    for name, g in graphs:
+        n = g.vertex_count
+        out.append((name, g, (0,) * n))
+        out.append((f"{name} coloured", g, tuple(rnd.randrange(2) for _ in range(n))))
+    return out
+
+
 def seeded_random_trees(seed, count, max_n=30):
     """`count` seeded random recursive trees on 1..max_n vertices, relabelled."""
     rnd = random.Random(seed)
@@ -326,8 +337,7 @@ def stabiliser_generators(group, s):
 
 def suborbits(group, s):
     """Orbit partition of all points under the stabiliser of s, by filtering
-    the group's elements; the oracle for the coloured search with s
-    individualised."""
+    the group's elements; the oracle for the coloured search fixing s."""
     group._check_point(s)
     stab = [e for e in group.elements() if e(s) == s]
     return _orbit_partition(group.degree, stab)

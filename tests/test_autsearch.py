@@ -29,10 +29,12 @@ from symbreak.graphs import (
 )
 from symbreak.groups import PermGroup
 from symbreak.perms import Perm
+from symbreak.topology import ExhaustionSequence
 
 from conftest import (
     brute_force_automorphisms,
     petersen_graph,
+    plain_and_coloured,
     refine_every_cell,
     seeded_random_graphs,
     seeded_random_trees,
@@ -192,12 +194,56 @@ def test_first_automorphism_is_the_first_generator(corpus):
         + seeded_random_trees(12, 80)
     )
     rnd = random.Random(13)
+    points = random.Random(14)
     for index, g in enumerate(graphs):
         n = g.vertex_count
         for k in (None, 2, 3):
             colours = None if k is None else tuple(rnd.randrange(k) for _ in range(n))
-            gens = automorphism_group(g, colours).generators
-            assert first_automorphism(g, colours) == (gens[0] if gens else None), (index, k)
+            for fixing in ((), points.sample(range(n), points.randint(1, min(n, 3)))):
+                gens = automorphism_group(g, colours, fixing).generators
+                first = first_automorphism(g, colours, fixing)
+                assert first == (gens[0] if gens else None), (index, k, fixing)
+
+
+def test_fixing_is_the_pointwise_stabiliser(corpus):
+    """`fixing=S` gives Aut(g, c) ∩ Fix(S): the order of the Schreier-Sims
+    oracle `pointwise_stabiliser(S)`, for every ball about vertex 0 and for
+    seeded random point sets, the empty set and repeated points included,
+    each handed over as a one-pass iterator."""
+    d3 = family("regular_tree", 2, degree=3)
+    n = d3.vertex_count
+    # two d3 R2 balls joined root to root: a tree with the centre edge (0, n)
+    bicentral = Graph.from_edges(2 * n, d3.edges() + [(u + n, v + n) for u, v in d3.edges()] + [(0, n)])
+    graphs = (
+        list(corpus.items())
+        + [(f"Q{d}", hypercube(d)) for d in (4, 5, 6)]
+        + [(f"d3R{r}", family("regular_tree", r, degree=3)) for r in (2, 3, 4)]
+        + [("bicentral", bicentral), ("grid2R6", family("grid", 6, dimension=2))]
+        + [("ladderR8", family("ladder", 8))]
+        + [(f"random{i}", g) for i, g in enumerate(seeded_random_graphs(61, 40))]
+    )
+    assert _tree_centres(bicentral) == [0, n]
+    rnd = random.Random(62)
+    for name, g, colours in plain_and_coloured(graphs, 63):
+        n = g.vertex_count
+        group = automorphism_group(g, colours)
+        point_sets = [list(ball) for ball in ExhaustionSequence.balls(g, 0).sets] + [[]]
+        point_sets += [[rnd.randrange(n) for _ in range(rnd.randint(1, 5))] for _ in range(4)]
+        for points in point_sets:
+            fixer = automorphism_group(g, colours, fixing=iter(points))
+            assert fixer.order() == group.pointwise_stabiliser(points).order(), (name, points)
+            for h in fixer.generators:
+                assert all(h(s) == s for s in points), (name, points)
+                assert all(colours[h(v)] == colours[v] for v in range(n)), (name, points)
+
+
+@pytest.mark.parametrize("point", [-1, 4, True, 1.0, "0"])
+@pytest.mark.parametrize("graph", [cycle_graph(4), path_graph(4)], ids=["search", "tree"])
+def test_fixing_rejects_what_is_no_vertex(graph, point):
+    with pytest.raises(ValueError, match="invalid vertex index"):
+        automorphism_group(graph, fixing=(0, point))
+    with pytest.raises(ValueError, match="invalid vertex index"):
+        first_automorphism(graph, (0, 1, 0, 1), fixing=[point])
 
 
 def mirrored_tree(rnd, m):

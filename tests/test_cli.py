@@ -309,6 +309,8 @@ def test_bad_json_graph_field_exits_2_with_one_error_line(tmp_path, capsys, fiel
         (["spheres", "--graph", "C4", "--pair", "0", "1", "--horizon", "-1"],
          "horizon must be non-negative"),
         (["growth", "--graph", "C4", "--epsilon", "0.5"], "eps must lie strictly between 0 and 1/2"),
+        (["metric", "--graph", "C4", "--perm-a", "[true, false, 2, 3]", "--perm-b", "[0, 1, 2, 3]"],
+         "not a permutation of 0..3"),
     ],
 )
 def test_out_of_range_inputs_exit_2(capsys, c4_file, argv, message):

@@ -7,6 +7,7 @@ import pytest
 from conftest import (
     dsc_by_full_distances,
     gamma_refinement_by_elements,
+    plain_and_coloured,
     seeded_random_graphs,
     sphere,
     suborbits,
@@ -236,11 +237,11 @@ class TestSphereEquivalence:
         # empty and agreement would be vacuous)
         for g in [cycle_graph(6), complete_graph(4), path_graph(5)]:
             n = g.vertex_count
-            aut = automorphism_group(g)
+            orbits = automorphism_group(g).orbits()
             for u in range(n):
                 for v in range(n):
                     horizon = max(g.distances(u) + g.distances(v))
-                    in_orbit = v in aut.orbit(u)
+                    in_orbit = any(u in orbit and v in orbit for orbit in orbits)
                     expected = False
                     for n0 in range(0, horizon + 1):
                         if all(
@@ -378,20 +379,9 @@ class TestGammaEquivalence:
                         )
 
 
-def plain_and_coloured(graphs, seed):
-    """(name, graph, colours) for each graph uncoloured and randomly 2-coloured."""
-    rnd = random.Random(seed)
-    out = []
-    for name, g in graphs:
-        n = g.vertex_count
-        out.append((name, g, (0,) * n))
-        out.append((f"{name} coloured", g, tuple(rnd.randrange(2) for _ in range(n))))
-    return out
-
-
 class TestSuborbitsByColouredSearch:
-    """The suborbits of s are the orbits of Aut(G, c) with s individualised;
-    filtering the elements of Aut(G, c) is the oracle."""
+    """The suborbits of s are the orbits of Aut(G, c) fixing s; filtering
+    the elements of Aut(G, c) is the oracle."""
 
     def test_corpus_and_random_graphs(self, corpus):
         graphs = list(corpus.items())

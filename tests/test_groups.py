@@ -28,7 +28,7 @@ from symbreak.graphs import (
     hypercube,
     path_graph,
 )
-from symbreak.groups import PermGroup
+from symbreak.groups import PermGroup, orbit_of
 from symbreak.perms import Perm
 
 
@@ -104,18 +104,20 @@ def test_order_matches_element_closure():
 class TestOrbits:
     def test_trivial_group_orbit(self):
         g = PermGroup(4, [])
-        assert g.orbit(2) == (2,)
+        assert g.orbits() == ((0,), (1,), (2,), (3,))
+        assert orbit_of((2,), g.generators) == {2}
 
     def test_cycle_is_vertex_transitive(self):
         aut = automorphism_group(cycle_graph(6))
+        assert aut.orbits() == (tuple(range(6)),)
         for v in range(6):
-            assert aut.orbit(v) == tuple(range(6))
+            assert orbit_of((v,), aut.generators) == set(range(6))
 
     def test_orbit_membership_symmetric(self):
-        aut = automorphism_group(path_graph(5))
+        gens = automorphism_group(path_graph(5)).generators
         for s in range(5):
             for t in range(5):
-                assert (t in aut.orbit(s)) == (s in aut.orbit(t))
+                assert (t in orbit_of((s,), gens)) == (s in orbit_of((t,), gens))
 
     def test_suborbits_of_c6(self):
         g = cycle_graph(6)
@@ -133,14 +135,10 @@ def indicator(n, subset):
     return [v in subset for v in range(n)]
 
 
-def individualised(n, subset):
-    """The colouring of 0..n-1 whose stabiliser in Aut(G) fixes subset pointwise."""
-    return [v if v in subset else -1 for v in range(n)]
-
-
 class TestStabilisers:
-    """Point and set stabilisers in Aut(G) are Aut(G, c); base change and the
-    element filter are their oracles."""
+    """Point stabilisers in Aut(G) are the search with `fixing=`, set
+    stabilisers are Aut(G, c); base change and the element filter are their
+    oracles."""
 
     def test_setwise_of_everything_is_group(self):
         g = cycle_graph(5)
@@ -183,7 +181,7 @@ class TestStabilisers:
             sw_expect = [e for e in elems if {e(s) for s in subset} == set(subset)]
             assert aut.pointwise_stabiliser(subset).order() == len(pw_expect)
             assert setwise_stabiliser(aut, subset).order() == len(sw_expect)
-            assert automorphism_group(g, individualised(6, subset)).order() == len(pw_expect)
+            assert automorphism_group(g, fixing=subset).order() == len(pw_expect)
             assert automorphism_group(g, indicator(6, subset)).order() == len(sw_expect)
 
     def test_pointwise_stabiliser_of_a_tree_runs_one_schreier_sims(self, monkeypatch):
@@ -388,7 +386,7 @@ class TestCosetWalk:
 
 
 class TestOrbitsByBruteForce:
-    """orbit, the coloured-search suborbits and the Schreier-generator oracle
+    """orbits, the coloured-search suborbits and the Schreier-generator oracle
     against the elements, which come from the recursive oracle so that a
     wrong walk cannot hide here."""
 
@@ -401,8 +399,8 @@ class TestOrbitsByBruteForce:
     def test_orbits(self, corpus):
         for group in self.small_groups(corpus):
             elems = list(elements_by_recursion(group))
-            for s in range(group.degree):
-                assert group.orbit(s) == tuple(sorted({e(s) for e in elems}))
+            expect = sorted({tuple(sorted({e(s) for e in elems})) for s in range(group.degree)})
+            assert group.orbits() == tuple(expect)
 
     def test_stabiliser_generators_generate_the_stabiliser(self, corpus):
         for group in self.small_groups(corpus):
@@ -427,7 +425,6 @@ class TestOrbitsByBruteForce:
 
 # the oracles keep the point checks of the PermGroup members they replace
 POINT_QUERIES = {
-    "orbit": PermGroup.orbit,
     "suborbits": suborbits,
     "stabiliser_generators": stabiliser_generators,
     "pointwise_stabiliser": PermGroup.pointwise_stabiliser,
@@ -435,7 +432,7 @@ POINT_QUERIES = {
 }
 
 
-@pytest.mark.parametrize("query", ["orbit", "suborbits", "stabiliser_generators"])
+@pytest.mark.parametrize("query", ["suborbits", "stabiliser_generators"])
 @pytest.mark.parametrize("point", [-1, 6, 99])
 def test_point_queries_reject_points_outside_the_group(query, point):
     aut = automorphism_group(cycle_graph(6))

@@ -248,13 +248,16 @@ def test_package_functions_read_every_parameter():
 UNCALLED_NAMES_ALLOWED = {"SeededRng.raw_words"}
 
 
-def names_used(tree):
-    """Every name, attribute and whole-string constant in `tree`: the bench
-    tracer looks the names it wraps up by string."""
+def names_used(tree, bare_names=True):
+    """Every attribute and whole-string constant in `tree`, and every bare
+    name unless `bare_names` is false: the bench tracer looks the names it
+    wraps up by string, and a method is called only as an attribute, so a
+    local variable of the same name is no caller."""
     return Counter(
         n.id if isinstance(n, ast.Name) else n.attr if isinstance(n, ast.Attribute) else n.value
         for n in ast.walk(tree)
-        if isinstance(n, (ast.Name, ast.Attribute))
+        if isinstance(n, ast.Name) and bare_names
+        or isinstance(n, ast.Attribute)
         or isinstance(n, ast.Constant) and isinstance(n.value, str)
     )
 
@@ -266,24 +269,27 @@ def test_every_public_name_has_a_caller():
     root = Path(__file__).resolve().parents[1]
     package = sorted(Path(symbreak.__file__).parent.glob("*.py"))
     callers = sorted((root / "bench").glob("*.py")) + [root / "tests" / "test_acceptance.py"]
-    used, defined = Counter(), []
+    used = {True: Counter(), False: Counter()}  # keyed by `bare_names`
+    defined = []  # (qualified name, definition, whether bare names count)
     for path in package + callers:
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        used += names_used(tree)
+        for bare_names, counter in used.items():
+            counter.update(names_used(tree, bare_names))
         for node in tree.body if path in package else ():
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
                 continue
-            defined.append((node.name, node))
+            defined.append((node.name, node, True))
             if isinstance(node, ast.ClassDef):
                 defined += [
-                    (f"{node.name}.{method.name}", method)
+                    (f"{node.name}.{method.name}", method, False)
                     for method in node.body
                     if isinstance(method, ast.FunctionDef) and not method.name.startswith("_")
                 ]
     found = [
         qualified
-        for qualified, node in defined
-        if used[node.name] == names_used(node)[node.name] and qualified not in UNCALLED_NAMES_ALLOWED
+        for qualified, node, bare_names in defined
+        if used[bare_names][node.name] == names_used(node, bare_names)[node.name]
+        and qualified not in UNCALLED_NAMES_ALLOWED
     ]
     assert found == []
 

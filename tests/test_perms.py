@@ -55,6 +55,8 @@ def test_not_a_permutation_rejected():
         Perm([0, 0, 1])
     with pytest.raises(ValueError):
         Perm([0, 2])
+    with pytest.raises(ValueError):  # bool is a subclass of int, but `true` is no image
+        Perm.from_json("[true, false, 2]")
 
 
 def test_json_round_trip():
