@@ -136,11 +136,16 @@ def _tree_centres(g: Graph):
 
 
 class _RootedTree:
-    """Children lists, subtree code ids, and subtree swaps for a rooted tree."""
+    """Children lists, subtree code ids and subtree swaps for a tree rooted
+    at its centre: one vertex, or both ends u < v of the centre edge.  The
+    BFS starts at u and v is no child of u, so u's code is the u-half's and
+    the two halves are the centre's children."""
 
-    def __init__(self, g: Graph, root, colours):
+    def __init__(self, g: Graph, centre, colours):
         n = g.vertex_count
         adj = g.adjacency
+        root = centre[0]
+        self.centre = centre
         # BFS by layers, each sorted, so order is by (depth, vertex)
         self.order = order = [root]
         self.children = children = [None] * n
@@ -157,25 +162,22 @@ class _RootedTree:
             nxt.sort()
             order += nxt
             layer = nxt
-        # canonical code ids: equal ids iff equal keys
-        self.colours = colours
+        if len(centre) == 2:
+            children[root].remove(centre[1])
+        # canonical code ids: equal ids iff equal (colour, sorted child codes)
         interned = {}
-        self.code = [0] * n
+        self.code = code = [0] * n
         for v in reversed(order):
-            self.code[v] = interned.setdefault(self.key(v, children[v]), len(interned))
-
-    def key(self, v, kids):
-        """v's colour and the sorted codes of `kids`, a subset of its children."""
-        colour = self.colours[v] if self.colours is not None else 0
-        return colour, tuple(sorted([self.code[u] for u in kids]))
+            key = (0 if colours is None else colours[v], tuple(sorted([code[u] for u in children[v]])))
+            code[v] = interned.setdefault(key, len(interned))
 
     def identity(self):
         """[0, ..., n-1] made of the graph's own vertex ints, so a Perm built
         on it and kept by a caller holds no int objects of its own."""
         return sorted(self.order)
 
-    def sorted_children(self, v):
-        return sorted(self.children[v], key=lambda u: (self.code[u], u))
+    def by_code(self, vs):
+        return sorted(vs, key=lambda u: (self.code[u], u))
 
     def map_subtree(self, a, b, images):
         """Extend images by the code-matched bijection subtree(a) -> subtree(b)."""
@@ -183,19 +185,21 @@ class _RootedTree:
         while stack:
             a, b = stack.pop()
             images[a] = b
-            stack.extend(zip(self.sorted_children(a), self.sorted_children(b)))
+            stack.extend(zip(self.by_code(self.children[a]), self.by_code(self.children[b])))
 
     def swap_generators(self):
-        """Yield transpositions of adjacent code-equal sibling subtrees.
+        """Yield transpositions of adjacent code-equal subtrees.
 
-        They generate the full automorphism group of the rooted coloured
-        tree, the iterated wreath product over code-equal siblings.  When
-        exhausted, returns that group's order: the product over vertices of
-        m! for each class of m code-equal children.
+        The classes are each vertex's children, in BFS order, and last the
+        centre itself, whose two ends swap with their halves when the half
+        codes agree.  The swaps generate the full automorphism group of the
+        coloured tree, the iterated wreath product over code-equal siblings.
+        When exhausted, returns that group's order: the product of m! over
+        the classes of m code-equal subtrees, the centre's pair giving 2!.
         """
         group_order = 1
-        for v in self.order:
-            kids = self.sorted_children(v)
+        for kids in [self.children[v] for v in self.order] + [self.centre]:
+            kids = self.by_code(kids)
             run = 1  # members so far of the code-equal class of a
             for a, b in zip(kids, kids[1:]):
                 if self.code[a] != self.code[b]:
@@ -208,37 +212,6 @@ class _RootedTree:
                 self.map_subtree(b, a, images)
                 yield Perm(images, validate=False)
         return group_order
-
-
-def _tree_automorphisms(g: Graph, colours):
-    """Exact generators for a (coloured) tree via subtree codes; returns |Aut|.
-
-    Every automorphism fixes the centre, so the group fixing it is the
-    rooted tree's.  For a centre edge the two halves may additionally swap
-    when their codes agree, which doubles the order.
-    """
-    n = g.vertex_count
-    if n <= 1:
-        return 1
-    centres = _tree_centres(g)
-    tree = _RootedTree(g, centres[0], colours)
-    group_order = yield from tree.swap_generators()
-    if len(centres) == 1:
-        return group_order
-    # v is a child of u; the u-half is u's subtree without v, and the halves
-    # swap iff its key is v's, that is iff it would intern to v's code
-    u, v = centres
-    kids_u = [c for c in tree.sorted_children(u) if c != v]
-    kids_v = tree.sorted_children(v)
-    if tree.key(u, kids_u) == tree.key(v, kids_v):
-        images = [0] * n
-        images[u], images[v] = v, u
-        for a, b in zip(kids_u, kids_v):
-            tree.map_subtree(a, b, images)
-            tree.map_subtree(b, a, images)
-        yield Perm(images, validate=False)
-        group_order *= 2
-    return group_order
 
 
 def _automorphisms(g: Graph, colours, fixing=()):
@@ -266,7 +239,8 @@ def _automorphisms(g: Graph, colours, fixing=()):
     if rank:
         colours = [(0 if colours is None else colours[v], rank.get(v, 0)) for v in range(n)]
     if g.is_tree():
-        return (yield from _tree_automorphisms(g, colours)), None
+        tree = _RootedTree(g, _tree_centres(g), colours)
+        return (yield from tree.swap_generators()), None
     return (yield from _search(g, colours))
 
 
@@ -373,7 +347,7 @@ def first_automorphism(g: Graph, vertex_colours=None, fixing=()):
 
     The search stops there, so one automorphism certifies a non-trivial
     colour stabiliser; on a tree it is the first swap of code-equal
-    siblings, or else of the halves.
+    siblings, the halves counting as the centre's pair.
     """
     return next(_automorphisms(g, vertex_colours, fixing), None)
 

@@ -39,6 +39,12 @@ RS_SEARCH_ATTEMPTS = 1000
 _DIGITS = "0123456789"
 
 
+def _check_colours(colours, k):
+    for c in colours:
+        if type(c) is not int or not 0 <= c < k:  # `True` and `1.0` are no colour
+            raise ValueError(f"colour {c!r} out of range 0..{k - 1}")
+
+
 @dataclass(frozen=True)
 class Colouring:
     """Total map from vertices to colours 0..k-1."""
@@ -50,9 +56,7 @@ class Colouring:
         if self.k < 2:
             raise ValueError("at least 2 colours required")
         object.__setattr__(self, "colours", tuple(self.colours))
-        for c in self.colours:
-            if not 0 <= c < self.k:
-                raise ValueError(f"colour {c} out of range 0..{self.k - 1}")
+        _check_colours(self.colours, self.k)
 
     def __len__(self):
         return len(self.colours)
@@ -81,9 +85,10 @@ class PartialColouring:
             raise ValueError("domain and colours must have equal length")
         if len(set(self.domain)) != len(self.domain):
             raise ValueError("domain has repeated vertices")
-        for c in self.colours:
-            if not 0 <= c < self.k:
-                raise ValueError(f"colour {c} out of range 0..{self.k - 1}")
+        for s in self.domain:
+            if type(s) is not int or s < 0:
+                raise ValueError(f"invalid domain vertex {s!r}")
+        _check_colours(self.colours, self.k)
 
     def colour_map(self):
         return dict(zip(self.domain, self.colours))
@@ -138,14 +143,8 @@ def random_colouring(g: Graph, k: int = 2, rng: SeededRng = SeededRng(0)) -> Col
     return Colouring(tuple(rng.integers_below(k, g.vertex_count)), k)
 
 
-def _check_total(g: Graph, c: Colouring):
-    if len(c) != g.vertex_count:
-        raise ValueError("colouring must be total")
-
-
 def colouring_stabiliser(g: Graph, c: Colouring) -> PermGroup:
     """The colour-preserving automorphisms {gamma : c(gamma(s)) = c(s) for all s}."""
-    _check_total(g, c)
     return automorphism_group(g, vertex_colours=c.colours)
 
 
@@ -155,7 +154,6 @@ def is_distinguishing(g: Graph, c: Colouring) -> DistinguishReport:
     The witness is the stabiliser's first generator, and the search stops
     once it is found.
     """
-    _check_total(g, c)
     witness = first_automorphism(g, c.colours)
     return DistinguishReport(witness is None, witness)
 

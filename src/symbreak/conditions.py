@@ -369,7 +369,7 @@ def suborbit_equivalence(g: Graph, s: int, t: int, budget: int) -> bool:
         raise ValueError("budget must be non-negative")
     n = g.vertex_count
     for p in (s, t):
-        if not 0 <= p < n:
+        if type(p) is not int or not 0 <= p < n:
             raise ValueError(f"invalid point {p}")
     _, reps = transversal(s, automorphism_group(g).generators, n)
     if t not in reps:

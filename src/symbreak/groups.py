@@ -266,7 +266,7 @@ class PermGroup:
         return residue.is_identity()
 
     def _check_point(self, s):
-        if not 0 <= s < self.degree:
+        if type(s) is not int or not 0 <= s < self.degree:  # `True` is no point
             raise ValueError(f"invalid point {s}")
 
     def _coset_reps(self):

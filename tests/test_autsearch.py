@@ -250,7 +250,8 @@ def mirrored_tree(rnd, m):
     """Two copies of a random recursive tree on m vertices, joined root to root.
 
     Copy one holds 0..m-1 rooted at 0, copy two holds m..2m-1 rooted at m;
-    the centre is the edge between the roots or lies inside one copy.
+    swapping the copies maps the centre to itself and fixes no vertex, so
+    the centre is the edge between the roots.
     """
     parents = [rnd.randrange(v) for v in range(1, m)]
     edges = [(0, m)]
@@ -450,20 +451,28 @@ def test_search_order_matches_networkx_automorphism_counts():
     import networkx
 
     rnd = random.Random(53)
+
+    def plain_and_2_coloured(g):
+        return [(g, None), (g, tuple(rnd.randrange(2) for _ in range(g.vertex_count)))]
+
     graphs = [petersen_graph(), cycle_graph(10), hypercube(3)] + seeded_random_graphs(54, 60, max_n=10)
-    for index, g in enumerate(graphs):
+    # trees take the subtree-code path, not the search
+    graphs += seeded_random_trees(55, 40, max_n=12) + [path_graph(n) for n in range(1, 9)]
+    cases = [case for g in graphs for case in plain_and_2_coloured(g)]
+    for _ in range(40):
+        g = mirrored_tree(rnd, rnd.randint(1, 6))
+        half = tuple(rnd.randrange(2) for _ in range(g.vertex_count // 2))
+        # the mirrored colouring keeps the halves swap
+        cases += plain_and_2_coloured(g) + [(g, half + half)]
+    for index, (g, colours) in enumerate(cases):
         nxg = networkx.Graph()
         nxg.add_nodes_from(range(g.vertex_count))
         nxg.add_edges_from(g.edges())
-        for k in (None, 2):
-            colours = None if k is None else tuple(rnd.randrange(k) for _ in range(g.vertex_count))
-            for v in range(g.vertex_count):
-                nxg.nodes[v]["colour"] = None if colours is None else colours[v]
-            matcher = isomorphism.GraphMatcher(
-                nxg, nxg, node_match=lambda a, b: a["colour"] == b["colour"]
-            )
-            count = sum(1 for _ in matcher.isomorphisms_iter())
-            assert automorphism_group(g, colours).order() == count, (index, k)
+        for v in range(g.vertex_count):
+            nxg.nodes[v]["colour"] = None if colours is None else colours[v]
+        matcher = isomorphism.GraphMatcher(nxg, nxg, node_match=lambda a, b: a["colour"] == b["colour"])
+        count = sum(1 for _ in matcher.isomorphisms_iter())
+        assert automorphism_group(g, colours).order() == count, (index, colours)
 
 
 def test_search_leaves_the_recursion_limit_alone():

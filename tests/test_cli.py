@@ -590,6 +590,8 @@ def test_wrong_length_colours_exit_2(capsys, c4_file, p4_file, argv):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and "Traceback" not in err
+    if argv[0] != "layers":
+        assert err.startswith("error: vertex colouring must be total")
 
 
 def test_readme_result_table_lists_the_usage_subcommands():

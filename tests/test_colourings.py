@@ -819,6 +819,19 @@ class TestPartialColourings:
         with pytest.raises(ValueError):
             preserves_partial(Perm.identity(2), PartialColouring((5,), (0,)))
 
+    @pytest.mark.parametrize("colour", [1.0, True, -1, 2, "0"])
+    def test_what_is_no_colour_rejected(self, colour):
+        with pytest.raises(ValueError, match="out of range"):
+            Colouring((colour, 0))
+        with pytest.raises(ValueError, match="out of range"):
+            PartialColouring((0,), (colour,))
+
+    @pytest.mark.parametrize("point", [-1, True, 1.0])
+    def test_what_is_no_vertex_rejected_from_the_domain(self, point):
+        # -1 used to read as the last vertex: on P3 domain (-1, 0) gave (2, 0)'s stabiliser
+        with pytest.raises(ValueError, match="invalid domain vertex"):
+            PartialColouring((point, 0), (0, 1))
+
 
 def assert_witness_like_oracle(g, root, c, case):
     """A witness exists iff the nested-code oracle finds one, and it fixes the

@@ -283,7 +283,9 @@ class TestGammaEquivalence:
     def test_reflexive(self):
         assert suborbit_equivalence(cycle_graph(6), 2, 2, 0)
 
-    @pytest.mark.parametrize("s,t", [(0, 6), (0, 99), (0, -1), (6, 0), (-1, 0)])
+    @pytest.mark.parametrize(
+        "s,t", [(0, 6), (0, 99), (0, -1), (6, 0), (-1, 0), (True, 2), (1.0, 2), (0, True)]
+    )
     def test_points_outside_the_group_rejected(self, s, t):
         with pytest.raises(ValueError, match="invalid point"):
             suborbit_equivalence(cycle_graph(6), s, t, 0)

@@ -433,7 +433,7 @@ POINT_QUERIES = {
 
 
 @pytest.mark.parametrize("query", ["suborbits", "stabiliser_generators"])
-@pytest.mark.parametrize("point", [-1, 6, 99])
+@pytest.mark.parametrize("point", [-1, 6, 99, True, 1.0])
 def test_point_queries_reject_points_outside_the_group(query, point):
     aut = automorphism_group(cycle_graph(6))
     with pytest.raises(ValueError, match=f"invalid point {point}"):
@@ -441,9 +441,10 @@ def test_point_queries_reject_points_outside_the_group(query, point):
 
 
 @pytest.mark.parametrize("query", ["pointwise_stabiliser", "setwise_stabiliser"])
-@pytest.mark.parametrize("point", [-1, 6, 99])
+@pytest.mark.parametrize("point", [-1, 6, 99, True, 1.0])
 def test_stabilisers_reject_points_outside_the_group(query, point):
-    # -1 used to pass as vertex 5, and 6 or 99 raised IndexError
+    # -1 used to pass as vertex 5, True as vertex 1, and 6, 99 or 1.0 raised
+    # IndexError or TypeError
     aut = automorphism_group(cycle_graph(6))
     with pytest.raises(ValueError, match=f"invalid point {point}"):
         POINT_QUERIES[query](aut, [0, point])
