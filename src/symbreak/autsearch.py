@@ -11,6 +11,9 @@ increasing vertex order, so results are deterministic.
 Refinement re-examines only the cells that can split: after individualizing
 w, the cells with a neighbour of w; after a round, the cells with a
 neighbour in a piece of a cell that split, every piece but its largest.
+A round groups an examined cell's vertices by the sorted tuple of their
+neighbours' cell starts, and run-length codes only each distinct tuple
+into its (start, count) runs, the key that orders the pieces.
 The search keeps an explicit stack, so no depth needs the recursion limit
 raised, and returns |Aut| when exhausted: the product over the levels L of
 its left path of the orbit length of left_seq[L] under the generators
@@ -21,8 +24,6 @@ Trees skip the search: their generators and order come from subtree codes.
 """
 
 from __future__ import annotations
-
-from collections import Counter
 
 from .graphs import Graph
 from .groups import PermGroup, orbit_of
@@ -38,14 +39,29 @@ def _initial_partition(n, colours):
     return tuple(tuple(by_colour[c]) for c in sorted(by_colour))
 
 
+def _runs(starts):
+    """The (start, count) runs of a sorted tuple of cell starts, the sorted
+    items of its multiset: the key that orders the pieces of a split cell."""
+    counts = {}
+    for s in starts:
+        counts[s] = counts.get(s, 0) + 1
+    return list(counts.items())
+
+
 def _refine(adj, cells, touched=None):
     """Equitable refinement: split cells by neighbour-cell multisets.
 
     A cell is named by its start, the position of its first vertex in the
     flattened partition.  A split keeps every other cell's start, and starts
     order the cells as their indices do, so signatures sort as by index.
-    A round re-examines only the cells with a vertex adjacent to `touched`;
-    no other cell can split.  `touched` starts as the given vertices (None:
+    A round groups an examined cell's vertices, in cell order, by the
+    sorted tuple of their neighbours' starts: two vertices share a tuple
+    iff they share a neighbour-cell multiset.  The pieces are ordered by
+    the tuple's `_runs`, the sorted (start, count) items of that multiset,
+    computed once per distinct tuple; sorting the raw tuples would order
+    them differently, (0, 0) before (0, 5) where ((0, 1), (5, 1)) comes
+    before ((0, 2),).  A round re-examines only the cells with a vertex
+    adjacent to `touched`; no other cell can split.  `touched` starts as the given vertices (None:
     every cell is examined) and then holds, for each cell that split, the
     vertices of every piece but its first largest one, since the counts
     into that piece follow from the counts into the others.
@@ -58,6 +74,7 @@ def _refine(adj, cells, touched=None):
         for v in cell:
             cell_at[v] = start
         start += len(cell)
+    start_of = cell_at.__getitem__
     while True:
         examine = by_start if touched is None else {cell_at[u] for v in touched for u in adj[v]}
         splits = []
@@ -67,10 +84,9 @@ def _refine(adj, cells, touched=None):
                 continue
             groups = {}
             for v in cell:
-                sig = tuple(sorted(Counter(cell_at[u] for u in adj[v]).items()))
-                groups.setdefault(sig, []).append(v)
+                groups.setdefault(tuple(sorted(map(start_of, adj[v]))), []).append(v)
             if len(groups) > 1:
-                splits.append((start, [tuple(groups[sig]) for sig in sorted(groups)]))
+                splits.append((start, [tuple(groups[t]) for t in sorted(groups, key=_runs)]))
         if not splits:
             return tuple(by_start[s] for s in sorted(by_start))
         touched = []
@@ -214,14 +230,27 @@ class _RootedTree:
         return group_order
 
 
+def _pointed_colours(g: Graph, colours, fixing):
+    """`colours` with every point of `fixing` individualised (McKay 1981).
+
+    The i-th distinct point s is coloured (colours[s], i + 1) and every
+    other vertex v (colours[v], 0), so each point is a colour class of its
+    own, sorting just after the rest of its colour; the uniform colouring
+    stands in for no colours.  No points leave `colours` as it is.
+    """
+    rank = {}
+    for s in fixing:
+        g._check_vertex(s)
+        rank.setdefault(s, len(rank) + 1)
+    if not rank:
+        return colours
+    return [(0 if colours is None else colours[v], rank.get(v, 0)) for v in range(g.vertex_count)]
+
+
 def _automorphisms(g: Graph, colours, fixing=()):
     """Generators of the (colour-preserving) automorphism group of g that
-    fix every point of `fixing`, lazily.
-
-    The points are individualised (McKay 1981): the i-th distinct point s
-    is coloured (colours[s], i + 1) and every other vertex v (colours[v], 0),
-    so each point is a colour class of its own, sorting just after the rest
-    of its colour; the uniform colouring stands in for no colours.
+    fix every point of `fixing`, lazily; the points are individualised by
+    `_pointed_colours`.
 
     A tree yields its sibling swaps in BFS order and then, for a centre
     edge, the swap of the halves; any other graph yields each search
@@ -229,15 +258,9 @@ def _automorphisms(g: Graph, colours, fixing=()):
     a base relative to which the generators are strong, or None for a
     tree.
     """
-    n = g.vertex_count
-    if colours is not None and len(colours) != n:
+    if colours is not None and len(colours) != g.vertex_count:
         raise ValueError("vertex colouring must be total")
-    rank = {}
-    for s in fixing:
-        g._check_vertex(s)
-        rank.setdefault(s, len(rank) + 1)
-    if rank:
-        colours = [(0 if colours is None else colours[v], rank.get(v, 0)) for v in range(n)]
+    colours = _pointed_colours(g, colours, fixing)
     if g.is_tree():
         tree = _RootedTree(g, _tree_centres(g), colours)
         return (yield from tree.swap_generators()), None
@@ -281,7 +304,8 @@ def _search(g: Graph, vertex_colours):
             cu = images[u]
             if vertex_colours is not None and vertex_colours[u] != vertex_colours[cu]:
                 return None
-            if frozenset(images[w] for w in adj[u]) != adj_sets[cu]:
+            nbrs = adj_sets[cu]
+            if len(adj[u]) != len(nbrs) or not all(images[w] in nbrs for w in adj[u]):
                 return None
         cand = Perm(images, validate=False)
         return None if cand.is_identity() else cand

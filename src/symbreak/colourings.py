@@ -40,6 +40,8 @@ _DIGITS = "0123456789"
 
 
 def _check_colours(colours, k):
+    if type(k) is not int or k < 2:  # `True` and `2.0` are no number of colours
+        raise ValueError(f"at least 2 colours required: k must be an int >= 2, not {k!r}")
     for c in colours:
         if type(c) is not int or not 0 <= c < k:  # `True` and `1.0` are no colour
             raise ValueError(f"colour {c!r} out of range 0..{k - 1}")
@@ -53,8 +55,6 @@ class Colouring:
     k: int = 2
 
     def __post_init__(self):
-        if self.k < 2:
-            raise ValueError("at least 2 colours required")
         object.__setattr__(self, "colours", tuple(self.colours))
         _check_colours(self.colours, self.k)
 

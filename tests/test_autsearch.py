@@ -11,6 +11,7 @@ from symbreak.autsearch import (
     _first_nonsingleton,
     _individualize,
     _initial_partition,
+    _pointed_colours,
     _refine,
     _tree_centres,
     automorphism_group,
@@ -41,6 +42,26 @@ from conftest import (
 )
 
 
+def z4_squared_graph(differences):
+    """The graph on Z4 x Z4, vertex 4 i + j standing for (i, j), that joins
+    two vertices when they differ by one of `differences`."""
+    return Graph.from_edges(
+        16,
+        [
+            (u, v)
+            for u in range(16)
+            for v in range(u + 1, 16)
+            if ((v // 4 - u // 4) % 4, (v % 4 - u % 4) % 4) in differences
+        ],
+    )
+
+
+# both srg(16, 6, 2, 2), so refinement from the uniform partition splits
+# nothing and the search does all the work
+SHRIKHANDE = z4_squared_graph({(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)})
+ROOK_4X4 = z4_squared_graph({(0, 1), (0, 2), (0, 3), (1, 0), (2, 0), (3, 0)})  # K4 x K4
+
+
 KNOWN_ORDERS = [
     (path_graph(2), 2),
     (path_graph(4), 2),
@@ -54,12 +75,23 @@ KNOWN_ORDERS = [
     (complete_bipartite(3, 3), 72),
     (star_graph(4), 24),
     (hypercube(3), 48),
+    # vertex-transitive, and a vertex's stabiliser acts on its neighbourhood,
+    # a hexagon, as the dihedral group of order 12
+    (SHRIKHANDE, 16 * 12),
+    # permute the rows, permute the columns, transpose
+    (ROOK_4X4, 2 * math.factorial(4) ** 2),
 ]
 
 
 @pytest.mark.parametrize("graph, order", KNOWN_ORDERS)
 def test_known_group_orders(graph, order):
     assert automorphism_group(graph).order() == order
+
+
+@pytest.mark.parametrize("graph", [SHRIKHANDE, ROOK_4X4], ids=["shrikhande", "rook4x4"])
+def test_strongly_regular_graphs_do_not_refine(graph):
+    everything = (tuple(range(16)),)
+    assert _refine(graph.adjacency, everything) == everything
 
 
 def test_matches_brute_force_on_corpus(corpus):
@@ -340,35 +372,63 @@ def family(kind, radius, **params):
 
 def test_refinement_matches_the_every_cell_oracle(corpus):
     """Cells, their order and the order within each are the oracle's: on
-    initial partitions, and on every child of each node along a random path
-    down to a discrete partition."""
+    initial partitions, plain, coloured and with one or two points
+    individualised as `fixing=` does it, and on every child of each node
+    along a random path down to a discrete partition."""
     graphs = (
         list(corpus.values())
-        + [hypercube(d) for d in (3, 4, 5, 6)]
+        + [hypercube(d) for d in (3, 5, 6)]
         + [complete_graph(7), complete_bipartite(3, 5), cycle_graph(9), path_graph(12)]
         + [family("grid", 6, dimension=2), family("grid", 3, dimension=3)]
         + [family("ladder", 8), family("regular_tree", 3, degree=3)]
-        + seeded_random_graphs(31, 60, max_n=14)
     )
+    # these also start from partitions with one or two points individualised
+    pointed = [hypercube(4), family("grid", 4, dimension=2)] + seeded_random_graphs(31, 60, max_n=14)
     rnd = random.Random(32)
-    refinements = 0
-    for index, g in enumerate(graphs):
-        adj, n = g.adjacency, g.vertex_count
+    refinements = pointed_refinements = 0
+
+    def check_path_down(g, colours, case):
+        nonlocal refinements
+        adj = g.adjacency
+        cells = _initial_partition(g.vertex_count, colours)
+        pi = _refine(adj, cells)
+        assert pi == refine_every_cell(adj, cells), case
+        refinements += 1
+        while (idx := _first_nonsingleton(pi)) is not None:
+            children = []
+            for w in pi[idx]:
+                child = _refine(adj, _individualize(pi, w), (w,))
+                assert child == refine_every_cell(adj, _individualize(pi, w)), (case, w)
+                children.append(child)
+            refinements += len(children)
+            pi = rnd.choice(children)
+
+    for index, g in enumerate(graphs + pointed):
+        n = g.vertex_count
         for k in (None, 2, 3):
             colours = None if k is None else [rnd.randrange(k) for _ in range(n)]
-            cells = _initial_partition(n, colours)
-            pi = _refine(adj, cells)
-            assert pi == refine_every_cell(adj, cells), (index, k)
-            refinements += 1
-            while (idx := _first_nonsingleton(pi)) is not None:
-                children = []
-                for w in pi[idx]:
-                    child = _refine(adj, _individualize(pi, w), (w,))
-                    assert child == refine_every_cell(adj, _individualize(pi, w)), (index, k, w)
-                    children.append(child)
-                refinements += len(children)
-                pi = rnd.choice(children)
-    assert refinements >= 900
+            check_path_down(g, colours, (index, k))
+            if index < len(graphs):
+                continue
+            before = refinements
+            for size in (1, 2):
+                points = rnd.sample(range(n), min(size, n))
+                check_path_down(g, _pointed_colours(g, colours, points), (index, k, points))
+            pointed_refinements += refinements - before
+    assert refinements >= 1400 and pointed_refinements >= 400
+
+
+def test_pieces_follow_the_neighbour_cell_counts():
+    """A split cell's pieces are ordered by their sorted (start, count)
+    runs, not by the sorted tuples of neighbour starts.  Cell (3, 4) at
+    start 3 splits: 3 has both neighbours in cell 0, runs ((0, 2),), and 4
+    one in cell 0 and one in cell 5, runs ((0, 1), (5, 1)), so 4 comes
+    first, while the raw tuples (0, 0) < (0, 5) would put 3 first.  Then
+    (0, 1, 2) splits as 2, next to 4 now at start 3, before 0 and 1."""
+    adj = Graph.from_edges(6, [(0, 3), (1, 3), (2, 4), (4, 5)]).adjacency
+    cells = ((0, 1, 2), (3, 4), (5,))
+    assert _refine(adj, cells) == ((2,), (0, 1), (4,), (3,), (5,))
+    assert _refine(adj, cells) == refine_every_cell(adj, cells)
 
 
 def search_record(g, colours):
@@ -464,6 +524,7 @@ def test_search_order_matches_networkx_automorphism_counts():
         half = tuple(rnd.randrange(2) for _ in range(g.vertex_count // 2))
         # the mirrored colouring keeps the halves swap
         cases += plain_and_2_coloured(g) + [(g, half + half)]
+    cases += plain_and_2_coloured(SHRIKHANDE) + plain_and_2_coloured(ROOK_4X4)
     for index, (g, colours) in enumerate(cases):
         nxg = networkx.Graph()
         nxg.add_nodes_from(range(g.vertex_count))

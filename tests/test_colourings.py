@@ -826,6 +826,20 @@ class TestPartialColourings:
         with pytest.raises(ValueError, match="out of range"):
             PartialColouring((0,), (colour,))
 
+    @pytest.mark.parametrize("k", [2.5, 2.0, True])
+    def test_what_is_no_colour_count_rejected(self, k):
+        # 2.5 used to be accepted with colour 2, and to_string() gave "012"
+        with pytest.raises(ValueError, match="k must be an int >= 2"):
+            Colouring((0, 1, 2), k)
+        with pytest.raises(ValueError, match="k must be an int >= 2"):
+            PartialColouring((0,), (0,), k)
+
+    @pytest.mark.parametrize("k", [1, 0])
+    def test_partial_colouring_needs_two_colours(self, k):
+        # k = 1 used to be accepted
+        with pytest.raises(ValueError, match="at least 2 colours required"):
+            PartialColouring((0,), (0,), k)
+
     @pytest.mark.parametrize("point", [-1, True, 1.0])
     def test_what_is_no_vertex_rejected_from_the_domain(self, point):
         # -1 used to read as the last vertex: on P3 domain (-1, 0) gave (2, 0)'s stabiliser
