@@ -295,16 +295,20 @@ def _search(g: Graph, vertex_colours):
     depth = len(left_seq)
 
     def leaf_automorphism(cells):
-        """The non-identity automorphism mapping the left leaf to this one, or None."""
+        """The non-identity automorphism mapping the left leaf to this one, or None.
+
+        Only adjacency is checked: the map preserves colours by construction.
+        Every partition on the search tree refines the initial colour
+        partition in place (a split or an individualization keeps each
+        piece at its cell's positions), so position p of any leaf lies in
+        the same colour block as position p of the left leaf.
+        """
         leaf_order = _flatten(cells)
         images = [0] * n
         for a, b in zip(rho_order, leaf_order):
             images[a] = b
         for u in range(n):
-            cu = images[u]
-            if vertex_colours is not None and vertex_colours[u] != vertex_colours[cu]:
-                return None
-            nbrs = adj_sets[cu]
+            nbrs = adj_sets[images[u]]
             if len(adj[u]) != len(nbrs) or not all(images[w] in nbrs for w in adj[u]):
                 return None
         cand = Perm(images, validate=False)

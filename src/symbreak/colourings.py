@@ -18,15 +18,13 @@ its generator certificates and the colour-first Haar count all use it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .autsearch import automorphism_group, first_automorphism
 from .errors import CapExceededError
 from .graphs import Graph
 from .groups import BLOCK_BYTES, DEFAULT_ENUMERATION_CAP, PermGroup
-from .jsonfields import JsonFields
+from .jsonfields import JsonFields, Record
 from .perms import Perm
 from .rng import SeededRng
 
@@ -47,8 +45,7 @@ def _check_colours(colours, k):
             raise ValueError(f"colour {c!r} out of range 0..{k - 1}")
 
 
-@dataclass(frozen=True)
-class Colouring:
+class Colouring(Record):
     """Total map from vertices to colours 0..k-1."""
 
     colours: tuple
@@ -70,8 +67,7 @@ class Colouring:
         return "".join(_DIGITS[c] for c in self.colours)
 
 
-@dataclass(frozen=True)
-class PartialColouring:
+class PartialColouring(Record):
     """Colouring defined only on `domain`; other vertices are unconstrained."""
 
     domain: tuple
@@ -97,13 +93,11 @@ class PartialColouring:
         return {"domain": list(self.domain), "colours": list(self.colours)}
 
 
-@dataclass(frozen=True)
 class DistinguishReport(JsonFields):
     distinguishing: bool
-    witness: Optional[Perm]
+    witness: Perm | None
 
 
-@dataclass(frozen=True)
 class McEstimate(JsonFields):
     successes: int
     trials: int
@@ -111,8 +105,7 @@ class McEstimate(JsonFields):
     stderr: float
 
 
-@dataclass(frozen=True)
-class RusselSundaramReport:
+class RusselSundaramReport(Record):
     """(|Aut|-1) / 2^ceil(m/2) as an exact failure-probability bound.
 
     `applicable` records whether 2^ceil(m/2) >= |Aut|, the premise under
@@ -122,8 +115,8 @@ class RusselSundaramReport:
 
     bound: Fraction
     applicable: bool
-    witness: Optional[Colouring]
-    motion: Optional[int]
+    witness: Colouring | None
+    motion: int | None
     group_order: int
 
     def to_json_dict(self):
@@ -455,7 +448,7 @@ def partial_stabiliser(
 # Trees
 
 
-def find_tree_automorphism(g: Graph, root: int, c: Colouring) -> Optional[Perm]:
+def find_tree_automorphism(g: Graph, root: int, c: Colouring) -> Perm | None:
     """A non-identity colour-preserving automorphism fixing the root, or None.
 
     Works on trees only: the first automorphism of the colouring that fixes

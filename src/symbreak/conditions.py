@@ -15,23 +15,20 @@ import functools
 import itertools
 import math
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .autsearch import automorphism_group
 from .colourings import Colouring, colouring_stabiliser
 from .errors import CapExceededError, InvariantError
 from .graphs import Graph, GrowthProfile, cartesian_product
 from .groups import DEFAULT_ENUMERATION_CAP, PermGroup, transversal
-from .jsonfields import JsonFields, json_value
+from .jsonfields import JsonFields, Record, json_value
 
 # ---------------------------------------------------------------------------
 # Distinct spheres condition
 
 
-@dataclass(frozen=True)
-class DscReport:
+class DscReport(Record):
     """Distinct-spheres evidence for one truncation.
 
     For each pair x != y equidistant from the root, spheres S_x(n) and
@@ -89,7 +86,7 @@ class DscReport:
 DSC_PAIR_CAP = 10**7
 
 
-def dsc_check(g: Graph, v0: int = 0, radius: Optional[int] = None) -> DscReport:
+def dsc_check(g: Graph, v0: int = 0, radius: int | None = None) -> DscReport:
     """Compare spheres of equidistant vertex pairs within the safe horizon.
 
     The root's distance row comes from one search; without a truncation or
@@ -177,7 +174,6 @@ def _spheres_within(g: Graph, v, horizon):
 # Equivalence classes
 
 
-@dataclass(frozen=True)
 class EquivalenceClasses(JsonFields):
     """A partition from pairwise tests; transitivity is re-verified on output.
 
@@ -234,11 +230,10 @@ def _classes_from_pairwise(n, pair_fn, relation, parameters):
 # -- sphere equivalence -----------------------------------------------------
 
 
-@dataclass(frozen=True)
 class SphereEquivalenceResult(JsonFields):
     equivalent: bool
     in_same_orbit: bool
-    matched_n0: Optional[int]
+    matched_n0: int | None
     horizon: int
 
 
@@ -297,8 +292,8 @@ def sphere_equivalence(
     g: Graph,
     u: int,
     v: int,
-    n0_max: Optional[int] = None,
-    horizon: Optional[int] = None,
+    n0_max: int | None = None,
+    horizon: int | None = None,
 ) -> SphereEquivalenceResult:
     """u ~ v: same automorphism orbit and S_u(n) = S_v(n) for n0 <= n <= horizon.
 
@@ -317,8 +312,8 @@ def sphere_equivalence(
 
 def sphere_classes(
     g: Graph,
-    n0_max: Optional[int] = None,
-    horizon: Optional[int] = None,
+    n0_max: int | None = None,
+    horizon: int | None = None,
 ) -> EquivalenceClasses:
     """Classes of `sphere_equivalence`, each vertex's spheres built once."""
     _check_sphere_bounds(n0_max, horizon)
@@ -401,14 +396,12 @@ def _suborbit_classes(g: Graph, colours, group: PermGroup, budget) -> Equivalenc
     return _classes_from_pairwise(n, pair_fn, "suborbit", {"budget": budget})
 
 
-@dataclass(frozen=True)
 class RefinementLevel(JsonFields):
     group_order: int
     classes: EquivalenceClasses
 
 
-@dataclass(frozen=True)
-class RefinementIteration:
+class RefinementIteration(Record):
     """Chain Aut = G_0 >= G_1 >= ... where G_{i+1} fixes every class of the
     suborbit relation of G_i setwise; stops at a fixpoint or max_levels."""
 
@@ -454,8 +447,7 @@ def gamma_refinement_iterate(g: Graph, budget: int, max_levels: int = 10) -> Ref
 # Cartesian layers
 
 
-@dataclass(frozen=True)
-class LayerFixingReport:
+class LayerFixingReport(Record):
     """For each colour-preserving automorphism of g1 x g2, whether it maps
     every g1-layer (fixed second coordinate) onto a g1-layer."""
 
@@ -531,7 +523,6 @@ def match_probability(n: int) -> Fraction:
 # Growth bounds
 
 
-@dataclass(frozen=True)
 class GrowthBoundReport(JsonFields):
     """Failure-probability arithmetic for breaking the small-motion layer.
 
@@ -573,7 +564,6 @@ def growth_bound(n: int, j: int, c: float, eps: float) -> GrowthBoundReport:
     )
 
 
-@dataclass(frozen=True)
 class GrowthClassifierReport(JsonFields):
     """Least c with |B(m)| <= c * 2^((1/2-eps)*sqrt(m)) for all m <= radius."""
 

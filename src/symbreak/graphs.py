@@ -12,17 +12,14 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass
-from typing import Optional
 
 from .errors import GraphFormatError
-from .jsonfields import JsonFields, json_value
+from .jsonfields import JsonFields, Record, json_value
 
 UNREACHABLE = -1
 
 
-@dataclass(frozen=True)
-class Truncation:
+class Truncation(Record):
     """Marks a graph as the ball of an infinite family: B_root(radius)."""
 
     root: int
@@ -244,7 +241,6 @@ def truncate_to_ball(g: Graph, root: int, radius: int) -> Graph:
 # Infinite-family truncations
 
 
-@dataclass(frozen=True)
 class FamilySpec(JsonFields):
     """Declarative description of an infinite family plus truncation radius.
 
@@ -381,7 +377,6 @@ def generate_family(spec: FamilySpec) -> Graph:
 # Growth sequences
 
 
-@dataclass(frozen=True)
 class GrowthProfile(JsonFields):
     """Sphere and ball cardinalities around a root, indexed by radius."""
 
@@ -390,7 +385,7 @@ class GrowthProfile(JsonFields):
     eccentricity: int
 
 
-def growth_sequence(g: Graph, v0: int, radius: Optional[int] = None) -> GrowthProfile:
+def growth_sequence(g: Graph, v0: int, radius: int | None = None) -> GrowthProfile:
     """Exact |S_v0(n)| and |B_v0(n)| for n = 0..radius.
 
     Without a radius, the radius is the eccentricity of v0, read from the

@@ -29,8 +29,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Optional
 
 from .errors import CapExceededError, InvariantError
 from .jsonfields import JsonFields, json_value
@@ -97,13 +95,12 @@ def _orbit_partition(degree, gens):
     return tuple(out)
 
 
-@dataclass(frozen=True)
 class MotionReport(JsonFields):
     """Minimal support over non-identity elements; motion is None for the
     trivial group.  The witness attains the minimum."""
 
-    motion: Optional[int]
-    witness: Optional[Perm]
+    motion: int | None
+    witness: Perm | None
     method: str
 
 

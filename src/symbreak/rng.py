@@ -19,7 +19,7 @@ so importing this module (and the package, and the CLI) does not load it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .jsonfields import Record
 
 _MASK64 = (1 << 64) - 1
 
@@ -84,8 +84,7 @@ def _philox_words(key0, key1, blocks):
     return np.stack([x0, x1, x2, x3], axis=2).reshape(len(key1), 4 * blocks)
 
 
-@dataclass(frozen=True)
-class SeededRng:
+class SeededRng(Record):
     """A value object naming one Philox stream; drawing is stateless."""
 
     master_seed: int

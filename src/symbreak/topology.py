@@ -10,21 +10,18 @@ arithmetic here is exact (dyadic radii, rational measures).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .autsearch import automorphism_group
 from .colourings import DEFAULT_COLOUR_CAP, agreement, bit_planes, cycle_labels, unpack_bits
 from .errors import CapExceededError, InvariantError
 from .graphs import Graph
 from .groups import BLOCK_BYTES, DEFAULT_ENUMERATION_CAP, PermGroup
-from .jsonfields import JsonFields, json_value
+from .jsonfields import JsonFields, Record, json_value
 from .perms import Perm
 
 
-@dataclass(frozen=True)
-class ExhaustionSequence:
+class ExhaustionSequence(Record):
     """Strictly nested vertex sets ending in the full point set."""
 
     sets: tuple
@@ -65,7 +62,7 @@ class ExhaustionSequence:
         return cls(tuple(out), degree)
 
 
-def agreement_level(g1: Perm, g2: Perm, seq: ExhaustionSequence) -> Optional[int]:
+def agreement_level(g1: Perm, g2: Perm, seq: ExhaustionSequence) -> int | None:
     """Largest i with g1 * g2^-1 fixing S_i pointwise; None when g1 == g2.
 
     Returns 0 when they already disagree on S_1 (distance 1).
@@ -96,7 +93,6 @@ def ultrametric_distance(g1: Perm, g2: Perm, seq: ExhaustionSequence) -> Fractio
 # Coset balls
 
 
-@dataclass(frozen=True)
 class Ball(JsonFields):
     """One ball: a right coset of the pointwise stabiliser of S_level.
 
@@ -107,11 +103,10 @@ class Ball(JsonFields):
     key: tuple
     representative: Perm
     size: int
-    members: Optional[tuple]
+    members: tuple | None
 
 
-@dataclass(frozen=True)
-class BallDecomposition:
+class BallDecomposition(Record):
     level: int
     radius: Fraction
     balls: tuple
@@ -212,8 +207,7 @@ def haar_fraction(subset, group: PermGroup) -> Fraction:
     return Fraction(len(distinct), group.order())
 
 
-@dataclass(frozen=True)
-class StabiliserMeasureReport:
+class StabiliserMeasureReport(Record):
     """E[|stabiliser of a random 2-colouring| / |Aut|], computed two ways.
 
     `colour_first` averages the stabiliser fraction over all colourings;

@@ -1,4 +1,5 @@
 import csv
+import importlib.util
 import json
 import os
 import re
@@ -657,29 +658,44 @@ def test_console_entry_point():
     assert json.loads(proc.stdout)["result"]["motion_lower"] == 32
 
 
-def cli_in_fresh_process(*argvs):
-    """Run `main` on each argv in a new interpreter.
+#: Modules whose import an array-free run must not pay for: numpy, and
+#: the standard library's dataclasses (which loads inspect) and typing.
+START_UP_MODULES = ("numpy", "dataclasses", "inspect", "typing")
 
-    Returns (stdout of the calls, exit codes, whether numpy got imported).
+# `python -S` runs no site `.pth` file that could import those first, so
+# numpy's own directory goes on the path instead of the site directories.
+FRESH_ENV = {
+    **SRC_ENV,
+    "PYTHONPATH": os.pathsep.join(
+        [SRC_ENV["PYTHONPATH"], str(Path(importlib.util.find_spec("numpy").origin).parents[1])]
+    ),
+}
+
+
+def cli_in_fresh_process(*argvs):
+    """Run `main` on each argv in a new interpreter, started with `-S`.
+
+    Returns (stdout of the calls, exit codes, the START_UP_MODULES loaded).
     """
     script = (
         "import json, sys, symbreak, symbreak.cli\n"
         f"codes = [symbreak.cli.main(argv) for argv in {list(argvs)!r}]\n"
-        "print(json.dumps({'codes': codes, 'numpy': 'numpy' in sys.modules}))\n"
+        f"loaded = [name for name in {START_UP_MODULES!r} if name in sys.modules]\n"
+        "print(json.dumps({'codes': codes, 'loaded': loaded}))\n"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=SRC_ENV
+        [sys.executable, "-S", "-c", script], capture_output=True, text=True, env=FRESH_ENV
     )
     assert proc.returncode == 0, proc.stderr
     out, _, status = proc.stdout.rstrip("\n").rpartition("\n")
     status = json.loads(status)
-    return out, status["codes"], status["numpy"]
+    return out, status["codes"], status["loaded"]
 
 
 def test_array_free_subcommands_do_not_import_numpy():
     ladder = json.dumps({"kind": "ladder", "params": {}, "radius": 3})
     tree = json.dumps({"kind": "regular_tree", "params": {"degree": 3}, "radius": 2})
-    _, codes, numpy_loaded = cli_in_fresh_process(
+    _, codes, loaded = cli_in_fresh_process(
         ["--help"],
         ["autgroup", "--family", ladder],
         ["motion", "--family", ladder],
@@ -688,15 +704,15 @@ def test_array_free_subcommands_do_not_import_numpy():
         ["growth", "--bound", "16", "1", "1", "0.25"],
     )
     assert codes == [0] * 6
-    assert not numpy_loaded
+    assert loaded == []
 
 
 def test_monte_carlo_imports_numpy_on_first_use():
-    out, codes, numpy_loaded = cli_in_fresh_process(
+    out, codes, loaded = cli_in_fresh_process(
         ["--seed", "11", "--trials", "500", "prob-mc", "--family", C6_FAMILY, "--k", "3"]
     )
     assert codes == [0]
-    assert numpy_loaded
+    assert "numpy" in loaded
     assert json.loads(out)["result"] == {
         "successes": 297,
         "trials": 500,

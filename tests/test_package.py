@@ -1,8 +1,8 @@
 """Package-wide rules: one JSON form per report, no `assert` statements, no
-module importing another's private names or setting the recursion limit, no
-module but groups.py reading the stabiliser chain, no parameter left unread,
-no public name without a caller, and every name the bench tracer wraps
-still exists."""
+module importing another's private names, `dataclasses` or `typing`, or
+setting the recursion limit, no module but groups.py reading the
+stabiliser chain, no parameter left unread, no public name without a
+caller, and every name the bench tracer wraps still exists."""
 
 import ast
 import importlib.util
@@ -189,6 +189,29 @@ def test_package_sets_no_recursion_limit():
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.Call)
         and getattr(node.func, "attr", getattr(node.func, "id", None)) == "setrecursionlimit"
+    ]
+    assert found == []
+
+
+#: Standard modules the package does without: `dataclasses` execs
+#: generated methods for every class and loads `inspect`, and annotations
+#: are strings under `from __future__ import annotations`, so nothing needs
+#: `typing`.  Records derive from `jsonfields.Record`.
+IMPORTS_REFUSED = {"dataclasses", "typing"}
+
+
+def test_package_imports_no_dataclasses_or_typing():
+    """Each import costs every CLI process its start-up time."""
+    found = [
+        f"{path.name}:{node.lineno} {name}"
+        for path in sorted(Path(symbreak.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        for name in (
+            [alias.name for alias in node.names] if isinstance(node, ast.Import)
+            else [node.module] if isinstance(node, ast.ImportFrom) and node.level == 0
+            else []
+        )
+        if name.split(".")[0] in IMPORTS_REFUSED
     ]
     assert found == []
 
