@@ -275,7 +275,7 @@ def _run(args):
         left, left_src = _load_spec_or_graph(args.left)
         right, right_src = _load_spec_or_graph(args.right)
         c = _colouring_from_args(args, cartesian_product(left, right), rng)
-        report = layer_fixing_report(left, right, c, cap=args.enumeration_cap)
+        report = layer_fixing_report(left, right, c)
         colours = "random" if args.colours is None else args.colours
         options = {"left": left_src, "right": right_src, "colours": colours}
         return report, None, options

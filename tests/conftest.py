@@ -8,7 +8,7 @@ import pytest
 from symbreak.autsearch import automorphism_group
 from symbreak.colourings import colouring_stabiliser, random_colouring
 from symbreak.conditions import DscReport
-from symbreak.graphs import Graph
+from symbreak.graphs import Graph, cartesian_product
 from symbreak.groups import DEFAULT_ENUMERATION_CAP, PermGroup, _orbit_partition, transversal
 from symbreak.perms import Perm
 from symbreak.suites import standard_corpus
@@ -418,6 +418,25 @@ def gamma_refinement_by_elements(g: Graph, budget, max_levels=10):
             return tuple(levels), True
         group = refined
     return tuple(levels), False
+
+
+def layer_fixing_by_elements(g1: Graph, g2: Graph, c):
+    """The library's former `layer_fixing_report`, with its layers keyed by
+    index: (group order, respecting fraction) from a verdict on every
+    element of Aut(g1 x g2, c).  Vertex (i, j) has index i * n2 + j and lies
+    in the g1-layer j; an element respects the layers when it maps each one
+    onto a layer.  The oracle for the ratio of two coloured searches."""
+    product = cartesian_product(g1, g2)
+    layers = {}
+    for v in range(product.vertex_count):
+        layers.setdefault(v % g2.vertex_count, []).append(v)
+    layer_sets = {frozenset(vs) for vs in layers.values()}
+    elements = list(colouring_stabiliser(product, c).elements())
+    respecting = sum(
+        all(frozenset(e(v) for v in vs) in layer_sets for vs in layers.values())
+        for e in elements
+    )
+    return len(elements), Fraction(respecting, len(elements))
 
 
 def dsc_by_full_distances(g: Graph, v0=0, radius=None):

@@ -356,6 +356,19 @@ def test_empty_colours_on_the_empty_graph(tmp_path, capsys):
     assert data["config"]["options"]["colours"] == ""
 
 
+def test_layers_counts_each_right_vertex_as_a_layer(tmp_path, capsys):
+    # a right factor whose two vertices share a label still has two layers
+    p2 = tmp_path / "p2.txt"
+    p2.write_text(graph_text(path_graph(2)))
+    twins = tmp_path / "twins.json"
+    twins.write_text(json.dumps({"vertex_count": 2, "edges": [[0, 1]], "labels": [7, 7]}))
+    runs = [
+        run_json(capsys, "layers", "--left", str(p2), "--right", str(right), "--colours", "0000")
+        for right in (p2, twins)
+    ]
+    assert [run["result"] for run in runs] == [{"group_order": 8, "respecting_fraction": "1/2"}] * 2
+
+
 def test_only_json_output_encodes_the_report(capsys, monkeypatch):
     import symbreak.cli as cli
 
@@ -590,9 +603,7 @@ def test_wrong_length_colours_exit_2(capsys, c4_file, p4_file, argv):
     code = main([files.get(a, a) for a in argv])
     err = capsys.readouterr().err
     assert code == 2
-    assert err.startswith("error: ") and "Traceback" not in err
-    if argv[0] != "layers":
-        assert err.startswith("error: vertex colouring must be total")
+    assert err.startswith("error: vertex colouring must be total") and "Traceback" not in err
 
 
 def test_readme_result_table_lists_the_usage_subcommands():

@@ -7,6 +7,7 @@ import pytest
 from conftest import (
     dsc_by_full_distances,
     gamma_refinement_by_elements,
+    layer_fixing_by_elements,
     plain_and_coloured,
     seeded_random_graphs,
     sphere,
@@ -38,6 +39,7 @@ from symbreak.graphs import (
     cycle_graph,
     generate_family,
     growth_sequence,
+    hypercube,
     path_graph,
     star_graph,
 )
@@ -516,13 +518,62 @@ class TestGammaIteration:
         assert full.orders == (12,)
 
 
+def edgeless(n):
+    return Graph.from_edges(n, [])
+
+
+# (name, g1, g2): the products whose layer reports are checked against the
+# element-by-element oracle
+LAYER_PRODUCTS = [
+    ("K2xK2", complete_graph(2), complete_graph(2)),
+    ("P3xK2", path_graph(3), complete_graph(2)),
+    ("K3xK3", complete_graph(3), complete_graph(3)),
+    ("C4xC4", cycle_graph(4), cycle_graph(4)),
+    ("P3xP3", path_graph(3), path_graph(3)),
+    ("Q3xK3", hypercube(3), complete_graph(3)),
+    ("K1xP3", complete_graph(1), path_graph(3)),
+    ("P3xK1", path_graph(3), complete_graph(1)),
+    ("K1xK1", complete_graph(1), complete_graph(1)),
+    ("E3xP2", edgeless(3), path_graph(2)),
+    ("P2xE3", path_graph(2), edgeless(3)),
+    ("E0xP3", edgeless(0), path_graph(3)),
+    ("P3xE0", path_graph(3), edgeless(0)),
+]
+
+
+def layer_cases(seed, per_product):
+    """(id, g1, g2, colours): each product constant-coloured, then
+    `per_product` seeded 2-colourings of it."""
+    rnd = random.Random(seed)
+    cases = []
+    for name, g1, g2 in LAYER_PRODUCTS:
+        n = g1.vertex_count * g2.vertex_count
+        cases.append((f"{name} constant", g1, g2, (0,) * n))
+        for i in range(per_product):
+            colours = tuple(rnd.randrange(2) for _ in range(n))
+            cases.append((f"{name} seeded {i}", g1, g2, colours))
+    return cases
+
+
+LAYER_CASES = layer_cases(26, 4)
+
+
 class TestLayerFixing:
+    @pytest.mark.parametrize(
+        "g1, g2, colours", [case[1:] for case in LAYER_CASES], ids=[case[0] for case in LAYER_CASES]
+    )
+    def test_matches_the_element_oracle(self, g1, g2, colours):
+        report = layer_fixing_report(g1, g2, Colouring(colours))
+        oracle = layer_fixing_by_elements(g1, g2, Colouring(colours))
+        assert (report.group_order, report.respecting_fraction) == oracle
+
     def test_constant_colouring_reports_layer_swaps(self):
         k2 = complete_graph(2)
-        report = layer_fixing_report(k2, k2, Colouring((0, 0, 0, 0)))
+        c = Colouring((0, 0, 0, 0))
+        report = layer_fixing_report(k2, k2, c)
         assert report.group_order == 8
         assert report.respecting_fraction == Fraction(1, 2)
-        assert any(not ok for _, ok in report.verdicts)
+        assert (report.group_order, report.respecting_fraction) == layer_fixing_by_elements(k2, k2, c)
 
     def test_trivial_stabiliser_is_vacuous(self):
         p3 = path_graph(3)
@@ -544,8 +595,47 @@ class TestLayerFixing:
         product = cartesian_product(rail, k2)
         c = random_colouring(product, 2, SeededRng(99))
         report = layer_fixing_report(rail, k2, c)
-        assert 0 <= report.respecting_fraction <= 1
-        assert len(report.verdicts) == report.group_order
+        assert (report.group_order, report.respecting_fraction) == layer_fixing_by_elements(rail, k2, c)
+
+    def test_layers_are_keyed_by_index_not_label(self):
+        # two right-factor vertices with one label are still two layers
+        p2 = path_graph(2)
+        twins = Graph(p2.adjacency, labels=[7, 7])
+        c = Colouring((0,) * 4)
+        assert layer_fixing_report(p2, twins, c) == layer_fixing_report(p2, p2, c)
+        assert layer_fixing_report(p2, twins, c).respecting_fraction == Fraction(1, 2)
+
+    def test_second_search_runs_only_when_a_generator_mixes_layers(self, monkeypatch):
+        # the ladder's generators all map layers onto layers, so its fraction
+        # is 1 without the augmented search; K2xK2's coordinate swap mixes them
+        calls = []
+
+        def counting(g, colours):
+            calls.append(g.vertex_count)
+            return automorphism_group(g, colours)
+
+        monkeypatch.setattr(conditions, "automorphism_group", counting)
+        ladder = layer_fixing_report(path_graph(200), complete_graph(2), Colouring((0,) * 400))
+        square = layer_fixing_report(complete_graph(2), complete_graph(2), Colouring((0,) * 4))
+        assert (ladder.respecting_fraction, square.respecting_fraction) == (1, Fraction(1, 2))
+        assert calls == [6]
+
+    @pytest.mark.parametrize(
+        "g1, g2, order, fraction",
+        [
+            (complete_graph(9), complete_graph(9), 263_363_788_800, Fraction(1, 2)),
+            (hypercube(3), complete_graph(7), 241_920, Fraction(1)),
+            (hypercube(3), complete_graph(8), 1_935_360, Fraction(1)),
+        ],
+        ids=["K9xK9", "Q3xK7", "Q3xK8"],
+    )
+    def test_large_groups_list_no_element(self, g1, g2, order, fraction):
+        # K9xK9 and Q3xK8 have more elements than the enumeration cap that
+        # listing them used to hit; two searches need no cap
+        start = time.perf_counter()
+        report = layer_fixing_report(g1, g2, Colouring((0,) * (g1.vertex_count * g2.vertex_count)))
+        assert time.perf_counter() - start < 1.0
+        assert (report.group_order, report.respecting_fraction) == (order, fraction)
 
 
 class TestMatchProbability:

@@ -30,7 +30,7 @@ FIELDS = {
     ("conditions", "SphereEquivalenceResult"): ("equivalent", "in_same_orbit", "matched_n0", "horizon"),
     ("conditions", "RefinementLevel"): ("group_order", "classes"),
     ("conditions", "RefinementIteration"): ("levels", "fixpoint_reached"),
-    ("conditions", "LayerFixingReport"): ("group_order", "verdicts", "respecting_fraction"),
+    ("conditions", "LayerFixingReport"): ("group_order", "respecting_fraction"),
     ("conditions", "GrowthBoundReport"): (
         "n", "j", "c", "eps", "log2_pi_bound", "motion_lower", "log2_failure_bound", "product_lower",
     ),
