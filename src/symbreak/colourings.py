@@ -89,9 +89,6 @@ class PartialColouring(Record):
     def colour_map(self):
         return dict(zip(self.domain, self.colours))
 
-    def to_json_dict(self):
-        return {"domain": list(self.domain), "colours": list(self.colours)}
-
 
 class DistinguishReport(JsonFields):
     distinguishing: bool
@@ -131,8 +128,7 @@ class RusselSundaramReport(Record):
 
 def random_colouring(g: Graph, k: int = 2, rng: SeededRng = SeededRng(0)) -> Colouring:
     """Uniform iid colours for every vertex, deterministic per stream."""
-    if k < 2:
-        raise ValueError("at least 2 colours required")
+    _check_colours((), k)
     return Colouring(tuple(rng.integers_below(k, g.vertex_count)), k)
 
 
@@ -286,8 +282,7 @@ def distinguishing_probability_exact(
     sum_j a_j w_j with a_j in 0..k-1 and w_j = sum_{v in cycle j} k^v.
     Unmarked colourings are distinguishing.
     """
-    if k < 2:
-        raise ValueError("at least 2 colours required")
+    _check_colours((), k)
     import numpy as np
 
     n = g.vertex_count
@@ -341,12 +336,11 @@ def distinguishing_probability_mc(
     comes from the search, or a tree's subtree codes, so choosing the path
     builds no stabiliser chain.
     """
-    if k < 2:
-        raise ValueError("at least 2 colours required")
+    _check_colours((), k)
+    if type(trials) is not int or trials < 1:  # `True` and `10.0` are no trial count
+        raise ValueError(f"trials must be an int >= 1, not {trials!r}")
     import numpy as np
 
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     n = g.vertex_count
     aut = automorphism_group(g)
     successes = 0

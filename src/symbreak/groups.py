@@ -85,13 +85,15 @@ def orbit_of(points, gens):
 
 
 def _orbit_partition(degree, gens):
-    """The orbits of `gens` on 0..degree-1, as sorted tuples by smallest point."""
-    remaining = set(range(degree))
+    """The orbits of `gens` on 0..degree-1, as sorted tuples by smallest
+    point; the points are visited once, in order."""
+    seen = set()
     out = []
-    while remaining:
-        orb = orbit_of((min(remaining),), gens)
-        out.append(tuple(sorted(orb)))
-        remaining -= orb
+    for p in range(degree):
+        if p not in seen:
+            orb = orbit_of((p,), gens)
+            seen |= orb
+            out.append(tuple(sorted(orb)))
     return tuple(out)
 
 

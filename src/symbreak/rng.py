@@ -104,7 +104,7 @@ class SeededRng(Record):
 
     def integers_below(self, bound, count):
         """`count` iid uniform draws from {0, ..., bound-1} (rejection sampled)."""
-        _check_bound(bound)
+        _check_draw(bound, count)
         out = []
         threshold = (1 << 64) - ((1 << 64) % bound)
         bg = self._bit_generator()
@@ -127,9 +127,7 @@ class SeededRng(Record):
         """
         import numpy as np
 
-        _check_bound(bound)
-        if size < 0 or count < 0:
-            raise ValueError("size and count must be non-negative")
+        _check_draw(bound, count, size)
         base = (self.stream_id * (1 << 32) + start) & _MASK64
         keys = np.arange(size, dtype=np.uint64) + np.uint64(base)  # wraps mod 2^64
         blocks = -(-count // 4)
@@ -153,7 +151,10 @@ class SeededRng(Record):
         return SeededRng(self.master_seed, (self.stream_id * (1 << 32) + trial) & _MASK64)
 
 
-def _check_bound(bound):
-    # a bound above 2^64 would reject every 64-bit word
-    if not 1 <= bound <= 1 << 64:
-        raise ValueError("bound must be in 1..2^64")
+def _check_draw(bound, count, size=0):
+    # a bound above 2^64 would reject every 64-bit word; `True` and `2.0` are
+    # no bound and no count
+    if type(bound) is not int or not 1 <= bound <= 1 << 64:
+        raise ValueError(f"bound must be an int in 1..2^64, not {bound!r}")
+    if type(count) is not int or type(size) is not int or count < 0 or size < 0:
+        raise ValueError(f"size and count must be non-negative ints, not {size!r} and {count!r}")

@@ -1,9 +1,11 @@
 """The agreement ultrametric on a permutation group and its coset balls.
 
-Given a nested exhaustion S_1 < S_2 < ... < S_k = V, two permutations are
-at distance 2^-i where i is the largest index such that g1 * g2^-1 fixes
-S_i pointwise (distance 0 when equal, 1 when g1 * g2^-1 already moves a
-point of S_1).  Balls of radius 2^-i are right cosets of the pointwise
+An exhaustion S_1 < S_2 < ... < S_k = V is one level per point, S_i =
+{v : level[v] <= i}, so building it, reading a set and comparing two
+permutations are linear in the point count.  Two permutations are at
+distance 2^-i where i is the largest index such that g1 * g2^-1 fixes S_i
+pointwise (distance 0 when equal, 1 when g1 * g2^-1 already moves a point
+of S_1).  Balls of radius 2^-i are right cosets of the pointwise
 stabiliser of S_i; decompositions below enumerate them exactly.  All
 arithmetic here is exact (dyadic radii, rational measures).
 """
@@ -22,63 +24,61 @@ from .perms import Perm
 
 
 class ExhaustionSequence(Record):
-    """Strictly nested vertex sets ending in the full point set."""
+    """Strictly nested point sets ending in the full point set: level[v] is
+    the index of the first S_i holding v.  The sets are strictly nested
+    exactly when every level 1..k occurs."""
 
-    sets: tuple
-    degree: int
+    level: tuple
 
     def __post_init__(self):
-        sets = tuple(tuple(sorted(s)) for s in self.sets)
-        object.__setattr__(self, "sets", sets)
-        if not sets:
-            raise ValueError("exhaustion sequence must be non-empty")
-        prev = None
-        for s in sets:
-            cur = frozenset(s)
-            if prev is not None and not (prev < cur):
-                raise ValueError("sets must be strictly nested")
-            prev = cur
-        if prev != frozenset(range(self.degree)):
-            raise ValueError("final set must cover all points")
+        level = tuple(self.level)
+        object.__setattr__(self, "level", level)
+        for i in level:
+            if type(i) is not int:  # `True` and `1.0` are no level
+                raise ValueError(f"level {i!r} is not an int")
+        if set(level) != set(range(1, max(level, default=0) + 1)):
+            raise ValueError("levels must be exactly 1..k, each occurring")
+
+    @property
+    def degree(self):
+        return len(self.level)
 
     def __len__(self):
-        return len(self.sets)
+        # the empty point set is the one set S_1 = {}
+        return max(self.level, default=1)
+
+    def points(self, i):
+        """S_i as an increasing tuple (S_i is every point for i >= len)."""
+        return tuple(v for v, lv in enumerate(self.level) if lv <= i)
 
     @classmethod
     def balls(cls, g: Graph, root: int = 0):
         """S_i = B_root(i-1): the root, then growing distance balls; on a
         disconnected graph the full vertex set closes the sequence."""
         dist = g.distances(root)
-        sets = [[v for v, d in enumerate(dist) if 0 <= d <= r] for r in range(max(dist) + 1)]
-        if len(sets[-1]) < g.vertex_count:
-            sets.append(range(g.vertex_count))
-        return cls(tuple(sets), g.vertex_count)
+        unreachable = max(dist) + 2
+        return cls(tuple(d + 1 if d >= 0 else unreachable for d in dist))
 
     @classmethod
     def prefixes(cls, degree: int):
         """S_i = {0, ..., i - 1}: index-order prefixes."""
-        out = [tuple(range(i)) for i in range(1, degree)]
-        out.append(tuple(range(degree)))
-        return cls(tuple(out), degree)
+        return cls(tuple(range(1, degree + 1)))
 
 
 def agreement_level(g1: Perm, g2: Perm, seq: ExhaustionSequence) -> int | None:
     """Largest i with g1 * g2^-1 fixing S_i pointwise; None when g1 == g2.
 
-    Returns 0 when they already disagree on S_1 (distance 1).
+    Returns 0 when they already disagree on S_1 (distance 1).  The product
+    moves g2(t) exactly when g1(t) != g2(t), so neither it nor an inverse
+    is formed.
     """
     if g1.degree != g2.degree:
         raise ValueError("degree mismatch")
     if g1.degree != seq.degree:
         raise ValueError("sequence degree mismatch")
-    if g1 == g2:
-        return None
-    diff = g1 * g2.inverse()
-    for i, s_i in enumerate(seq.sets, start=1):
-        if any(diff(s) != s for s in s_i):
-            return i - 1
-    # unreachable: the final set covers all points, so diff = id means g1 == g2
-    raise InvariantError("exhaustion sequence failed to separate distinct permutations")
+    level = seq.level
+    first = min((level[b] for a, b in zip(g1.images, g2.images) if a != b), default=None)
+    return None if first is None else first - 1
 
 
 def ultrametric_distance(g1: Perm, g2: Perm, seq: ExhaustionSequence) -> Fraction:
@@ -160,7 +160,7 @@ def ball_decomposition(
         raise ValueError(f"level must be in 1..{len(seq)}")
     if group.degree != seq.degree:
         raise ValueError("sequence degree mismatch")
-    points = seq.sets[level - 1]
+    points = seq.points(level)
     radius = Fraction(1, 2**level)
     order = group.order()
 

@@ -485,3 +485,27 @@ def dsc_by_full_distances(g: Graph, v0=0, radius=None):
                 else:
                     first_sep[(x, y)] = sep
     return DscReport(v0, radius, "", checked, tuple(violations), tuple(at_horizon), first_sep)
+
+
+def ball_sets(g: Graph, root):
+    """The library's former `ExhaustionSequence.balls` sets: the distance
+    balls around `root`, radius 0 up, then the full vertex set when some
+    vertex is unreachable."""
+    dist = g.distances(root)
+    sets = [tuple(v for v, d in enumerate(dist) if 0 <= d <= r) for r in range(max(dist) + 1)]
+    if len(sets[-1]) < g.vertex_count:
+        sets.append(tuple(range(g.vertex_count)))
+    return sets
+
+
+def agreement_level_by_sets(g1: Perm, g2: Perm, sets):
+    """The library's former `agreement_level`, over explicit nested sets:
+    the index of the first set on which g1 * g2^-1 moves a point, less one;
+    None when g1 == g2."""
+    if g1 == g2:
+        return None
+    diff = g1 * g2.inverse()
+    for i, s_i in enumerate(sets, start=1):
+        if any(diff(s) != s for s in s_i):
+            return i - 1
+    raise AssertionError("the sets do not cover the points g1 * g2^-1 moves")

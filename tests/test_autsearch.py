@@ -283,7 +283,8 @@ def test_fixing_is_the_pointwise_stabiliser(corpus):
     for name, g, colours in plain_and_coloured(graphs, 63):
         n = g.vertex_count
         group = automorphism_group(g, colours)
-        point_sets = [list(ball) for ball in ExhaustionSequence.balls(g, 0).sets] + [[]]
+        balls = ExhaustionSequence.balls(g, 0)
+        point_sets = [list(balls.points(i)) for i in range(1, len(balls) + 1)] + [[]]
         point_sets += [[rnd.randrange(n) for _ in range(rnd.randint(1, 5))] for _ in range(4)]
         for points in point_sets:
             fixer = automorphism_group(g, colours, fixing=iter(points))

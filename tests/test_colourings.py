@@ -347,6 +347,26 @@ class TestMonteCarloEstimate:
         assert labels.shape == (count, 2**d)
 
 
+@pytest.mark.parametrize(
+    "estimator, args, match",
+    [
+        (distinguishing_probability_exact, (2.0,), "k must be an int"),
+        (distinguishing_probability_exact, (True,), "k must be an int"),
+        (distinguishing_probability_mc, (2.0, 10), "k must be an int"),
+        (distinguishing_probability_mc, (3, 10.0), "trials must be an int"),
+        (distinguishing_probability_mc, (2, True), "trials must be an int"),
+        (distinguishing_probability_mc, (2, 0), "trials must be an int >= 1"),
+        (random_colouring, (2.0,), "k must be an int"),
+    ],
+    ids=["exact-k-float", "exact-k-bool", "mc-k-float", "mc-trials-float", "mc-trials-bool",
+         "mc-trials-zero", "random-k-float"],
+)
+def test_estimators_refuse_what_is_no_count(estimator, args, match):
+    # a float or bool count once raised TypeError or AttributeError, or ran
+    with pytest.raises(ValueError, match=match):
+        estimator(cycle_graph(4), *args)
+
+
 def asymmetric_graph():
     """The smallest asymmetric graphs have 6 vertices: this one has |Aut| = 1."""
     return Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5), (3, 5)])

@@ -281,6 +281,17 @@ class TestSphereEquivalence:
             assert classes.closure_added == (), spec.kind
 
 
+def test_pair_queries_on_a_long_path_take_linear_time():
+    # both read Aut's orbits; taking the least unvisited point once per orbit
+    # was quadratic in the 10,000 orbits of P20000 (3.4 s and 14.4 s)
+    g = path_graph(20_000)
+    start = time.perf_counter()
+    res = sphere_equivalence(g, 0, 19_999)
+    assert (res.in_same_orbit, res.equivalent) == (True, False)
+    assert suborbit_equivalence(g, 0, 19_999, 0) is False
+    assert time.perf_counter() - start < 2.0
+
+
 class TestGammaEquivalence:
     def test_reflexive(self):
         assert suborbit_equivalence(cycle_graph(6), 2, 2, 0)

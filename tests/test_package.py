@@ -20,7 +20,6 @@ from symbreak.colourings import (
     Colouring,
     DistinguishReport,
     McEstimate,
-    PartialColouring,
     RusselSundaramReport,
 )
 from symbreak.conditions import (
@@ -93,10 +92,6 @@ PINNED = [
     (
         GrowthClassifierReport(0.25, 1.5, (1, 5), (1.0, 1.25)),
         '{"eps": 0.25, "c_fit": 1.5, "ball_sizes": [1, 5], "ratios": [1.0, 1.25]}',
-    ),
-    (
-        PartialColouring((3, 1), (0, 2), 3),
-        '{"domain": [3, 1], "colours": [0, 2]}',
     ),
     (
         DistinguishReport(False, Perm([1, 0])),

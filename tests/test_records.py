@@ -35,7 +35,7 @@ FIELDS = {
         "n", "j", "c", "eps", "log2_pi_bound", "motion_lower", "log2_failure_bound", "product_lower",
     ),
     ("conditions", "GrowthClassifierReport"): ("eps", "c_fit", "ball_sizes", "ratios"),
-    ("topology", "ExhaustionSequence"): ("sets", "degree"),
+    ("topology", "ExhaustionSequence"): ("level",),
     ("topology", "Ball"): ("key", "representative", "size", "members"),
     ("topology", "BallDecomposition"): ("level", "radius", "balls", "group_order"),
     ("topology", "StabiliserMeasureReport"): ("colour_first", "group_first"),

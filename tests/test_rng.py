@@ -58,9 +58,22 @@ def test_trial_block_edge_shapes():
     assert [int(x) for x in full[1]] == [int(w) for w in rng.trial_stream(11).raw_words(4)]
 
 
-@pytest.mark.parametrize("bound", [0, 2**64 + 1])
+@pytest.mark.parametrize("bound", [0, 2**64 + 1, 2.0, True])
 def test_bound_out_of_range(bound):
-    with pytest.raises(ValueError):
+    # `2.0` and `True` are no bound: a float bound drew floats
+    with pytest.raises(ValueError, match="bound must be an int"):
         SeededRng(0).trial_block(bound, 0, 1, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="bound must be an int"):
         SeededRng(0).integers_below(bound, 1)
+
+
+@pytest.mark.parametrize("size, count", [(2.0, 3), (2, 3.0), (True, 3), (-1, 3), (2, -1)])
+def test_size_and_count_must_be_ints(size, count):
+    with pytest.raises(ValueError, match="size and count"):
+        SeededRng(0).trial_block(2, 0, size, count)
+
+
+@pytest.mark.parametrize("count", [3.0, True, -1])
+def test_draw_count_must_be_an_int(count):
+    with pytest.raises(ValueError, match="size and count"):
+        SeededRng(0).integers_below(2, count)

@@ -1,9 +1,12 @@
+import random
+import time
+import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
 
-from conftest import from_cycles
+from conftest import agreement_level_by_sets, ball_sets, from_cycles
 from symbreak import topology
 from symbreak.autsearch import automorphism_group
 from symbreak.errors import CapExceededError, InvariantError
@@ -34,28 +37,54 @@ from symbreak.topology import (
 class TestExhaustionSequence:
     def test_ball_sequence_of_c8(self):
         seq = ExhaustionSequence.balls(cycle_graph(8), 0)
-        assert seq.sets[0] == (0,)
-        assert seq.sets[1] == (0, 1, 7)
-        assert set(seq.sets[-1]) == set(range(8))
+        assert seq.level == (1, 2, 3, 4, 5, 4, 3, 2)
+        assert seq.points(1) == (0,)
+        assert seq.points(2) == (0, 1, 7)
+        assert seq.points(len(seq)) == tuple(range(8))
 
     def test_ball_sequence_of_a_disconnected_graph(self):
         # P3 plus a disjoint edge: the full set closes each sequence
         g = Graph.from_edges(5, [(0, 1), (1, 2), (3, 4)])
-        assert ExhaustionSequence.balls(g, 0).sets == ((0,), (0, 1), (0, 1, 2), (0, 1, 2, 3, 4))
-        assert ExhaustionSequence.balls(g, 3).sets == ((3,), (3, 4), (0, 1, 2, 3, 4))
+        assert _sets(ExhaustionSequence.balls(g, 0)) == [(0,), (0, 1), (0, 1, 2), (0, 1, 2, 3, 4)]
+        assert _sets(ExhaustionSequence.balls(g, 3)) == [(3,), (3, 4), (0, 1, 2, 3, 4)]
+        assert ExhaustionSequence.balls(g, 3).level == (3, 3, 3, 1, 2)
 
     def test_prefix_sequence(self):
-        assert ExhaustionSequence.prefixes(3).sets == ((0,), (0, 1), (0, 1, 2))
-        assert ExhaustionSequence.prefixes(1).sets == ((0,),)
-        assert ExhaustionSequence.prefixes(0).sets == ((),)
+        seq = ExhaustionSequence.prefixes(3)
+        assert seq.level == (1, 2, 3)
+        assert [seq.points(i) for i in (1, 2, 3)] == [(0,), (0, 1), (0, 1, 2)]
+        assert ExhaustionSequence.prefixes(1).points(1) == (0,)
+        # the empty point set is one set, S_1 = {}
+        empty = ExhaustionSequence.prefixes(0)
+        assert (len(empty), empty.degree, empty.points(1)) == (1, 0, ())
+
+    def test_degree_is_the_point_count(self):
+        seq = ExhaustionSequence((2, 1, 2, 3))
+        assert (seq.degree, len(seq)) == (4, 3)
+        assert [seq.points(i) for i in (1, 2, 3)] == [(1,), (0, 1, 2), (0, 1, 2, 3)]
 
     def test_nesting_enforced(self):
-        with pytest.raises(ValueError):
-            ExhaustionSequence(((0, 1), (0, 1)), 2)
+        # a missing level 2 would make S_2 = S_1
+        with pytest.raises(ValueError, match="exactly 1..k"):
+            ExhaustionSequence((1, 3))
 
     def test_final_set_must_cover(self):
-        with pytest.raises(ValueError):
-            ExhaustionSequence(((0,), (0, 1)), 3)
+        # every point needs an int level in 1..k: level 0 is no set's first
+        for level in [(0, 1), (1, 2, 0)]:
+            with pytest.raises(ValueError, match="exactly 1..k"):
+                ExhaustionSequence(level)
+        for level in [(1, None), (True,), (1, 2.0)]:
+            with pytest.raises(ValueError, match="is not an int"):
+                ExhaustionSequence(level)
+
+    def test_points_match_the_former_sets(self, corpus):
+        graphs = dict(corpus, disconnected=Graph.from_edges(5, [(0, 1), (1, 2), (3, 4)]))
+        for name, g in graphs.items():
+            for root in range(g.vertex_count):
+                assert _sets(ExhaustionSequence.balls(g, root)) == ball_sets(g, root), (name, root)
+            assert _sets(ExhaustionSequence.prefixes(g.vertex_count)) == [
+                tuple(range(i)) for i in range(1, g.vertex_count + 1)
+            ]
 
 
 class TestAgreementLevel:
@@ -90,13 +119,9 @@ class TestAgreementLevel:
         with pytest.raises(ValueError):
             agreement_level(Perm.identity(3), self.ident, self.seq)
 
-    def test_sequence_not_covering_all_points_raises_invariant_error(self):
-        # corrupted past validation: the sets stop at {0..5}, the swap moves only 6 and 7
-        seq = ExhaustionSequence.prefixes(8)
-        object.__setattr__(seq, "sets", seq.sets[:-2])
-        swap = Perm([0, 1, 2, 3, 4, 5, 7, 6])
-        with pytest.raises(InvariantError):
-            agreement_level(swap, self.ident, seq)
+    def test_sequence_degree_mismatch(self):
+        with pytest.raises(ValueError, match="sequence degree mismatch"):
+            agreement_level(self.rot, self.ident, ExhaustionSequence.prefixes(7))
 
 
 from hypothesis import given
@@ -113,6 +138,123 @@ def test_ultrametric_holds_for_arbitrary_permutations(a, b, c):
     dbc = ultrametric_distance(b, c, seq)
     dac = ultrametric_distance(a, c, seq)
     assert dac <= max(dab, dbc)
+
+
+def _sets(seq):
+    """The explicit nested sets S_1, ..., S_k of a sequence."""
+    return [seq.points(i) for i in range(1, len(seq) + 1)]
+
+
+@st.composite
+def _levels_and_pairs(draw):
+    # any surjection onto 1..k, and a second permutation that is either any
+    # permutation or the first with two images swapped
+    n = draw(st.integers(0, 9))
+    raw = draw(st.lists(st.integers(1, 5), min_size=n, max_size=n))
+    rank = {x: i for i, x in enumerate(sorted(set(raw)), start=1)}
+    a = draw(st.permutations(range(n)))
+    if n and draw(st.booleans()):
+        b = list(a)
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        b[i], b[j] = b[j], b[i]
+    else:
+        b = draw(st.permutations(range(n)))
+    return tuple(rank[x] for x in raw), Perm(a), Perm(b)
+
+
+@given(_levels_and_pairs())
+def test_agreement_level_matches_the_set_scan_on_drawn_levels(case):
+    level, a, b = case
+    seq = ExhaustionSequence(level)
+    assert agreement_level(a, b, seq) == agreement_level_by_sets(a, b, _sets(seq))
+
+
+class TestAgreementLevelOracle:
+    """The level-array `agreement_level` against the former scan over the
+    explicit nested sets."""
+
+    def test_seeded_level_arrays(self):
+        rnd = random.Random(71)
+        for _ in range(400):
+            n = rnd.randint(1, 12)
+            k = rnd.randint(1, n)
+            level = list(range(1, k + 1)) + [rnd.randint(1, k) for _ in range(n - k)]
+            rnd.shuffle(level)
+            a = list(range(n))
+            rnd.shuffle(a)
+            b = list(a)
+            for _ in range(rnd.randint(0, 2)):
+                i, j = rnd.randrange(n), rnd.randrange(n)
+                b[i], b[j] = b[j], b[i]
+            sets = [tuple(v for v in range(n) if level[v] <= i) for i in range(1, k + 1)]
+            a, b = Perm(a), Perm(b)
+            assert agreement_level(a, b, ExhaustionSequence(level)) == agreement_level_by_sets(
+                a, b, sets
+            ), (level, a, b)
+
+    def test_corpus_balls_and_prefixes(self, corpus):
+        rnd = random.Random(72)
+        for name, g in corpus.items():
+            n = g.vertex_count
+            elems = automorphism_group(g).element_list()
+            pairs = [(a, b) for a in elems[:12] for b in elems[:12]]
+            for _ in range(50):
+                a, b = list(range(n)), list(range(n))
+                rnd.shuffle(a)
+                rnd.shuffle(b)
+                pairs.append((Perm(a), Perm(b)))
+            for root in range(n):
+                seqs = [(ExhaustionSequence.balls(g, root), ball_sets(g, root))]
+                seqs.append((ExhaustionSequence.prefixes(n), [tuple(range(i)) for i in range(1, n + 1)]))
+                for seq, sets in seqs:
+                    for a, b in pairs:
+                        assert agreement_level(a, b, seq) == agreement_level_by_sets(a, b, sets), (
+                            name, root, a, b,
+                        )
+
+
+class TestLongExhaustions:
+    """Building a sequence, `agreement_level` and `ball_decomposition` are
+    linear in the point count; storing every nested set took 850 MB on the
+    double ray of radius 4000."""
+
+    @staticmethod
+    def _cases():
+        # the reflection of the double ray through its centre swaps -k and k,
+        # at indices 2k - 1 and 2k
+        radius = 4000
+        ray = generate_family(FamilySpec("double_ray", {}, radius))
+        ray_flip = Perm([0] + [v + 1 if v % 2 else v - 1 for v in range(1, 2 * radius + 1)])
+        n = 100_000
+        return [(ray, ray_flip), (path_graph(n), Perm(range(n - 1, -1, -1)))]
+
+    @staticmethod
+    def _run(g, flip):
+        # the group is named by its one generator: the search is not timed
+        # here; swapping the last two points differs only on the last set
+        n = g.vertex_count
+        seq = ExhaustionSequence.balls(g, 0)
+        last = Perm(list(range(n - 2)) + [n - 1, n - 2])
+        levels = agreement_level(last, Perm.identity(n), seq), agreement_level(flip, last, seq)
+        deco = ball_decomposition(PermGroup(n, [flip]), seq, len(seq))
+        return levels, len(seq), deco.ball_count
+
+    def test_double_ray_and_long_path_are_fast(self):
+        want = [((4000, 1), 4001, 2), ((99_998, 0), 100_000, 2)]
+        for (g, flip), expected in zip(self._cases(), want):
+            start = time.perf_counter()
+            assert self._run(g, flip) == expected
+            assert time.perf_counter() - start < 2, g.vertex_count
+
+    def test_double_ray_and_long_path_are_small(self):
+        for g, flip in self._cases():
+            tracemalloc.start()
+            try:
+                self._run(g, flip)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 50 * 2**20, (g.vertex_count, peak)
 
 
 def _sample_triples(elems, count, seed):
@@ -174,11 +316,9 @@ class TestUltrametric:
 
         for seq1, seq2 in ((seq_a, seq_b), (seq_b, seq_a)):
             for level in range(1, len(seq1) + 1):
-                s1 = set(seq1.sets[level - 1])
+                s1 = set(seq1.points(level))
                 # a level in seq2 whose set contains s1 gives a finer ball
-                finer = next(
-                    m for m in range(1, len(seq2) + 1) if s1 <= set(seq2.sets[m - 1])
-                )
+                finer = max(seq2.level[v] for v in s1)
                 for e in elems:
                     assert ball(e, finer, seq2) <= ball(e, level, seq1)
 
@@ -287,8 +427,24 @@ class TestBallDecomposition:
         seq = ExhaustionSequence.balls(g, 0)
         for level in (1, 2):
             deco = ball_decomposition(group, seq, level)
-            stab = group.pointwise_stabiliser(seq.sets[level - 1])
+            stab = group.pointwise_stabiliser(seq.points(level))
             assert deco.ball_count == group.order() // stab.order()
+
+    def test_ball_count_is_the_index_in_sympy(self, corpus):
+        # sympy's own Schreier-Sims gives |G : Fix(S_level)|
+        combinatorics = pytest.importorskip("sympy.combinatorics")
+        for name, g in corpus.items():
+            n = g.vertex_count
+            group = automorphism_group(g)
+            gens = [combinatorics.Permutation(list(h.images)) for h in group.generators]
+            sym = combinatorics.PermutationGroup(gens or [combinatorics.Permutation(list(range(n)))])
+            assert sym.order() == group.order(), name
+            for root in (0, n - 1):
+                seq = ExhaustionSequence.balls(g, root)
+                for level in range(1, len(seq) + 1):
+                    fix = sym.pointwise_stabilizer(list(seq.points(level)))
+                    deco = ball_decomposition(group, seq, level)
+                    assert deco.ball_count * fix.order() == sym.order(), (name, root, level)
 
     def test_balls_are_right_stabiliser_cosets(self):
         # each ball equals {h * rep : h fixes S_level pointwise}
@@ -296,7 +452,7 @@ class TestBallDecomposition:
             group = automorphism_group(graph)
             seq = ExhaustionSequence.balls(graph, 0)
             for level in (1, 2):
-                stab = group.pointwise_stabiliser(seq.sets[level - 1])
+                stab = group.pointwise_stabiliser(seq.points(level))
                 stab_elems = list(stab.elements())
                 deco = ball_decomposition(group, seq, level)
                 for b in deco.balls:
