@@ -5,7 +5,7 @@ configuration, for reproducibility) and a ``result`` payload; ``--format
 text`` and ``csv`` print the config as a ``#`` line and then the report's
 own ``to_text`` or ``to_csv``.  Exact rationals are emitted as "p/q"
 strings, never floats.  Exit codes:
-0 success, 2 input error, 3 cap exceeded.
+0 success, 2 input error, 3 cap exceeded or memory exhausted.
 """
 
 from __future__ import annotations
@@ -427,8 +427,9 @@ def main(argv=None) -> int:
             return 0
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    except CapExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (CapExceededError, MemoryError) as exc:
+        # an allocation beyond the machine is a cap too, the machine's own
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
     except (SymbreakError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

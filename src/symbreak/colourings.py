@@ -182,7 +182,9 @@ def cycle_labels(images):
 
     Pointer doubling: after j steps label[v] is the least point among v's
     first 2^j successors and jump[v] is its 2^j-th successor, so
-    ceil(log2 n) steps cover every cycle.
+    ceil(log2 n) steps cover every cycle.  Each step gathers with
+    ``np.take(..., out=, mode="clip")`` into one of two buffers allocated
+    up front, and the last step skips the jump it would not read.
     """
     import numpy as np
 
@@ -190,9 +192,16 @@ def cycle_labels(images):
     offset = (np.arange(count, dtype=np.intp) * n)[:, None]
     jump = (images + offset).ravel()
     label = np.tile(np.arange(n, dtype=np.intp), count)
-    for _ in range(max(1, (n - 1).bit_length())):
-        label = np.minimum(label, label[jump])
-        jump = jump[jump]
+    gathered, hop = np.empty_like(label), np.empty_like(jump)
+    steps = max(1, (n - 1).bit_length())
+    for step in range(steps):
+        # the indices are flat points, so "clip" changes none; it saves the
+        # buffer that the default mode copies `out` through
+        np.take(label, jump, out=gathered, mode="clip")
+        np.minimum(label, gathered, out=label)
+        if step < steps - 1:
+            np.take(jump, jump, out=hop, mode="clip")
+            jump, hop = hop, jump
     return label.reshape(count, n)
 
 
@@ -258,10 +267,11 @@ def _prime_cycle_labels(images):
     sizes = np.bincount((label + rows * n).ravel(), minlength=count * n)
     cycle_len = sizes.reshape(count, n)[rows, label]
     # the order is the lcm of the cycle lengths: prime iff they are 1 or one prime
-    longest = cycle_len.max(axis=1, initial=1)
+    longest = cycle_len.max(axis=1, initial=0)  # at most n; 0 only when n is 0
     uniform = ((cycle_len == 1) | (cycle_len == longest[:, None])).all(axis=1)
-    primes = [p for p in np.unique(longest).tolist() if _is_prime(p)]
-    return _distinct_rows(label[uniform & np.isin(longest, primes)])
+    prime = np.zeros(n + 1, dtype=bool)
+    prime[[p for p in set(longest.tolist()) if _is_prime(p)]] = True
+    return _distinct_rows(label[uniform & prime[longest]])
 
 
 def _is_prime(p):
@@ -281,6 +291,14 @@ def distinguishing_probability_exact(
     theorem), marks the colourings constant on its cycles: the indices
     sum_j a_j w_j with a_j in 0..k-1 and w_j = sum_{v in cycle j} k^v.
     Unmarked colourings are distinguishing.
+
+    The rows are taken a block count b at a time.  Their indices are the
+    outer sums of two float64 products, the digit tuples of the first
+    floor(b/2) blocks times their weights and those of the last ceil(b/2)
+    blocks times theirs, summed within `BLOCK_BYTES` at a time.  Every
+    partial sum is an integer below k^n, so the products are exact while
+    k^n < 2^53; above that it raises `CapExceededError`, as it does above
+    `colour_cap`.
     """
     _check_colours((), k)
     import numpy as np
@@ -291,19 +309,43 @@ def distinguishing_probability_exact(
         raise CapExceededError(
             f"{total} colourings exceed cap {colour_cap}", required=total, cap=colour_cap
         )
+    if total >= 2**53:
+        raise CapExceededError(
+            f"{total} colourings: float64 indices are exact only below 2^53",
+            required=total,
+            cap=2**53 - 1,
+        )
     aut = automorphism_group(g)
     fixed = np.zeros(total, dtype=bool)
-    powers = [k**v for v in range(n)]
-    steps = np.arange(k, dtype=np.int64)
-    for label in _prime_order_partitions(aut, enum_cap):
-        weights = {}
-        for v, head in enumerate(label.tolist()):
-            weights[head] = weights.get(head, 0) + powers[v]
-        index = np.zeros(1, dtype=np.int64)
-        for w in weights.values():
-            index = (index[:, None] + steps * w).ravel()
-        fixed[index] = True
-    return Fraction(total - int(fixed.sum()), total)
+    labels = _prime_order_partitions(aut, enum_cap)
+    rows = np.arange(len(labels))[:, None]
+    # weight[r, v] = sum of k^u over the u on row r's cycle headed by v
+    powers = np.broadcast_to(np.array([k**v for v in range(n)], dtype=float), labels.shape)
+    weight = np.bincount((labels + rows * n).ravel(), powers.ravel(), labels.size)
+    weight = weight.reshape(labels.shape)
+    heads = labels == np.arange(n)
+    blocks = heads.sum(axis=1)
+    sizes = sorted(set(blocks.tolist()))
+    # h -> the (h, k^h) float64 matrix whose columns are all h-digit tuples
+    digits = {
+        h: (np.arange(k**h) // k ** np.arange(h)[:, None] % k).astype(float)
+        for h in {b // 2 for b in sizes} | {b - b // 2 for b in sizes}
+    }
+    for b in sizes:
+        group = blocks == b
+        weights = weight[group][heads[group]].reshape(-1, b)
+        # a chunk's k^b indices per row, and the products before them, fit the budget
+        per_row = max(1, BLOCK_BYTES // (8 * k**b))
+        for r in range(0, len(weights), per_row):
+            chunk = weights[r : r + per_row]
+            left, right = (
+                (chunk[:, lo:hi] @ digits[hi - lo]).astype(np.intp)
+                for lo, hi in ((0, b // 2), (b // 2, b))
+            )
+            per_left = max(1, BLOCK_BYTES // (8 * len(chunk) * right.shape[1]))
+            for c in range(0, left.shape[1], per_left):
+                fixed[left[:, c : c + per_left, None] + right[:, None]] = True
+    return Fraction(total - int(np.count_nonzero(fixed)), total)
 
 
 def distinguishing_probability_mc(

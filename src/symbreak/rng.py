@@ -59,16 +59,24 @@ def _philox_words(key0, key1, blocks):
 
     Row i holds the first 4 * blocks words: numpy bumps the counter before
     each block, so block b is the Philox4x64-10 image of counter (b+1, 0, 0, 0).
-    The rounds run in place on four state arrays and four scratch arrays.
+    Round 1 sees only that counter, shared by every key, and key0: it maps
+    the counter to (key0, 0, hi(m0 (b+1)) ^ key1[i], lo(m0 (b+1))), so it
+    runs once per block in Python ints, the key entering by one xor.  The
+    other rounds run in place on four state arrays and four scratch arrays.
     """
     import numpy as np
 
     shape = (len(key1), blocks)
     x0, x1, x2, x3, hi, s1, s2, s3 = (np.zeros(shape, dtype=np.uint64) for _ in range(8))
-    x0[:] = np.arange(1, blocks + 1, dtype=np.uint64)
+    products = [_PHILOX_M0 * (b + 1) for b in range(blocks)]
     k0, k1 = key0, key1[:, None].astype(np.uint64)
+    x0.fill(k0)
+    np.bitwise_xor(np.array([p >> 64 for p in products], dtype=np.uint64), k1, out=x2)
+    x3[:] = np.array([p & _MASK64 for p in products], dtype=np.uint64)
+    k0 = (k0 + _PHILOX_W0) & _MASK64
+    k1 += np.uint64(_PHILOX_W1)
     m0, m1 = np.uint64(_PHILOX_M0), np.uint64(_PHILOX_M1)
-    for _ in range(_PHILOX_ROUNDS):
+    for _ in range(_PHILOX_ROUNDS - 1):
         # (x0, x1, x2, x3) <- (hi(m1 x2) ^ x1 ^ k0, lo(m1 x2), hi(m0 x0) ^ x3 ^ k1, lo(m0 x0))
         _mulhi(_PHILOX_M1, x2, hi, s1, s2, s3)
         hi ^= x1

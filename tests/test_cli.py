@@ -400,6 +400,36 @@ def test_haar_honours_the_colour_cap(capsys, c4_file):
     ] == "3/8"
 
 
+def test_exact_count_refuses_2_to_the_53_colourings(capsys, tmp_path):
+    p53 = tmp_path / "p53.txt"
+    p53.write_text(graph_text(path_graph(53)))
+    assert main(["--colour-cap", str(2**60), "prob-exact", "--graph", str(p53)]) == 3
+    err = capsys.readouterr().err
+    assert err == f"error: {2**53} colourings: float64 indices are exact only below 2^53\n"
+
+
+@pytest.mark.parametrize("cmd", ["prob-exact", "haar"])
+def test_an_allocation_beyond_the_machine_exits_3(capsys, tmp_path, cmd):
+    # 2^52 colourings pass both checks; numpy then asks for 4 PiB (prob-exact)
+    # or 32 PiB (haar), beyond any address space, so it fails at once
+    p52 = tmp_path / "p52.txt"
+    p52.write_text(graph_text(path_graph(52)))
+    assert main(["--colour-cap", str(2**52), cmd, "--graph", str(p52)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+
+
+def test_memory_error_without_a_message_exits_3(capsys, c4_file, monkeypatch):
+    import symbreak.cli as cli
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "distinguishing_probability_exact", exhausted)
+    assert main(["prob-exact", "--graph", c4_file]) == 3
+    assert capsys.readouterr().err == "error: out of memory\n"
+
+
 def test_missing_graph_exits_2(capsys):
     assert main(["motion"]) == 2
 
@@ -683,15 +713,15 @@ FRESH_ENV = {
 }
 
 
-def cli_in_fresh_process(*argvs):
+def cli_in_fresh_process(*argvs, modules=START_UP_MODULES):
     """Run `main` on each argv in a new interpreter, started with `-S`.
 
-    Returns (stdout of the calls, exit codes, the START_UP_MODULES loaded).
+    Returns (stdout of the calls, exit codes, the `modules` loaded).
     """
     script = (
         "import json, sys, symbreak, symbreak.cli\n"
         f"codes = [symbreak.cli.main(argv) for argv in {list(argvs)!r}]\n"
-        f"loaded = [name for name in {START_UP_MODULES!r} if name in sys.modules]\n"
+        f"loaded = [name for name in {tuple(modules)!r} if name in sys.modules]\n"
         "print(json.dumps({'codes': codes, 'loaded': loaded}))\n"
     )
     proc = subprocess.run(
@@ -730,6 +760,19 @@ def test_monte_carlo_imports_numpy_on_first_use():
         "estimate": 0.594,
         "stderr": 0.021961967125009547,
     }
+
+
+def test_estimators_do_not_import_numpy_ma(tmp_path):
+    # `np.unique` on numbers loads numpy.ma, 12-15 ms of a process's start-up
+    _, codes, loaded = cli_in_fresh_process(
+        ["prob-exact", "--family", C6_FAMILY],
+        ["prob-mc", "--family", C6_FAMILY],
+        ["haar", "--family", C6_FAMILY],
+        ["batch", "--report-dir", str(tmp_path)],
+        modules=("numpy", "numpy.ma"),
+    )
+    assert codes == [0] * 4
+    assert loaded == ["numpy"]
 
 
 def test_closed_stdout_exits_0_quietly():

@@ -1,6 +1,7 @@
 import itertools
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -266,9 +267,55 @@ class TestExactProbability:
 
     def test_matches_all_elements_oracle_on_corpus(self, corpus):
         for name, g in corpus.items():
-            for k in (2, 3):
+            for k in (2, 3, 4, 5):
                 if k**g.vertex_count <= 2**14:
                     assert distinguishing_probability_exact(g, k) == exact_oracle(g, k), (name, k)
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_empty_graph(self, k):
+        assert distinguishing_probability_exact(Graph([]), k) == 1
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    @pytest.mark.parametrize("g", [cycle_graph(5), complete_graph(2)], ids=["C5", "K2"])
+    def test_row_of_one_block(self, g, k):
+        # a rotation of C5 and the swap of K2 are one cycle: nothing to split in halves
+        rows = colourings._prime_order_partitions(automorphism_group(g), 10**6)
+        assert (rows == 0).all(axis=1).any()
+        assert distinguishing_probability_exact(g, k) == exact_oracle(g, k)
+
+    @pytest.mark.parametrize("budget", [1, 8 * 6, 8 * 40])
+    def test_small_budget_gives_the_same_count(self, monkeypatch, budget):
+        # budgets that split the rows of one block count, and one row's outer sum
+        cases = [(hypercube(3), 2), (hypercube(3), 3), (cycle_graph(16), 2)]
+        want = [distinguishing_probability_exact(g, k) for g, k in cases]
+        monkeypatch.setattr(colourings, "BLOCK_BYTES", budget)
+        assert [distinguishing_probability_exact(g, k) for g, k in cases] == want
+
+    def test_long_transposition_row_stays_small(self):
+        # P18 with two pendant vertices on vertex 9: Aut is the pendants'
+        # swap, one row of 19 blocks over 2^20 colourings.  A (19 x 2^19)
+        # digit matrix alone would take 80 MiB.
+        adjacency = [set(nbrs) for nbrs in path_graph(18).adjacency] + [{9}, {9}]
+        adjacency[9] |= {18, 19}
+        g = Graph(adjacency)
+        distinguishing_probability_exact(g)  # numpy's lazy set-up is not the count's
+        tracemalloc.start()
+        try:
+            assert distinguishing_probability_exact(g) == Fraction(1, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+    def test_refuses_2_to_the_53_before_any_work(self, monkeypatch):
+        # float64 indices are exact only below 2^53, whatever the colour cap
+        def no_group(g):
+            raise AssertionError("the group was built")
+
+        monkeypatch.setattr(colourings, "automorphism_group", no_group)
+        with pytest.raises(CapExceededError, match="2\\^53") as info:
+            distinguishing_probability_exact(path_graph(53), 2, colour_cap=2**60)
+        assert (info.value.required, info.value.cap) == (2**53, 2**53 - 1)
 
     def test_union_bound(self, corpus):
         for name, g in corpus.items():
