@@ -12,6 +12,8 @@ fraction is the ratio of two coloured-search orders.  No element is listed.
 
 from __future__ import annotations
 
+import bisect
+import collections.abc
 import functools
 import itertools
 import math
@@ -37,7 +39,10 @@ class DscReport(Record):
     clips them; n = 0 is skipped because singleton spheres always differ).
     ``violations`` lists pairs that agreed on a non-empty safe range —
     truncation-limited evidence against the condition, never a refutation.
-    ``at_horizon`` lists pairs with no checkable radius at all.
+    ``at_horizon`` lists pairs with no checkable radius at all.  From
+    `dsc_check` the two lists are read-only views and ``first_separating_n``
+    a read-only mapping, all over its per-layer class tables: they equal the
+    tuples and the dict they stand for, and hold no pair until read.
     """
 
     root: int
@@ -83,7 +88,8 @@ class DscReport(Record):
         return "\n".join(lines)
 
 
-#: The report lists every equidistant pair, so `dsc_check` refuses more than this many.
+#: The JSON and CSV of a report print every equidistant pair, so `dsc_check`
+#: refuses more than this many.
 DSC_PAIR_CAP = 10**7
 
 
@@ -91,12 +97,14 @@ def dsc_check(g: Graph, v0: int = 0, radius: int | None = None) -> DscReport:
     """Compare spheres of equidistant vertex pairs within the safe horizon.
 
     The root's distance row comes from one search; without a truncation or
-    an explicit radius, the radius is that row's maximum.  Each vertex's
-    spheres come from a BFS that stops at its safe horizon radius -
-    d(root, v), or earlier at its first empty sphere; they are kept only
-    while that vertex's depth is being compared.  The pairs are counted
-    first: above `DSC_PAIR_CAP` it raises `CapExceededError` before any
-    sphere is built.
+    an explicit radius, the radius is that row's maximum.  The pairs are
+    counted first: above `DSC_PAIR_CAP` it raises `CapExceededError` before
+    any sphere is built.  Then one layer of equidistant vertices at a time:
+    each vertex's spheres come from a BFS that stops at its safe horizon
+    radius - d(root, v), or earlier at its first empty sphere, and are
+    dropped when the layer is classified (`_DscLayer`).  A pair separates
+    at the first level where its two classes differ and is a violation
+    when they end in one class; the report reads both off the class tables.
     """
     if g.truncation is not None:
         if v0 != g.truncation.root:
@@ -125,33 +133,152 @@ def dsc_check(g: Graph, v0: int = 0, radius: int | None = None) -> DscReport:
             cap=DSC_PAIR_CAP,
         )
 
-    violations = []
-    at_horizon = ()
-    first_sep = {}
-    for depth, group_vertices in sorted(by_depth.items()):
-        if len(group_vertices) < 2:
-            continue
-        safe_max = radius - depth
-        if safe_max < 1:
-            # no sphere is trusted: every pair of the layer is at the horizon
-            at_horizon += tuple(itertools.combinations(group_vertices, 2))
-            continue
-        spheres = {v: _spheres_within(g, v, safe_max) for v in group_vertices}
-        for i, x in enumerate(group_vertices):
-            for y in group_vertices[i + 1 :]:
-                # each list ends before its first empty sphere; pad with empties
-                both = itertools.zip_longest(spheres[x], spheres[y], fillvalue=frozenset())
-                for n, (sx, sy) in enumerate(both, 1):
-                    if sx != sy:
-                        first_sep[(x, y)] = n
-                        break
-                else:
-                    violations.append((x, y))
+    inner, horizon = {}, {}
+    for depth, vertices in sorted(by_depth.items()):
+        if len(vertices) > 1:
+            # with no safe range no sphere is built: the layer is one class, at the horizon
+            layers = inner if radius - depth >= 1 else horizon
+            spheres = [_spheres_within(g, v, radius - depth) for v in vertices]
+            layers[depth] = _DscLayer(vertices, spheres)
     rule = (
         "S_x(n) trusted iff n + d(root, x) <= radius; "
         "pairs compared over 1 <= n <= radius - depth"
     )
-    return DscReport(v0, radius, rule, pairs, tuple(violations), at_horizon, first_sep)
+    return DscReport(
+        v0, radius, rule, pairs,
+        _DscPairs(inner, dist), _DscPairs(horizon, dist), _DscSeparations(inner, dist),
+    )
+
+
+class _DscLayer:
+    """One depth's vertices, ascending, and their sphere classes.
+
+    ``levels[n - 1][i]`` is vertex i's class id at level n, interned from
+    its class at level n - 1 and S(n), so two vertices share it iff their
+    spheres agree on 1..n.  With no levels the layer is one class.  The
+    spheres are not kept.
+    """
+
+    __slots__ = ("vertices", "levels", "same", "separated")
+
+    def __init__(self, vertices, spheres):
+        classes, self.vertices, self.levels = [0] * len(vertices), vertices, []
+        for n in range(max(map(len, spheres))):
+            # each list ends before its first empty sphere; past it S(n) is empty
+            ids = {}
+            classes = [
+                ids.setdefault((c, s[n] if n < len(s) else frozenset()), len(ids))
+                for c, s in zip(classes, spheres)
+            ]
+            self.levels.append(classes)
+            if len(ids) == len(vertices):
+                break  # every class is a single vertex; later levels only refine
+        last = collections.Counter(classes)
+        self.same = sum(c * (c - 1) // 2 for c in last.values())  # pairs ending in one class
+        self.separated = len(vertices) * (len(vertices) - 1) // 2 - self.same
+
+    def first(self, i, j):
+        """The first level at which vertices i and j differ, 0 if none."""
+        return next((n for n, row in enumerate(self.levels, 1) if row[i] != row[j]), 0)
+
+    def pairs(self):
+        """((x, y), first(i, j)) for each pair i < j, in layer order."""
+        vs = self.vertices
+        for i, x in enumerate(vs):
+            first = [0] * (len(vs) - i - 1)
+            for n in range(len(self.levels), 0, -1):  # the last write is the least n
+                row = self.levels[n - 1]
+                ci = row[i]
+                first = [n if c != ci else f for c, f in zip(row[i + 1 :], first)]
+            yield from zip(zip(itertools.repeat(x), vs[i + 1 :]), first)
+
+
+class _DscView:
+    """Pairs of `_DscLayer`s (depth -> layer), located by the root's distance row."""
+
+    def __init__(self, layers, depth):
+        self._layers, self._depth = layers, depth
+
+    def _first(self, pair):
+        """`_DscLayer.first` of a pair x < y in one of these layers, else None."""
+        if not (isinstance(pair, tuple) and len(pair) == 2):
+            return None
+        x, y = pair
+        if not (isinstance(x, int) and isinstance(y, int) and 0 <= x < y < len(self._depth)):
+            return None
+        layer = self._layers.get(self._depth[x])
+        if layer is None or self._depth[y] != self._depth[x]:
+            return None
+        vs = layer.vertices
+        return layer.first(bisect.bisect_left(vs, x), bisect.bisect_left(vs, y))
+
+
+class _DscPairs(_DscView, collections.abc.Sequence):
+    """The pairs that end in one class, as a read-only tuple-like view."""
+
+    def __len__(self):
+        return sum(layer.same for layer in self._layers.values())
+
+    def __iter__(self):
+        for layer in self._layers.values():
+            if not layer.separated:
+                yield from itertools.combinations(layer.vertices, 2)
+            elif layer.same:
+                yield from (pair for pair, n in layer.pairs() if not n)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(self)[k]
+        size = len(self)
+        if not -size <= k < size:
+            raise IndexError("tuple index out of range")
+        return next(itertools.islice(self, k % size, None))
+
+    def __reversed__(self):
+        return reversed(tuple(self))  # the Sequence default indexes, a walk per item
+
+    def __contains__(self, pair):
+        return self._first(pair) == 0
+
+    def __eq__(self, other):
+        if not isinstance(other, (tuple, _DscPairs)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __repr__(self):
+        return repr(tuple(self))
+
+
+class _DscSeparations(_DscView, collections.abc.Mapping):
+    """Pair -> first separating level, as a read-only dict-like view."""
+
+    def __len__(self):
+        return sum(layer.separated for layer in self._layers.values())
+
+    def __iter__(self):
+        return (pair for pair, n in self._items())
+
+    def _items(self):
+        for layer in self._layers.values():
+            if layer.separated:
+                yield from (item for item in layer.pairs() if item[1])
+
+    def items(self):
+        return _DscItems(self)
+
+    def __getitem__(self, pair):
+        n = self._first(pair)
+        if not n:
+            raise KeyError(pair)
+        return n
+
+    def __repr__(self):
+        return repr(dict(self.items()))
+
+
+class _DscItems(collections.abc.ItemsView):
+    def __iter__(self):
+        return self._mapping._items()
 
 
 def _spheres_within(g: Graph, v, horizon):

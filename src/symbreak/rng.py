@@ -61,35 +61,46 @@ def _philox_words(key0, key1, blocks):
     each block, so block b is the Philox4x64-10 image of counter (b+1, 0, 0, 0).
     Round 1 sees only that counter, shared by every key, and key0: it maps
     the counter to (key0, 0, hi(m0 (b+1)) ^ key1[i], lo(m0 (b+1))), so it
-    runs once per block in Python ints, the key entering by one xor.  The
-    other rounds run in place on four state arrays and four scratch arrays.
+    runs once per block in Python ints, the key entering by one xor.  Round
+    2 then has x0 = key0 everywhere, so its m0 x0 is one Python product and
+    only m1 x2 is vectorised.  The other rounds run in place on four state
+    arrays and four scratch arrays, the last writing straight into the
+    (keys, blocks, 4) result.
     """
     import numpy as np
 
     shape = (len(key1), blocks)
     x0, x1, x2, x3, hi, s1, s2, s3 = (np.zeros(shape, dtype=np.uint64) for _ in range(8))
+    words = np.empty(shape + (4,), dtype=np.uint64)
     products = [_PHILOX_M0 * (b + 1) for b in range(blocks)]
-    k0, k1 = key0, key1[:, None].astype(np.uint64)
-    x0.fill(k0)
+    k1 = key1[:, None].astype(np.uint64)
     np.bitwise_xor(np.array([p >> 64 for p in products], dtype=np.uint64), k1, out=x2)
-    x3[:] = np.array([p & _MASK64 for p in products], dtype=np.uint64)
-    k0 = (k0 + _PHILOX_W0) & _MASK64
+    k0 = (key0 + _PHILOX_W0) & _MASK64
     k1 += np.uint64(_PHILOX_W1)
-    m0, m1 = np.uint64(_PHILOX_M0), np.uint64(_PHILOX_M1)
-    for _ in range(_PHILOX_ROUNDS - 1):
+    # round 2: (hi(m1 x2) ^ k0, lo(m1 x2), hi(m0 key0) ^ x3 ^ k1, lo(m0 key0))
+    m0, m1, key0_product = np.uint64(_PHILOX_M0), np.uint64(_PHILOX_M1), _PHILOX_M0 * key0
+    _mulhi(_PHILOX_M1, x2, x0, s1, s2, s3)
+    x0 ^= np.uint64(k0)
+    np.multiply(x2, m1, out=x1)
+    shared = [(p & _MASK64) ^ (key0_product >> 64) for p in products]
+    np.bitwise_xor(np.array(shared, dtype=np.uint64), k1, out=x2)
+    x3.fill(key0_product & _MASK64)
+    lanes = words.transpose(2, 0, 1)
+    for r in range(_PHILOX_ROUNDS - 2):
+        last = r == _PHILOX_ROUNDS - 3
+        k0 = (k0 + _PHILOX_W0) & _MASK64
+        k1 += np.uint64(_PHILOX_W1)
         # (x0, x1, x2, x3) <- (hi(m1 x2) ^ x1 ^ k0, lo(m1 x2), hi(m0 x0) ^ x3 ^ k1, lo(m0 x0))
         _mulhi(_PHILOX_M1, x2, hi, s1, s2, s3)
         hi ^= x1
-        hi ^= np.uint64(k0)
-        np.multiply(x2, m1, out=x1)
+        np.bitwise_xor(hi, np.uint64(k0), out=lanes[0] if last else hi)
+        np.multiply(x2, m1, out=lanes[1] if last else x1)
         _mulhi(_PHILOX_M0, x0, x2, s1, s2, s3)
         x2 ^= x3
-        x2 ^= k1
-        np.multiply(x0, m0, out=x3)
+        np.bitwise_xor(x2, k1, out=lanes[2] if last else x2)
+        np.multiply(x0, m0, out=lanes[3] if last else x3)
         x0, hi = hi, x0
-        k0 = (k0 + _PHILOX_W0) & _MASK64
-        k1 += np.uint64(_PHILOX_W1)
-    return np.stack([x0, x1, x2, x3], axis=2).reshape(len(key1), 4 * blocks)
+    return words.reshape(len(key1), 4 * blocks)
 
 
 class SeededRng(Record):

@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .autsearch import automorphism_group
-from .colourings import DEFAULT_COLOUR_CAP, agreement, bit_planes, cycle_labels, unpack_bits
+from .colourings import DEFAULT_COLOUR_CAP, agreement, cycle_labels, unpack_bits
 from .errors import CapExceededError, InvariantError
 from .graphs import Graph
 from .groups import BLOCK_BYTES, DEFAULT_ENUMERATION_CAP, PermGroup
@@ -236,6 +236,27 @@ class StabiliserMeasureReport(Record):
         }
 
 
+def _all_two_colourings(n):
+    """The 2^n 2-colourings of n vertices as one bit-plane (`bit_planes`).
+
+    Colouring i gives vertex v colour bit v of i, so bit t of word w in row
+    v is bit v of 64w + t: bit v of t for v < 6 (one pattern; its padding
+    bits are 0 when 2^n < 64), else bit v - 6 of w (a word of ones or
+    zeros).  No (n, 2^n) matrix is built.
+    """
+    import numpy as np
+
+    total = 2**n
+    words = np.arange(-(-total // 64))
+    planes = np.empty((1, n, len(words)), dtype=np.uint64)
+    for v in range(n):
+        if v < 6:
+            planes[0, v] = np.uint64(sum(1 << t for t in range(min(total, 64)) if t >> v & 1))
+        else:
+            planes[0, v] = np.where(words >> (v - 6) & 1, ~np.uint64(0), np.uint64(0))
+    return planes
+
+
 def expected_stabiliser_measure(
     g: Graph,
     enum_cap: int = DEFAULT_ENUMERATION_CAP,
@@ -266,9 +287,7 @@ def expected_stabiliser_measure(
     aut = automorphism_group(g)
     order = aut.order()
 
-    # column i is the colouring whose vertex v has colour bit v of i
-    colours = ((np.arange(total) >> np.arange(n)[:, None]) & 1).astype(np.uint8)
-    planes = bit_planes(colours, 2)
+    planes = _all_two_colourings(n)
     # agreement's two (elements, words) uint64 arrays and their bits unpacked
     per_slice = max(1, BLOCK_BYTES // (80 * planes.shape[2]))
     preserved_total = 0

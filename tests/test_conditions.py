@@ -1,6 +1,7 @@
 import math
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from symbreak.autsearch import automorphism_group
 from symbreak.colourings import Colouring, random_colouring
 from symbreak.conditions import (
     DSC_PAIR_CAP,
+    DscReport,
     dsc_check,
     gamma_refinement_iterate,
     growth_bound,
@@ -50,20 +52,31 @@ from symbreak.rng import SeededRng
 DOUBLE_RAY = {"kind": "double_ray", "params": {}}
 
 DSC_FAMILIES = [
-    *(FamilySpec("regular_tree", {"degree": 3}, r) for r in range(3, 7)),
+    *(FamilySpec("regular_tree", {"degree": 3}, r) for r in range(1, 8)),
     FamilySpec("regular_tree", {"degree": 4}, 3),
     FamilySpec("double_ray", {}, 32),
-    *(FamilySpec("grid", {"dimension": 2}, r) for r in range(2, 9)),
-    FamilySpec("ladder", {}, 16),
+    *(FamilySpec("grid", {"dimension": 2}, r) for r in range(1, 11)),
+    *(FamilySpec("ladder", {}, r) for r in range(1, 17)),
     FamilySpec("cartesian_product", {"left": DOUBLE_RAY, "right": DOUBLE_RAY}, 6),
 ]
 
 
 def assert_same_dsc(report, oracle):
+    """The report's views equal the oracle's tuples and dict, as views and
+    converted, and print as a report of those tuples and that dict does."""
     assert report.checked_pairs == oracle.checked_pairs
-    assert report.violations == oracle.violations
-    assert report.at_horizon == oracle.at_horizon
-    assert report.first_separating_n == oracle.first_separating_n
+    for field in ("violations", "at_horizon", "first_separating_n"):
+        view, want = getattr(report, field), getattr(oracle, field)
+        assert view == want and want == view, field
+        assert type(want)(view) == want, field
+    listed = DscReport(
+        report.root, report.radius, report.horizon_rule, oracle.checked_pairs,
+        oracle.violations, oracle.at_horizon, oracle.first_separating_n,
+    )
+    assert report == listed
+    assert report.to_json_dict() == listed.to_json_dict()
+    assert report.to_csv() == listed.to_csv()
+    assert report.to_text() == listed.to_text()
 
 
 def random_graph(rnd, connected):
@@ -185,6 +198,65 @@ class TestDsc:
         # indices nest, so every separation recorded at R=4 must recur at R=6
         for pair, n in small.first_separating_n.items():
             assert big.first_separating_n[pair] == n
+
+    def test_views_read_like_the_tuples_and_dict(self):
+        # 1, 2 and 3, 6 are twins, so they agree on S(1), the only safe sphere
+        # at depth 1; depth 2 has no safe sphere; 8 is unreachable
+        edges = [(0, 1), (0, 2), (0, 3), (0, 6), (1, 4), (2, 4), (3, 5), (6, 5), (3, 7), (6, 7)]
+        g = Graph.from_edges(9, edges)
+        report = dsc_check(g, 0, 2)
+        violations, at_horizon = ((1, 2), (3, 6)), ((4, 5), (4, 7), (5, 7))
+        first = {(1, 3): 1, (1, 6): 1, (2, 3): 1, (2, 6): 1}
+        oracle = dsc_by_full_distances(g, 0, 2)
+        assert (oracle.violations, oracle.at_horizon, oracle.first_separating_n) == (
+            violations, at_horizon, first
+        )
+        absent = [(0, 1), (1, 8), (8, 8), (-1, 2), (1,), (1, 2, 3), "12", [1, 2], None]
+        for view, want in ((report.violations, violations), (report.at_horizon, at_horizon)):
+            assert len(view) == len(want) and bool(view) and tuple(iter(view)) == want
+            assert tuple(reversed(view)) == want[::-1]
+            size = len(want)
+            assert [view[i] for i in range(-size, size)] == [want[i] for i in range(-size, size)]
+            assert view[1:] == want[1:] and view[::-1] == want[::-1]
+            for k in (size, -size - 1):
+                with pytest.raises(IndexError):
+                    view[k]
+            assert all(p in view for p in want)
+            assert not any(p in view for p in absent + [(1, 3)] + [(y, x) for x, y in want])
+            assert view == want and want == view and not view != want
+            assert view != want[:-1] and want[:-1] != view and view != list(want)
+            assert repr(view) == repr(want)
+        sep = report.first_separating_n
+        assert len(sep) == 4 and bool(sep) and list(sep) == list(first)
+        assert list(sep.items()) == list(first.items()) and list(sep.values()) == [1] * 4
+        assert sep[(2, 6)] == 1 and (2, 6) in sep and sep.get((1, 2)) is None
+        assert not any(p in sep for p in absent + [(3, 1)])
+        with pytest.raises(KeyError):
+            sep[(1, 2)]
+        assert sep == first and first == sep and not sep != first
+        assert sep != {**first, (1, 2): 1} and sep != dict(list(first.items())[:3])
+        assert repr(sep) == repr(first)
+
+        empty = dsc_check(path_graph(3), 1)
+        assert (empty.violations, empty.at_horizon, empty.first_separating_n) == ((), ((0, 2),), {})
+        assert not empty.violations and len(empty.violations) == 0 and repr(empty.violations) == "()"
+        assert not empty.first_separating_n and repr(empty.first_separating_n) == "{}"
+
+    def test_degree_3_radius_10_stores_no_pair(self):
+        g = generate_family(FamilySpec("regular_tree", {"degree": 3}, 10))
+        start = time.perf_counter()
+        report = dsc_check(g)
+        elapsed = time.perf_counter() - start
+        counts = (len(report.violations), len(report.at_horizon), len(report.first_separating_n))
+        assert (report.checked_pairs, *counts) == (1_571_328, 0, 1_178_880, 392_448)
+        assert elapsed < 0.2, elapsed
+        tracemalloc.start()
+        try:
+            dsc_check(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, peak
 
     def test_report_emissions(self):
         g = generate_family(FamilySpec("double_ray", {}, 3))

@@ -79,11 +79,12 @@ def test_draw_count_must_be_an_int(count):
         SeededRng(0).integers_below(2, count)
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("blocks", [0, 1, 2, 5])
+@pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1])
+@pytest.mark.parametrize("blocks", [0, 1, 2, 3, 5])
 @pytest.mark.parametrize("keys", [[7], [0, 1, 2**63, 2**64 - 1]], ids=["one key", "keys"])
 def test_philox_words_match_numpy_per_block_count(seed, blocks, keys):
-    # round 1 runs in Python ints, once per block, before the vectorised rounds
+    # round 1 runs in Python ints, once per block, and round 2's m0 x0 is one
+    # Python product of key0, before the vectorised rounds
     words = _philox_words(seed, np.array(keys, dtype=np.uint64), blocks)
     assert words.shape == (len(keys), 4 * blocks)
     for row, key in zip(words, keys):

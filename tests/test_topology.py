@@ -4,11 +4,13 @@ import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from conftest import agreement_level_by_sets, ball_sets, from_cycles
 from symbreak import topology
 from symbreak.autsearch import automorphism_group
+from symbreak.colourings import bit_planes
 from symbreak.errors import CapExceededError, InvariantError
 from symbreak.graphs import (
     FamilySpec,
@@ -573,6 +575,26 @@ class TestExpectedStabiliserMeasure:
             )
             rep = expected_stabiliser_measure(g)
             assert rep.colour_first == Fraction(pairs, 2**n * len(elems)), (n, g.edges())
+
+    @pytest.mark.parametrize("n", range(13))
+    def test_colouring_plane_matches_bit_planes_of_the_matrix(self, n):
+        # column i of the matrix is the colouring whose vertex v has colour bit v of i
+        colours = ((np.arange(2**n) >> np.arange(n)[:, None]) & 1).astype(np.uint8)
+        planes = topology._all_two_colourings(n)
+        want = bit_planes(colours, 2)
+        assert planes.dtype == want.dtype and planes.shape == want.shape
+        assert (planes == want).all()
+
+    def test_p20_builds_no_colouring_matrix(self):
+        # an (n, 2^n) int64 matrix alone is 160 MiB at n = 20
+        tracemalloc.start()
+        try:
+            rep = expected_stabiliser_measure(path_graph(20))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.value == Fraction(2**10 + 1, 2**11)
+        assert peak < 16 * 2**20, peak
 
     def test_fubini_mismatch_raises_invariant_error(self, monkeypatch):
         # wrong cycle labels break the group-first route only
