@@ -12,7 +12,6 @@ fraction is the ratio of two coloured-search orders.  No element is listed.
 
 from __future__ import annotations
 
-import bisect
 import collections.abc
 import functools
 import itertools
@@ -40,9 +39,10 @@ class DscReport(Record):
     ``violations`` lists pairs that agreed on a non-empty safe range —
     truncation-limited evidence against the condition, never a refutation.
     ``at_horizon`` lists pairs with no checkable radius at all.  From
-    `dsc_check` the two lists are read-only views and ``first_separating_n``
-    a read-only mapping, all over its per-layer class tables: they equal the
-    tuples and the dict they stand for, and hold no pair until read.
+    `dsc_check` the two lists are read-only sequences and
+    ``first_separating_n`` a read-only mapping over its per-layer class
+    tables: iteration generates the pairs afresh, and any other read builds
+    the tuple or dict they stand for once.
     """
 
     root: int
@@ -99,12 +99,12 @@ def dsc_check(g: Graph, v0: int = 0, radius: int | None = None) -> DscReport:
     The root's distance row comes from one search; without a truncation or
     an explicit radius, the radius is that row's maximum.  The pairs are
     counted first: above `DSC_PAIR_CAP` it raises `CapExceededError` before
-    any sphere is built.  Then one layer of equidistant vertices at a time:
-    each vertex's spheres come from a BFS that stops at its safe horizon
-    radius - d(root, v), or earlier at its first empty sphere, and are
-    dropped when the layer is classified (`_DscLayer`).  A pair separates
-    at the first level where its two classes differ and is a violation
-    when they end in one class; the report reads both off the class tables.
+    any sphere is built.  Then one layer of equidistant vertices at a time
+    (`_DscLayer`): level by level, each vertex whose class still holds
+    another vertex draws its next sphere, up to the safe horizon
+    radius - d(root, v).  A pair separates at the first level where its two
+    classes differ and is a violation when they end in one class; the
+    report reads both off the class tables.
     """
     if g.truncation is not None:
         if v0 != g.truncation.root:
@@ -133,20 +133,21 @@ def dsc_check(g: Graph, v0: int = 0, radius: int | None = None) -> DscReport:
             cap=DSC_PAIR_CAP,
         )
 
-    inner, horizon = {}, {}
+    inner, horizon = [], []
     for depth, vertices in sorted(by_depth.items()):
         if len(vertices) > 1:
-            # with no safe range no sphere is built: the layer is one class, at the horizon
+            # with no safe range the layer is one class, at the horizon
             layers = inner if radius - depth >= 1 else horizon
-            spheres = [_spheres_within(g, v, radius - depth) for v in vertices]
-            layers[depth] = _DscLayer(vertices, spheres)
+            layers.append(_DscLayer(g, vertices, radius - depth))
     rule = (
         "S_x(n) trusted iff n + d(root, x) <= radius; "
         "pairs compared over 1 <= n <= radius - depth"
     )
     return DscReport(
         v0, radius, rule, pairs,
-        _DscPairs(inner, dist), _DscPairs(horizon, dist), _DscSeparations(inner, dist),
+        _LazyTuple(sum(layer.same for layer in inner), functools.partial(_same_pairs, inner)),
+        _LazyTuple(sum(layer.same for layer in horizon), functools.partial(_same_pairs, horizon)),
+        _LazyDict(sum(layer.separated for layer in inner), functools.partial(_separations, inner)),
     )
 
 
@@ -155,34 +156,36 @@ class _DscLayer:
 
     ``levels[n - 1][i]`` is vertex i's class id at level n, interned from
     its class at level n - 1 and S(n), so two vertices share it iff their
-    spheres agree on 1..n.  With no levels the layer is one class.  The
-    spheres are not kept.
+    spheres agree on 1..n.  Only a vertex whose class holds another draws
+    S(n); a vertex alone in its class stays apart by its class id, so it
+    gets no sphere.  The levels stop at the horizon or when every class is
+    a single vertex.  With no levels the layer is one class.  No sphere is
+    kept.
     """
 
     __slots__ = ("vertices", "levels", "same", "separated")
 
-    def __init__(self, vertices, spheres):
-        classes, self.vertices, self.levels = [0] * len(vertices), vertices, []
-        for n in range(max(map(len, spheres))):
-            # each list ends before its first empty sphere; past it S(n) is empty
+    def __init__(self, g, vertices, horizon):
+        self.vertices, self.levels = vertices, []
+        walks = [_spheres(g, v) for v in vertices]
+        classes = [0] * len(vertices)
+        sizes = {0: len(vertices)}
+        for _ in range(horizon):
+            spheres = [next(w, None) if sizes[c] > 1 else None for c, w in zip(classes, walks)]
+            if not any(spheres):
+                # two vertices that agree on S(1..n-1) are n or more apart, so each has
+                # an S(n): no sphere drawn means every class is a single vertex
+                break
             ids = {}
-            classes = [
-                ids.setdefault((c, s[n] if n < len(s) else frozenset()), len(ids))
-                for c, s in zip(classes, spheres)
-            ]
+            classes = [ids.setdefault(key, len(ids)) for key in zip(classes, spheres)]
             self.levels.append(classes)
-            if len(ids) == len(vertices):
-                break  # every class is a single vertex; later levels only refine
-        last = collections.Counter(classes)
-        self.same = sum(c * (c - 1) // 2 for c in last.values())  # pairs ending in one class
+            sizes = collections.Counter(classes)
+        self.same = sum(c * (c - 1) // 2 for c in sizes.values())  # pairs ending in one class
         self.separated = len(vertices) * (len(vertices) - 1) // 2 - self.same
 
-    def first(self, i, j):
-        """The first level at which vertices i and j differ, 0 if none."""
-        return next((n for n, row in enumerate(self.levels, 1) if row[i] != row[j]), 0)
-
     def pairs(self):
-        """((x, y), first(i, j)) for each pair i < j, in layer order."""
+        """((x, y), n) for each pair i < j, in layer order: n is the first
+        level at which they differ, 0 if none."""
         vs = self.vertices
         for i, x in enumerate(vs):
             first = [0] * (len(vs) - i - 1)
@@ -193,98 +196,85 @@ class _DscLayer:
             yield from zip(zip(itertools.repeat(x), vs[i + 1 :]), first)
 
 
-class _DscView:
-    """Pairs of `_DscLayer`s (depth -> layer), located by the root's distance row."""
-
-    def __init__(self, layers, depth):
-        self._layers, self._depth = layers, depth
-
-    def _first(self, pair):
-        """`_DscLayer.first` of a pair x < y in one of these layers, else None."""
-        if not (isinstance(pair, tuple) and len(pair) == 2):
-            return None
-        x, y = pair
-        if not (isinstance(x, int) and isinstance(y, int) and 0 <= x < y < len(self._depth)):
-            return None
-        layer = self._layers.get(self._depth[x])
-        if layer is None or self._depth[y] != self._depth[x]:
-            return None
-        vs = layer.vertices
-        return layer.first(bisect.bisect_left(vs, x), bisect.bisect_left(vs, y))
+def _same_pairs(layers):
+    """The pairs of `layers` that end in one class."""
+    for layer in layers:
+        if not layer.separated:
+            yield from itertools.combinations(layer.vertices, 2)
+        elif layer.same:
+            yield from (pair for pair, n in layer.pairs() if not n)
 
 
-class _DscPairs(_DscView, collections.abc.Sequence):
-    """The pairs that end in one class, as a read-only tuple-like view."""
+def _separations(layers):
+    """(pair, first separating level) for the separated pairs of `layers`."""
+    for layer in layers:
+        if layer.separated:
+            yield from (item for item in layer.pairs() if item[1])
+
+
+class _Lazy:
+    """`size` items that ``generate()`` yields afresh on each iteration;
+    any other read uses one `_container` of them, built on first use."""
+
+    _container = tuple
+
+    def __init__(self, size, generate):
+        self._size, self._generate, self._built = size, generate, None
+
+    def _value(self):
+        if self._built is None:
+            self._built = self._container(self._generate())
+        return self._built
 
     def __len__(self):
-        return sum(layer.same for layer in self._layers.values())
-
-    def __iter__(self):
-        for layer in self._layers.values():
-            if not layer.separated:
-                yield from itertools.combinations(layer.vertices, 2)
-            elif layer.same:
-                yield from (pair for pair, n in layer.pairs() if not n)
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return tuple(self)[k]
-        size = len(self)
-        if not -size <= k < size:
-            raise IndexError("tuple index out of range")
-        return next(itertools.islice(self, k % size, None))
-
-    def __reversed__(self):
-        return reversed(tuple(self))  # the Sequence default indexes, a walk per item
-
-    def __contains__(self, pair):
-        return self._first(pair) == 0
+        return self._size
 
     def __eq__(self, other):
-        if not isinstance(other, (tuple, _DscPairs)):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+        return self._value() == other
 
     def __repr__(self):
-        return repr(tuple(self))
+        return repr(self._value())
 
 
-class _DscSeparations(_DscView, collections.abc.Mapping):
-    """Pair -> first separating level, as a read-only dict-like view."""
+class _LazyTuple(_Lazy, collections.abc.Sequence):
+    def __iter__(self):
+        return self._generate()
 
-    def __len__(self):
-        return sum(layer.separated for layer in self._layers.values())
+    def __getitem__(self, k):
+        return self._value()[k]
+
+    def __contains__(self, item):
+        return item in self._value()
+
+
+class _LazyDict(_Lazy, collections.abc.Mapping):
+    """Generates (key, value) items: iterating the keys or ``items()``
+    builds no dict."""
+
+    _container = dict
 
     def __iter__(self):
-        return (pair for pair, n in self._items())
-
-    def _items(self):
-        for layer in self._layers.values():
-            if layer.separated:
-                yield from (item for item in layer.pairs() if item[1])
+        return (key for key, _ in self._generate())
 
     def items(self):
-        return _DscItems(self)
+        return _GeneratedItems(self)
 
-    def __getitem__(self, pair):
-        n = self._first(pair)
-        if not n:
-            raise KeyError(pair)
-        return n
-
-    def __repr__(self):
-        return repr(dict(self.items()))
+    def __getitem__(self, key):
+        try:
+            return self._value()[key]
+        except TypeError:  # an unhashable key is simply absent
+            raise KeyError(key) from None
 
 
-class _DscItems(collections.abc.ItemsView):
+class _GeneratedItems(collections.abc.ItemsView):
     def __iter__(self):
-        return self._mapping._items()
+        return self._mapping._generate()
 
 
-def _spheres_within(g: Graph, v, horizon):
-    """[S_v(1), ..., S_v(m)] as frozensets, m = min(horizon, v's eccentricity)."""
-    seen, frontier, spheres = {v}, [v], []
-    while len(spheres) < horizon:
+def _spheres(g: Graph, v):
+    """Yield S_v(1), S_v(2), ... as frozensets, up to v's eccentricity."""
+    seen, frontier = {v}, [v]
+    while True:
         layer = []
         for u in frontier:
             for w in g.adjacency[u]:
@@ -292,10 +282,9 @@ def _spheres_within(g: Graph, v, horizon):
                     seen.add(w)
                     layer.append(w)
         if not layer:
-            break
-        spheres.append(frozenset(layer))
+            return
+        yield frozenset(layer)
         frontier = layer
-    return spheres
 
 
 # ---------------------------------------------------------------------------
@@ -369,9 +358,12 @@ def _vertex_spheres(g: Graph, vertices):
     """(vertex -> [S_v(1), S_v(2), ...], depth row): spheres up to the safe
     range and the root's distance row on a truncation; no row otherwise."""
     if g.truncation is None:
-        return {v: _spheres_within(g, v, g.vertex_count) for v in vertices}, None
+        return {v: list(_spheres(g, v)) for v in vertices}, None
     depth = g.distances(g.truncation.root)
-    spheres = {v: _spheres_within(g, v, g.truncation.radius - depth[v]) for v in vertices}
+    spheres = {}
+    for v in vertices:
+        safe = max(g.truncation.radius - depth[v], 0)
+        spheres[v] = list(itertools.islice(_spheres(g, v), safe))
     return spheres, depth
 
 
@@ -425,7 +417,7 @@ def sphere_equivalence(
 ) -> SphereEquivalenceResult:
     """u ~ v: same automorphism orbit and S_u(n) = S_v(n) for n0 <= n <= horizon.
 
-    Spheres come from bounded breadth-first searches (`_spheres_within`).
+    Spheres come from one breadth-first walk per vertex (`_spheres`).
     The horizon defaults to the safe range and may not exceed it: the last
     radius at which u or v has a non-empty sphere, or on a truncation
     radius - max(depth(u), depth(v)).

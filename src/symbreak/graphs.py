@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from collections import deque
 
-from .errors import GraphFormatError
+from .errors import CapExceededError, GraphFormatError
 from .jsonfields import JsonFields, Record, json_value
 
 UNREACHABLE = -1
@@ -184,6 +184,10 @@ def _bfs_tree(root_children, children, depth, truncation=None):
 # Cartesian products
 
 
+#: `cartesian_product` refuses more vertices than this before building any.
+PRODUCT_VERTEX_CAP = 50_000_000
+
+
 def cartesian_product(g1: Graph, g2: Graph) -> Graph:
     """Cartesian product: (a, b) ~ (c, d) iff (a=c and b~d) or (a~c and b=d).
 
@@ -191,8 +195,12 @@ def cartesian_product(g1: Graph, g2: Graph) -> Graph:
     labels (falling back to factor indices).  Distances add across factors.
     """
     n1, n2 = g1.vertex_count, g2.vertex_count
-    if n1 * n2 > 50_000_000:
-        raise ValueError("product vertex count too large")
+    if n1 * n2 > PRODUCT_VERTEX_CAP:
+        raise CapExceededError(
+            f"{n1} x {n2} = {n1 * n2} product vertices exceed the cap {PRODUCT_VERTEX_CAP}",
+            required=n1 * n2,
+            cap=PRODUCT_VERTEX_CAP,
+        )
     lab1 = g1.labels if g1.labels is not None else tuple(range(n1))
     lab2 = g2.labels if g2.labels is not None else tuple(range(n2))
     labels = [(lab1[i], lab2[j]) for i in range(n1) for j in range(n2)]
@@ -266,11 +274,32 @@ class FamilySpec(JsonFields):
     def from_json_dict(cls, data):
         if not isinstance(data, dict) or "kind" not in data:
             raise GraphFormatError("family spec must be an object with a 'kind'")
-        return cls(
-            kind=data["kind"],
-            params=dict(data.get("params", {})),
-            radius=int(data.get("radius", 0)),
+        spec = cls(data["kind"], data.get("params", {}), data.get("radius", 0))
+        _check_spec_fields(spec)
+        return spec
+
+
+def _check_spec_fields(spec):
+    """Refuse `params` that is not an object and a `radius` that is not an int."""
+    if not isinstance(spec.params, dict):
+        raise GraphFormatError("family spec 'params' must be an object")
+    _spec_int("radius", spec.radius)
+
+
+def _spec_int(name, value):
+    """`value` if it is an int; a bool, float, string or null is refused."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise GraphFormatError(
+            f"family spec {name!r} must be an integer, not {json.dumps(value, default=repr)}"
         )
+    return value
+
+
+def _spec_param(spec, name):
+    """The param `name` of `spec`, which must be present."""
+    if name not in spec.params:
+        raise GraphFormatError(f"{spec.kind} family spec needs the param {name!r}")
+    return spec.params[name]
 
 
 def _generate_regular_tree(degree, radius):
@@ -324,17 +353,12 @@ def _generate_grid(dimension, radius):
 
 
 def _factor_graph(value, radius):
-    """A product factor: either a nested FamilySpec-ish object or a file path."""
+    """A product factor: a nested family spec object or a file path."""
     if isinstance(value, str):
         return load_graph(value)
     if isinstance(value, dict):
-        spec = FamilySpec.from_json_dict({**value, "radius": value.get("radius", radius)})
-        return generate_family(spec)
-    if isinstance(value, FamilySpec):
-        return generate_family(value)
-    if isinstance(value, Graph):
-        return value
-    raise GraphFormatError("product factor must be a family spec, graph, or file path")
+        return generate_family(FamilySpec.from_json_dict({"radius": radius, **value}))
+    raise GraphFormatError("product factor must be a family spec object or a file path")
 
 
 def generate_family(spec: FamilySpec) -> Graph:
@@ -343,22 +367,23 @@ def generate_family(spec: FamilySpec) -> Graph:
     Labelling is deterministic (lexicographic breadth-first order from the
     root), so truncations of the same family at increasing radii are nested.
     """
+    _check_spec_fields(spec)
     if spec.radius < 0:
         raise ValueError("radius must be non-negative")
     kind = spec.kind
     if kind == "regular_tree":
-        return _generate_regular_tree(int(spec.params["degree"]), spec.radius)
+        return _generate_regular_tree(_spec_int("degree", _spec_param(spec, "degree")), spec.radius)
     if kind == "double_ray":
         return _generate_double_ray(spec.radius)
     if kind == "grid":
-        return _generate_grid(int(spec.params["dimension"]), spec.radius)
+        return _generate_grid(_spec_int("dimension", _spec_param(spec, "dimension")), spec.radius)
     if kind == "ladder":
         rail = _generate_double_ray(spec.radius)
         rung = Graph.from_edges(2, [(0, 1)], labels=[0, 1])
         return truncate_to_ball(cartesian_product(rail, rung), 0, spec.radius)
     if kind == "cartesian_product":
-        left = _factor_graph(spec.params["left"], spec.radius)
-        right = _factor_graph(spec.params["right"], spec.radius)
+        left = _factor_graph(_spec_param(spec, "left"), spec.radius)
+        right = _factor_graph(_spec_param(spec, "right"), spec.radius)
         product = cartesian_product(left, right)
         return truncate_to_ball(product, 0, spec.radius)
     if kind == "custom":
@@ -368,7 +393,7 @@ def generate_family(spec: FamilySpec) -> Graph:
             g = load_graph(spec.params["file"])
         else:
             raise GraphFormatError("custom family needs a 'file' or inline 'graph'")
-        root = int(spec.params.get("root", 0))
+        root = _spec_int("root", spec.params.get("root", 0))
         return truncate_to_ball(g, root, spec.radius)
     raise GraphFormatError(f"unknown family kind {kind!r}")
 

@@ -174,7 +174,9 @@ def ball_decomposition(
     # Representatives only: BFS over right cosets acting on preimage tuples.
     size = group.pointwise_stabiliser(points).order()
     if order // size > cap:
-        raise CapExceededError(f"{order // size} balls exceed the cap {cap}")
+        raise CapExceededError(
+            f"{order // size} balls exceed the cap {cap}", required=order // size, cap=cap
+        )
     start = tuple(points)
     reps = {start: Perm.identity(group.degree)}
     queue = [start]

@@ -575,6 +575,47 @@ def test_unknown_suite_exits_2_before_any_suite_runs(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+TREE_SPEC = {"kind": "regular_tree", "radius": 2}
+DOUBLE_RAY_SPEC = {"kind": "double_ray"}
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ({"kind": "double_ray", "radius": None}, "family spec 'radius' must be an integer, not null"),
+        ({"kind": "double_ray", "params": [1]}, "family spec 'params' must be an object"),
+        (TREE_SPEC, "regular_tree family spec needs the param 'degree'"),
+        ({**TREE_SPEC, "params": {"degree": None}}, "family spec 'degree' must be an integer, not null"),
+        ({"kind": "grid", "radius": 2}, "grid family spec needs the param 'dimension'"),
+        ({"kind": "cartesian_product", "params": {"left": DOUBLE_RAY_SPEC}},
+         "cartesian_product family spec needs the param 'right'"),
+        ({"kind": "double_ray", "radius": 2.9}, "family spec 'radius' must be an integer, not 2.9"),
+        ({"kind": "double_ray", "radius": True}, "family spec 'radius' must be an integer, not true"),
+        ({"kind": "grid", "params": {"dimension": "2"}, "radius": 2},
+         "family spec 'dimension' must be an integer, not \"2\""),
+    ],
+    ids=[
+        "radius-null", "params-list", "degree-missing", "degree-null", "dimension-missing",
+        "right-missing", "radius-float", "radius-bool", "dimension-string",
+    ],
+)
+def test_bad_family_spec_fields_exit_2(capsys, spec, message):
+    code = main(["growth", "--family", json.dumps(spec)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_product_vertex_cap_exits_3(capsys):
+    # two radius-4000 double rays: 8001^2 = 64,016,001 vertices, refused before building
+    ray = json.dumps({"kind": "double_ray", "radius": 4000})
+    assert main(["product", "--left", ray, "--right", ray]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: 8001 x 8001 = 64016001 product vertices exceed the cap 50000000\n"
+
+
 def test_dsc_pair_cap_exits_3(capsys):
     spec = json.dumps({"kind": "regular_tree", "params": {"degree": 3}, "radius": 12})
     assert main(["dsc", "--family", spec]) == 3

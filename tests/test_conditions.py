@@ -258,6 +258,104 @@ class TestDsc:
             tracemalloc.stop()
         assert peak < 4 * 2**20, peak
 
+    @pytest.mark.parametrize("spec, radius", [
+        (FamilySpec("regular_tree", {"degree": 3}, 5), 2),
+        (FamilySpec("grid", {"dimension": 2}, 6), 3),
+        (FamilySpec("ladder", {}, 8), 1),
+        (FamilySpec("double_ray", {}, 6), 4),
+    ], ids=lambda p: getattr(p, "kind", p))
+    def test_radius_below_the_eccentricity(self, spec, radius):
+        # the same ball without its truncation: layers deeper than `radius`
+        # get a negative horizon and are wholly at the horizon
+        g = Graph(generate_family(spec).adjacency)
+        assert_same_dsc(dsc_check(g, 0, radius), dsc_by_full_distances(g, 0, radius))
+
+    def test_unreachable_vertices(self):
+        # a path 0-1-2 with twin leaves 3, 4 on 2, plus an unreachable C5 and isolated 10
+        edges = [(0, 1), (1, 2), (2, 3), (2, 4), (5, 6), (6, 7), (7, 8), (8, 9), (5, 9)]
+        g = Graph.from_edges(11, edges)
+        for root in (0, 2, 3, 6, 10):
+            for radius in (None, 0, 1, 2, 5):
+                assert_same_dsc(dsc_check(g, root, radius), dsc_by_full_distances(g, root, radius))
+
+    def test_twins_and_pendant_paths(self):
+        # twin leaves 3, 4 agree on S(1) = {2} and part at S(2), which holds the other
+        g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (2, 4)])
+        assert dsc_check(g, 0, 4).violations == ((3, 4),)
+        assert dict(dsc_check(g, 0, 10).first_separating_n) == {(3, 4): 2}
+        # K_{2,m} with pendant paths: twins in each part, and walks that end
+        # at different levels
+        for m in range(2, 6):
+            for lengths in ((0, 0), (1, 0), (2, 1), (3, 3)):
+                n = 2 + m
+                edges = [(a, b) for a in (0, 1) for b in range(2, n)]
+                for start, length in zip((0, 2), lengths):
+                    for _ in range(length):
+                        edges.append((start, n))
+                        start, n = n, n + 1
+                k = Graph.from_edges(n, edges)
+                for root in range(n):
+                    for radius in (None, 1, 3, 9):
+                        assert_same_dsc(
+                            dsc_check(k, root, radius), dsc_by_full_distances(k, root, radius)
+                        )
+
+    def test_seeded_random_graphs_with_twins_and_explicit_radii(self):
+        rnd = random.Random(11)
+        for _ in range(120):
+            g = random_graph(rnd, rnd.random() < 0.7)
+            # twins of random vertices keep some classes shared past level 1
+            edges = [(u, v) for u in range(g.vertex_count) for v in g.adjacency[u] if u < v]
+            n = g.vertex_count
+            for v in rnd.sample(range(g.vertex_count), min(3, g.vertex_count)):
+                edges += [(u, n) for u in g.adjacency[v]]
+                n += 1
+            g = Graph.from_edges(n, edges)
+            root = rnd.randrange(n)
+            for radius in (rnd.randint(0, 3), rnd.randint(0, 8), 2 * n):
+                assert_same_dsc(dsc_check(g, root, radius), dsc_by_full_distances(g, root, radius))
+
+    @pytest.mark.parametrize("spec, most, counts", [
+        (FamilySpec("grid", {"dimension": 2}, 16), 480, (11_696, 0, 2_016, 9_680)),
+        (FamilySpec("regular_tree", {"degree": 3}, 10), 1533, (1_571_328, 0, 1_178_880, 392_448)),
+        (FamilySpec("double_ray", {}, 32), 62, (32, 0, 1, 31)),
+    ], ids=lambda p: getattr(p, "kind", None))
+    def test_spheres_drawn_only_while_a_class_is_shared(self, spec, most, counts, monkeypatch):
+        # building every vertex's spheres up to its horizon drew 2720, 3039 and 992
+        drawn = []
+        walk = conditions._spheres
+
+        def counted(g, v):
+            for sphere in walk(g, v):
+                drawn.append(v)
+                yield sphere
+
+        monkeypatch.setattr(conditions, "_spheres", counted)
+        report = dsc_check(generate_family(spec))
+        assert len(drawn) <= most
+        # the counts of `dsc_by_full_distances` on the same ball
+        lengths = (len(report.violations), len(report.at_horizon), len(report.first_separating_n))
+        assert (report.checked_pairs, *lengths) == counts
+
+    def test_iteration_builds_no_tuple(self):
+        g = generate_family(FamilySpec("regular_tree", {"degree": 3}, 10))
+        report = dsc_check(g)
+        tracemalloc.start()
+        try:
+            pairs = sum(1 for _ in report.at_horizon)
+            separated = sum(1 for _ in report.first_separating_n.items())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (pairs, separated) == (1_178_880, 392_448)
+        assert peak < 4 * 2**20, peak
+        # a later lookup builds the tuple or dict once and answers from it
+        leaves = [v for v, d in enumerate(g.distances(0)) if d == 10]
+        assert report.at_horizon[-1] == tuple(leaves[-2:])
+        assert (leaves[0], leaves[1]) in report.at_horizon
+        siblings = [v for v in g.adjacency[1] if v > 1]
+        assert report.first_separating_n[tuple(siblings)] == 1
+
     def test_report_emissions(self):
         g = generate_family(FamilySpec("double_ray", {}, 3))
         report = dsc_check(g)

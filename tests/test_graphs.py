@@ -5,8 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import graph_text, sphere
-from symbreak.errors import GraphFormatError
+from symbreak.errors import CapExceededError, GraphFormatError
 from symbreak.graphs import (
+    PRODUCT_VERTEX_CAP,
     FamilySpec,
     Graph,
     cartesian_product,
@@ -22,6 +23,9 @@ from symbreak.graphs import (
     star_graph,
     truncate_to_ball,
 )
+
+
+DOUBLE_RAY = {"kind": "double_ray", "params": {}}
 
 
 def test_bfs_distances_on_path():
@@ -100,6 +104,13 @@ class TestCartesianProduct:
     def test_labels_are_pairs(self):
         p = cartesian_product(complete_graph(2), complete_graph(2))
         assert p.labels == ((0, 0), (0, 1), (1, 0), (1, 1))
+
+    def test_vertex_cap_refused_before_building(self):
+        # 8001 x 8001 = 64,016,001 vertices: the factors of two radius-4000 double rays
+        big = Graph(((),) * 8001)
+        with pytest.raises(CapExceededError, match="64016001 product vertices") as info:
+            cartesian_product(big, big)
+        assert (info.value.required, info.value.cap) == (64_016_001, PRODUCT_VERTEX_CAP)
 
     @given(st.data())
     @settings(max_examples=30, deadline=None)
@@ -229,6 +240,38 @@ class TestFamilies:
     def test_tree_degree_below_three_rejected(self):
         with pytest.raises(ValueError):
             generate_family(FamilySpec("regular_tree", {"degree": 2}, 2))
+
+    @pytest.mark.parametrize(
+        "kind, params, radius, field",
+        [
+            ("grid", {"dimension": 2}, None, "'radius'"),
+            ("grid", [1], 2, "'params'"),
+            ("grid", None, 2, "'params'"),
+            ("regular_tree", {}, 2, "'degree'"),
+            ("regular_tree", {"degree": None}, 2, "'degree'"),
+            ("grid", {}, 2, "'dimension'"),
+            ("cartesian_product", {"left": DOUBLE_RAY}, 2, "'right'"),
+            ("cartesian_product", {"left": DOUBLE_RAY, "right": 5}, 2, "product factor"),
+            ("cartesian_product", {"left": {**DOUBLE_RAY, "radius": 1.5}, "right": DOUBLE_RAY}, 2,
+             "'radius'"),
+            ("grid", {"dimension": 2}, 2.9, "'radius'"),
+            ("grid", {"dimension": 2}, True, "'radius'"),
+            ("grid", {"dimension": "2"}, 2, "'dimension'"),
+            ("grid", {"dimension": 2.0}, 2, "'dimension'"),
+            ("regular_tree", {"degree": False}, 2, "'degree'"),
+            ("custom", {"graph": {"vertex_count": 2, "edges": [[0, 1]]}, "root": "1"}, 1, "'root'"),
+        ],
+    )
+    def test_bad_spec_fields_rejected(self, kind, params, radius, field):
+        # nothing is coerced: a bool, float, string or null is not an int
+        with pytest.raises(GraphFormatError, match=field):
+            generate_family(FamilySpec(kind, params, radius))
+        data = {"kind": kind, "params": params, "radius": radius}
+        with pytest.raises(GraphFormatError, match=field):
+            generate_family(FamilySpec.from_json_dict(data))
+
+    def test_spec_defaults_still_apply(self):
+        assert FamilySpec.from_json_dict({"kind": "double_ray"}) == FamilySpec("double_ray", {}, 0)
 
 
 class TestGrowth:

@@ -423,6 +423,12 @@ class TestBallDecomposition:
             with pytest.raises(CapExceededError, match="balls exceed the cap"):
                 ball_decomposition(group, seq, len(seq), cap=cap)
 
+    def test_cap_refusal_carries_its_numbers(self):
+        g = hypercube(4)
+        with pytest.raises(CapExceededError, match="384 balls exceed the cap 5") as info:
+            ball_decomposition(automorphism_group(g), ExhaustionSequence.balls(g, 0), 3, cap=5)
+        assert (info.value.required, info.value.cap) == (384, 5)
+
     def test_ball_count_equals_stabiliser_index(self):
         g = hypercube(3)
         group = automorphism_group(g)
