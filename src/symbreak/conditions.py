@@ -5,9 +5,9 @@ spheres check with an explicit safe horizon, sphere equivalence and
 suborbit equivalence with an exception budget (plus the class-stabiliser
 refinement iteration), Cartesian layer fixing under a colouring, the
 equal-colour-count matching probability, and the growth-bound report.
-Suborbits come from the coloured search and each pair s, t from one phi
-with phi(s) = t in the orbit transversal of s; the layer-respecting
-fraction is the ratio of two coloured-search orders.  No element is listed.
+Suborbits come from one coloured search per orbit, carried to the orbit's
+other points by its transversal; the layer-respecting fraction is the
+ratio of two coloured-search orders.  No element is listed.
 """
 
 from __future__ import annotations
@@ -312,7 +312,10 @@ class EquivalenceClasses(JsonFields):
         return "\n".join(lines)
 
 
-def _classes_from_pairwise(n, pair_fn, relation, parameters):
+def _classes_from_pairwise(n, blocks, relation, parameters):
+    """Classes of 0..n-1 from (block, test) pairs, each test called before
+    the next pair is read: test(s, t) decides each pair s < t of the
+    ascending block, and pairs across blocks never relate."""
     parent = list(range(n))
 
     def find(a):
@@ -322,9 +325,9 @@ def _classes_from_pairwise(n, pair_fn, relation, parameters):
         return a
 
     positive = set()
-    for s in range(n):
-        for t in range(s + 1, n):
-            if pair_fn(s, t):
+    for block, test in blocks:
+        for s, t in itertools.combinations(block, 2):
+            if test(s, t):
                 positive.add((s, t))
                 ra, rb = find(s), find(t)
                 if ra != rb:
@@ -335,13 +338,10 @@ def _classes_from_pairwise(n, pair_fn, relation, parameters):
         by_root.setdefault(find(v), []).append(v)
     classes = tuple(tuple(sorted(c)) for _, c in sorted(by_root.items()))
 
-    closure_added = []
-    for cls in classes:
-        for i, s in enumerate(cls):
-            for t in cls[i + 1 :]:
-                if (s, t) not in positive:
-                    closure_added.append((s, t))
-    return EquivalenceClasses(relation, classes, parameters, tuple(closure_added))
+    closure_added = tuple(
+        pair for cls in classes for pair in itertools.combinations(cls, 2) if pair not in positive
+    )
+    return EquivalenceClasses(relation, classes, parameters, closure_added)
 
 
 # -- sphere equivalence -----------------------------------------------------
@@ -443,54 +443,56 @@ def sphere_classes(
     def pair_fn(s, t):
         return _sphere_pair(g, s, t, spheres, depth, n0_max, horizon, orbit).equivalent
 
+    # one block of every vertex, so an explicit horizon is checked against every pair
+    blocks = [(range(g.vertex_count), pair_fn)]
     return _classes_from_pairwise(
-        g.vertex_count, pair_fn, "sphere", {"n0_max": n0_max, "horizon": horizon}
+        g.vertex_count, blocks, "sphere", {"n0_max": n0_max, "horizon": horizon}
     )
 
 
 # -- suborbit equivalence ---------------------------------------------------
 
 
-def _suborbits(g: Graph, colours, s):
-    """The orbits of the stabiliser of s in Aut(g, colours): the coloured
-    search with s fixed."""
-    return automorphism_group(g, colours, fixing=(s,)).orbits()
+def _suborbit_rows(g: Graph, colours, group: PermGroup, r, trans, points):
+    """(|D_0|, |D_1|, ...) and {p: row p} for `points` of the orbit of r.
 
-
-def _suborbit_mismatch_count(suborbits_s, suborbits_t, phi):
-    """The sum of |C| over the suborbits C of s with phi(C) != C, for phi(s) = t.
-
-    phi maps each suborbit of s onto one of t (else `InvariantError`: a
-    wrong partition), and the count is the same for every such phi (phi' =
-    phi * sigma with sigma stabilising s permutes each suborbit within
-    itself), so one phi from the orbit transversal of s decides the pair.
+    The D_i are the suborbits of r in `group` = Aut(g, colours), from one
+    coloured search fixing r that orbit-stabiliser checks.  u_p = trans[p]
+    maps r to p and Stab(r) onto Stab(p), so row p labels v with i when v
+    lies in the suborbit u_p(D_i) of p.  Any phi with phi(s) = t maps
+    u_s(D_i) onto u_t(D_i), as phi * u_s = u_t * sigma with sigma fixing r.
     """
-    targets = {frozenset(cls) for cls in suborbits_t}
-    mismatch = 0
-    for cls in suborbits_s:
-        image = frozenset(phi(x) for x in cls)
-        if image not in targets:
-            raise InvariantError(f"phi maps the suborbit {sorted(cls)} onto no suborbit of t")
-        if image != frozenset(cls):
-            mismatch += len(cls)
-    return mismatch
+    stabiliser = automorphism_group(g, colours, fixing=(r,))
+    if stabiliser.order() * len(trans) != group.order():
+        raise InvariantError(f"Stab({r}) of order {stabiliser.order()} breaks orbit-stabiliser")
+    suborbits = stabiliser.orbits()
+    index = _block_index(suborbits, group.degree)
+    rows = {p: [index[w] for w in trans[p].inverse().images] for p in points}
+    return [len(d) for d in suborbits], rows
+
+
+def _mismatch_count(sizes, row_s, row_t):
+    """The points any phi with phi(s) = t moves across suborbits of s: the
+    total size of the D_i at which the rows of s and t differ."""
+    return sum(sizes[i] for i in {a for a, b in zip(row_s, row_t) if a != b})
 
 
 def suborbit_equivalence(g: Graph, s: int, t: int, budget: int) -> bool:
     """s ~ t: some element maps s to t moving at most `budget` points across
     stabiliser suborbits (the finite surrogate for 'all but finitely many').
-    The element is the orbit transversal's representative for t."""
+    One coloured search, fixing s, decides the pair."""
     if budget < 0:
         raise ValueError("budget must be non-negative")
     n = g.vertex_count
     for p in (s, t):
         if type(p) is not int or not 0 <= p < n:
             raise ValueError(f"invalid point {p}")
-    _, reps = transversal(s, automorphism_group(g).generators, n)
-    if t not in reps:
+    group = automorphism_group(g)
+    _, trans = transversal(s, group.generators, n)
+    if t not in trans:
         return False
-    sub_s, sub_t = (_suborbits(g, (0,) * n, p) for p in (s, t))
-    return _suborbit_mismatch_count(sub_s, sub_t, reps[t]) <= budget
+    sizes, rows = _suborbit_rows(g, (0,) * n, group, s, trans, (s, t))
+    return _mismatch_count(sizes, rows[s], rows[t]) <= budget
 
 
 def suborbit_classes(g: Graph, budget: int) -> EquivalenceClasses:
@@ -500,20 +502,17 @@ def suborbit_classes(g: Graph, budget: int) -> EquivalenceClasses:
 
 
 def _suborbit_classes(g: Graph, colours, group: PermGroup, budget) -> EquivalenceClasses:
-    """Suborbit classes of `group` = Aut(g, colours).  Each point's suborbits
-    come from one coloured search and are kept; the transversal of s is
-    kept only while s is paired (pairs arrive s by s), so memory is O(n^2)."""
-    n = group.degree
-    orbit = _block_index(group.orbits(), n)
-    suborbits = functools.cache(lambda s: _suborbits(g, colours, s))
-    reps = functools.lru_cache(maxsize=1)(lambda s: transversal(s, group.generators, n)[1])
+    """Suborbit classes of `group` = Aut(g, colours): one coloured search per
+    orbit of two or more points, at its least point, decides the orbit's pairs."""
 
-    def pair_fn(s, t):
-        return orbit[s] == orbit[t] and (
-            _suborbit_mismatch_count(suborbits(s), suborbits(t), reps(s)[t]) <= budget
-        )
+    def blocks():
+        for orbit in group.orbits():
+            if len(orbit) > 1:
+                _, trans = transversal(orbit[0], group.generators, group.degree)
+                sizes, rows = _suborbit_rows(g, colours, group, orbit[0], trans, orbit)
+                yield orbit, lambda s, t: _mismatch_count(sizes, rows[s], rows[t]) <= budget
 
-    return _classes_from_pairwise(n, pair_fn, "suborbit", {"budget": budget})
+    return _classes_from_pairwise(group.degree, blocks(), "suborbit", {"budget": budget})
 
 
 class RefinementLevel(JsonFields):

@@ -124,13 +124,13 @@ class BallDecomposition(Record):
             "balls": json_value(self.balls),
         }
 
-    def to_text(self, indent: str = "") -> str:
+    def to_text(self) -> str:
         lines = [
-            f"{indent}level {self.level}  radius {self.radius}  "
+            f"level {self.level}  radius {self.radius}  "
             f"{self.ball_count} balls of size {self.balls[0].size if self.balls else 0}"
         ]
         for b in self.balls:
-            lines.append(f"{indent}  ball {list(b.key)}  rep {list(b.representative.images)}")
+            lines.append(f"  ball {list(b.key)}  rep {list(b.representative.images)}")
         return "\n".join(lines)
 
 

@@ -365,19 +365,13 @@ def setwise_stabiliser(group, points, cap=DEFAULT_ENUMERATION_CAP):
     return from_elements(group.degree, kept)
 
 
-def suborbit_classes_by_elements(group, budget):
-    """Suborbit classes of `group` from its element list alone: s ~ t when
-    some phi with phi(s) = t moves at most `budget` points across the
-    suborbits of s (the count is the same for every such phi)."""
+def suborbit_pairs_by_elements(group, budget):
+    """The pairs s < t, ascending, for which some phi with phi(s) = t moves
+    at most `budget` points across the suborbits of s (the count is the same
+    for every such phi), from the group's element list alone."""
     elements = list(group.elements())
     n = group.degree
-    parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            a = parent[a]
-        return a
-
+    pairs = []
     for s in range(n):
         subs = [frozenset(cls) for cls in suborbits(group, s)]
         for t in range(s + 1, n):
@@ -390,8 +384,24 @@ def suborbit_classes_by_elements(group, budget):
                 default=None,
             )
             if mismatch is not None and mismatch <= budget:
-                ra, rb = find(s), find(t)
-                parent[max(ra, rb)] = min(ra, rb)
+                pairs.append((s, t))
+    return pairs
+
+
+def suborbit_classes_by_elements(group, budget):
+    """Suborbit classes of `group` from its element list alone: the
+    transitive closure of `suborbit_pairs_by_elements`."""
+    n = group.degree
+    parent = list(range(n))
+
+    def find(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    for s, t in suborbit_pairs_by_elements(group, budget):
+        ra, rb = find(s), find(t)
+        parent[max(ra, rb)] = min(ra, rb)
     by_root = {}
     for v in range(n):
         by_root.setdefault(find(v), []).append(v)

@@ -571,3 +571,56 @@ def test_search_leaves_the_recursion_limit_alone():
         assert sys.getrecursionlimit() == 1000
     finally:
         sys.setrecursionlimit(limit)
+
+
+
+def matches_networkx(g):
+    """Order, orbits and motion with its witness against every automorphism
+    networkx's GraphMatcher lists; returns the order."""
+    networkx = pytest.importorskip("networkx")
+    isomorphism = pytest.importorskip("networkx.algorithms.isomorphism")
+    n = g.vertex_count
+    nxg = networkx.Graph()
+    nxg.add_nodes_from(range(n))
+    nxg.add_edges_from(g.edges())
+    matcher = isomorphism.GraphMatcher(nxg, nxg)
+    elements = {tuple(m[v] for v in range(n)) for m in matcher.isomorphisms_iter()}
+    group = automorphism_group(g)
+    assert group.order() == len(elements)
+    orbits = {tuple(sorted({e[v] for e in elements})) for v in range(n)}
+    assert group.orbits() == tuple(sorted(orbits))
+    report = group.motion()
+    supports = [sum(e[v] != v for v in range(n)) for e in elements]
+    assert report.motion == min((s for s in supports if s), default=None)
+    if report.witness is not None:
+        assert report.witness.images in elements
+        assert len(report.witness.support()) == report.motion
+    return len(elements)
+
+
+@pytest.mark.parametrize(
+    "name, order",
+    [("frucht_graph", 1), ("tutte_graph", 3), ("shrikhande", 192), ("rook4x4", 1152)],
+)
+def test_named_graphs_match_networkx(name, order):
+    # Frucht reaches a leaf that is no automorphism and, like Tutte, a tried
+    # candidate's orbit; Shrikhande and the rook graph are both
+    # srg(16, 6, 2, 2), so refinement leaves the search all the work
+    if name in ("shrikhande", "rook4x4"):
+        g = {"shrikhande": SHRIKHANDE, "rook4x4": ROOK_4X4}[name]
+    else:
+        nxg = getattr(pytest.importorskip("networkx"), name)()
+        g = Graph.from_edges(nxg.number_of_nodes(), list(nxg.edges()))
+    assert matches_networkx(g) == order
+
+
+# d = 3, n = 8 at seeds 2, 4 and 9 each reach every failure branch of the
+# search: a leaf that is no automorphism, a child list that runs out, a
+# subtree with no automorphism below it, and a tried candidate's orbit
+@pytest.mark.parametrize("seed", [0, 2, 4, 9])
+@pytest.mark.parametrize("n", range(8, 17, 2))
+@pytest.mark.parametrize("d", [3, 4])
+def test_random_regular_graphs_match_networkx(d, n, seed):
+    networkx = pytest.importorskip("networkx")
+    edges = networkx.random_regular_graph(d, n, seed=seed).edges()
+    matches_networkx(Graph.from_edges(n, list(edges)))

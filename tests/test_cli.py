@@ -12,9 +12,10 @@ import pytest
 from conftest import graph_text
 from symbreak.autsearch import automorphism_group
 from symbreak.cli import build_parser, main
-from symbreak.colourings import Colouring
+from symbreak.colourings import Colouring, is_distinguishing, random_colouring
 from symbreak.conditions import (
     dsc_check,
+    gamma_refinement_iterate,
     layer_fixing_report,
     sphere_classes,
     suborbit_classes,
@@ -24,9 +25,13 @@ from symbreak.graphs import (
     Graph,
     cycle_graph,
     generate_family,
+    graph_to_json_dict,
+    growth_sequence,
     path_graph,
 )
+from symbreak.groups import DEFAULT_ENUMERATION_CAP
 from symbreak.jsonfields import json_value
+from symbreak.rng import SeededRng
 from symbreak.suites import ALL_SUITES
 from symbreak.topology import ExhaustionSequence, ball_decomposition
 
@@ -185,6 +190,61 @@ def test_gamma_runs_above_the_enumeration_cap(capsys, tmp_path):
     data = run_json(capsys, "--enumeration-cap", "5", "gamma", "--graph", str(c6))
     assert data["config"]["caps"]["enumeration"] == 5
     assert data["result"] == json_value(suborbit_classes(cycle_graph(6), 0))
+
+
+def test_family_from_a_file(capsys, tmp_path):
+    spec = tmp_path / "c6.json"
+    spec.write_text(C6_FAMILY)
+    data = run_json(capsys, "motion", "--family", f"@{spec}")
+    assert data["config"]["graph_source"] == f"@{spec}"
+    assert data["result"] == run_json(capsys, "motion", "--family", C6_FAMILY)["result"]
+
+
+def test_inline_graph_json_as_family(capsys):
+    inline = json.dumps(graph_to_json_dict(cycle_graph(5)))
+    data = run_json(capsys, "autgroup", "--family", inline)
+    assert data["config"]["graph_source"] == inline
+    assert data["result"] == json_value(automorphism_group(cycle_graph(5)))
+
+
+def test_graph_and_family_together_exit_2(capsys, p4_file):
+    assert main(["motion", "--graph", p4_file, "--family", C6_FAMILY]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: pass either --graph or --family, not both\n"
+
+
+def test_balls_over_prefixes(capsys, c4_file):
+    data = run_json(capsys, "balls", "--graph", c4_file, "--sequence", "prefixes", "--level", "1")
+    group = automorphism_group(cycle_graph(4))
+    deco = ball_decomposition(group, ExhaustionSequence.prefixes(4), 1, cap=DEFAULT_ENUMERATION_CAP)
+    assert data["config"]["options"]["sequence"] == "prefixes"
+    assert data["result"] == json_value(deco)
+
+
+def test_distinguish_draws_a_seeded_colouring(capsys, p4_file):
+    data = run_json(capsys, "--seed", "5", "distinguish", "--graph", p4_file)
+    c = random_colouring(path_graph(4), 2, SeededRng(5))
+    assert data["config"]["options"]["colours"] == c.to_string()
+    assert data["result"] == json_value(is_distinguishing(path_graph(4), c))
+
+
+@pytest.mark.parametrize("budget", [0, 1, 2])
+def test_gamma_iterate(capsys, tmp_path, budget):
+    c6 = tmp_path / "c6.txt"
+    c6.write_text(graph_text(cycle_graph(6)))
+    argv = ["gamma", "--graph", str(c6), "--budget", str(budget), "--iterate", "3"]
+    data = run_json(capsys, *argv)
+    assert data["config"]["options"] == {"budget": budget, "iterate": 3}
+    assert data["result"] == json_value(gamma_refinement_iterate(cycle_graph(6), budget, 3))
+
+
+def test_growth_echoes_the_truncation_radius(capsys):
+    spec = {"kind": "double_ray", "params": {}, "radius": 4}
+    data = run_json(capsys, "growth", "--family", json.dumps(spec))
+    assert data["config"]["options"]["radius"] == 4
+    ray = generate_family(FamilySpec.from_json_dict(spec))
+    assert data["result"]["profile"] == json_value(growth_sequence(ray, 0, 4))
 
 
 def test_product_subcommand(capsys, tmp_path):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import time
@@ -12,6 +13,8 @@ from conftest import (
     plain_and_coloured,
     seeded_random_graphs,
     sphere,
+    suborbit_classes_by_elements,
+    suborbit_pairs_by_elements,
     suborbits,
 )
 from symbreak import conditions
@@ -496,13 +499,25 @@ class TestGammaEquivalence:
             counts.add(mismatch)
         assert counts == {6}
 
-    def test_mismatch_count_depending_on_phi_raises(self, monkeypatch):
-        # {0, 2} is no suborbit in C4: every phi with phi(0) = 1 maps it onto
-        # {1, 3}, which is none of the given parts, so the count cannot be
-        # the same for every phi
-        monkeypatch.setattr(conditions, "_suborbits", lambda g, colours, s: [(0, 2), (1,), (3,)])
-        with pytest.raises(InvariantError):
-            suborbit_equivalence(cycle_graph(4), 0, 1, 0)
+    def test_a_stabiliser_breaking_orbit_stabiliser_raises(self, monkeypatch):
+        # every search fixing a point reports half its order, so the order
+        # times the orbit length misses |Aut| and the rows are refused
+        search = conditions.automorphism_group
+
+        def halving(g, colours=None, fixing=()):
+            group = search(g, colours, fixing)
+            if not fixing:
+                return group
+            return PermGroup(group.degree, group.generators, order=group.order() // 2)
+
+        monkeypatch.setattr(conditions, "automorphism_group", halving)
+        for call in (
+            lambda: suborbit_equivalence(cycle_graph(4), 0, 1, 0),
+            lambda: suborbit_classes(cycle_graph(4), 0),
+            lambda: gamma_refinement_iterate(path_graph(5), 0),
+        ):
+            with pytest.raises(InvariantError, match="orbit-stabiliser"):
+                call()
 
     def test_budget_monotone_refinement(self):
         g = cycle_graph(6)
@@ -564,18 +579,42 @@ class TestGammaEquivalence:
                         )
 
 
+def carried_rows(g, colours, group, orbit):
+    """The suborbit sizes and label rows of `orbit`, from its least point."""
+    _, trans = transversal(orbit[0], group.generators, group.degree)
+    return conditions._suborbit_rows(g, colours, group, orbit[0], trans, orbit)
+
+
 class TestSuborbitsByColouredSearch:
     """The suborbits of s are the orbits of Aut(G, c) fixing s; filtering
-    the elements of Aut(G, c) is the oracle."""
+    the elements of Aut(G, c) is the oracle.  The rows carried along an
+    orbit by its transversal label each point's own suborbits."""
+
+    GRAPHS = [(f"random{i}", g) for i, g in enumerate(seeded_random_graphs(4242, 40))]
 
     def test_corpus_and_random_graphs(self, corpus):
-        graphs = list(corpus.items())
-        graphs += [(f"random{i}", g) for i, g in enumerate(seeded_random_graphs(4242, 40))]
-        for name, g, colours in plain_and_coloured(graphs, 4243):
+        for name, g, colours in plain_and_coloured(list(corpus.items()) + self.GRAPHS, 4243):
             group = automorphism_group(g, colours)
             for s in range(g.vertex_count):
-                got = conditions._suborbits(g, colours, s)
+                got = automorphism_group(g, colours, fixing=(s,)).orbits()
                 assert got == suborbits(group, s), (name, s)
+
+    def test_carried_rows_equal_a_search_at_every_point(self, corpus):
+        orbits = 0
+        for name, g, colours in plain_and_coloured(list(corpus.items()) + self.GRAPHS, 4245):
+            group = automorphism_group(g, colours)
+            for orbit in group.orbits():
+                sizes, rows = carried_rows(g, colours, group, orbit)
+                assert sorted(rows) == list(orbit), name
+                for p in orbit:
+                    labelled = {}
+                    for v, i in enumerate(rows[p]):
+                        labelled.setdefault(i, []).append(v)
+                    search = automorphism_group(g, colours, fixing=(p,)).orbits()
+                    assert tuple(sorted(map(tuple, labelled.values()))) == search, (name, p)
+                    assert [len(labelled[i]) for i in range(len(sizes))] == sizes, (name, p)
+                orbits += len(orbit) > 1
+        assert orbits >= 100
 
 
 def gamma_level_colourings(g, budget):
@@ -591,10 +630,10 @@ def gamma_level_colourings(g, budget):
 
 class TestOnePhiPerPair:
     """The mismatch count is the same for every phi with phi(s) = t, so the
-    one phi from the orbit transversal of s decides the pair; every such
-    phi in the element list is the oracle."""
+    rows carried along the orbit decide the pair; every such phi in the
+    element list is the oracle."""
 
-    def test_every_phi_gives_the_transversal_count(self, corpus):
+    def test_every_phi_gives_the_rows_count(self, corpus):
         graphs = list(corpus.items())
         graphs += [(f"random{i}", g) for i, g in enumerate(seeded_random_graphs(7, 40))]
         coloured_levels = 0
@@ -603,12 +642,12 @@ class TestOnePhiPerPair:
             for level, colours in enumerate(gamma_level_colourings(g, 0)):
                 coloured_levels += level > 0
                 group = automorphism_group(g, colours)
-                subs = [conditions._suborbits(g, colours, s) for s in range(n)]
+                subs = [automorphism_group(g, colours, fixing=(s,)).orbits() for s in range(n)]
                 counts = {}
-                for s in range(n):
-                    _, reps = transversal(s, group.generators, n)
-                    for t, phi in reps.items():
-                        counts[s, t] = conditions._suborbit_mismatch_count(subs[s], subs[t], phi)
+                for orbit in group.orbits():
+                    sizes, rows = carried_rows(g, colours, group, orbit)
+                    for s, t in itertools.product(orbit, repeat=2):
+                        counts[s, t] = conditions._mismatch_count(sizes, rows[s], rows[t])
                 for phi in group.elements():
                     for s in range(n):
                         expected = sum(
@@ -639,6 +678,109 @@ class TestOnePhiPerPair:
         for radius, order in ((4, 12582912), (5, 211106232532992)):
             g = generate_family(FamilySpec("regular_tree", {"degree": 3}, radius))
             assert gamma_refinement_iterate(g, 0).orders[0] == order
+
+
+def recorded_fixing_searches(monkeypatch):
+    """The `fixing` argument of each coloured search that conditions runs
+    with a point fixed, in call order."""
+    search = conditions.automorphism_group
+    fixed = []
+
+    def recording(g, colours=None, fixing=()):
+        if fixing:
+            fixed.append(tuple(fixing))
+        return search(g, colours, fixing)
+
+    monkeypatch.setattr(conditions, "automorphism_group", recording)
+    return fixed
+
+
+D3_R5 = generate_family(FamilySpec("regular_tree", {"degree": 3}, 5))
+
+
+class TestOneSearchPerOrbit:
+    """Each orbit's suborbits come from one search at its least point and
+    are carried to the orbit's other points by its transversal."""
+
+    @pytest.mark.parametrize(
+        "g, searches",
+        [
+            (cycle_graph(8), 1),
+            (hypercube(3), 1),
+            (path_graph(7), 3),
+            (D3_R5, 5),
+            (generate_family(FamilySpec("grid", {"dimension": 2}, 12)), 48),
+        ],
+        ids=["C8", "Q3", "P7", "d3 R5", "grid2 R12"],
+    )
+    def test_classes_search_the_least_point_of_each_orbit(self, g, searches, monkeypatch):
+        least = [(orbit[0],) for orbit in automorphism_group(g).orbits() if len(orbit) > 1]
+        fixed = recorded_fixing_searches(monkeypatch)
+        suborbit_classes(g, 1)
+        assert fixed == least
+        assert len(fixed) == searches
+
+    def test_a_pair_takes_one_search(self, monkeypatch):
+        fixed = recorded_fixing_searches(monkeypatch)
+        assert suborbit_equivalence(cycle_graph(8), 1, 7, 1) is False
+        assert fixed == [(1,)]
+        # a pair in two orbits needs no search
+        assert suborbit_equivalence(path_graph(7), 0, 1, 7) is False
+        assert fixed == [(1,)]
+
+    def test_large_orbits_in_time(self):
+        for g, bound in ((cycle_graph(200), 1.0), (hypercube(7), 0.5)):
+            start = time.perf_counter()
+            classes = suborbit_classes(g, 1)
+            assert time.perf_counter() - start < bound, g.vertex_count
+            assert classes.classes == tuple((v,) for v in range(g.vertex_count))
+        start = time.perf_counter()
+        report = gamma_refinement_iterate(D3_R5, 1)
+        assert time.perf_counter() - start < 0.1
+        assert report.orders[0] == 211106232532992
+
+    def test_long_path_keeps_no_partition_per_point(self):
+        # P300's 150 orbits of two points get their rows one orbit at a time;
+        # keeping every point's partition peaked at 5.3 MiB (48 MiB on P800)
+        g = path_graph(300)
+        tracemalloc.start()
+        try:
+            classes = suborbit_classes(g, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        # the reflection moves every point, and no stabiliser moves any
+        assert classes.classes == tuple((v,) for v in range(300))
+
+
+class TestClosureAdded:
+    """Random 3- and 4-regular graphs on 8 vertices at budget 6 put pairs in
+    one class by transitive closure alone; the element list is the oracle."""
+
+    @pytest.mark.parametrize(
+        "d, seed", [(3, s) for s in (0, 1, 2, 4, 5, 7, 9)] + [(4, s) for s in (2, 6, 7, 9)]
+    )
+    def test_matches_the_element_oracle(self, d, seed):
+        networkx = pytest.importorskip("networkx")
+        g = Graph.from_edges(8, list(networkx.random_regular_graph(d, 8, seed=seed).edges()))
+        group = automorphism_group(g)
+        classes = suborbit_classes(g, 6)
+        assert classes.classes == suborbit_classes_by_elements(group, 6)
+        within = {pair for cls in classes.classes for pair in itertools.combinations(cls, 2)}
+        closure = within - set(suborbit_pairs_by_elements(group, 6))
+        assert closure and sorted(classes.closure_added) == sorted(closure)
+        line = f"  closure added pairs: {list(classes.closure_added)}"
+        assert classes.to_text().splitlines()[-1] == line
+        report = gamma_refinement_iterate(g, 6)
+        levels, fixpoint = gamma_refinement_by_elements(g, 6)
+        got = [(level.group_order, level.classes.classes) for level in report.levels]
+        assert (got, report.fixpoint_reached) == (list(levels), fixpoint)
+
+    def test_first_closure_pairs(self):
+        networkx = pytest.importorskip("networkx")
+        g = Graph.from_edges(8, list(networkx.random_regular_graph(3, 8, seed=0).edges()))
+        assert suborbit_classes(g, 6).closure_added[:2] == ((0, 4), (1, 5))
 
 
 class TestGammaIteration:
