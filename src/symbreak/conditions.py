@@ -5,9 +5,11 @@ spheres check with an explicit safe horizon, sphere equivalence and
 suborbit equivalence with an exception budget (plus the class-stabiliser
 refinement iteration), Cartesian layer fixing under a colouring, the
 equal-colour-count matching probability, and the growth-bound report.
-Suborbits come from one coloured search per orbit, carried to the orbit's
-other points by its transversal; the layer-respecting fraction is the
-ratio of two coloured-search orders.  No element is listed.
+Sphere and suborbit classes are decided orbit by orbit: an orbit's spheres
+are built when it is read, its suborbits carried from one coloured search
+(none when its points have trivial stabilisers) along its transversal.  The
+layer-respecting fraction is the ratio of two coloured-search orders.  No
+element is listed.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .autsearch import automorphism_group
 from .colourings import Colouring, colouring_stabiliser
 from .errors import CapExceededError, InvariantError
 from .graphs import Graph, GrowthProfile, cartesian_product
-from .groups import PermGroup, transversal
+from .groups import PermGroup, orbit_of, transversal
 from .jsonfields import JsonFields, Record, json_value
 
 # ---------------------------------------------------------------------------
@@ -312,10 +314,10 @@ class EquivalenceClasses(JsonFields):
         return "\n".join(lines)
 
 
-def _classes_from_pairwise(n, blocks, relation, parameters):
-    """Classes of 0..n-1 from (block, test) pairs, each test called before
-    the next pair is read: test(s, t) decides each pair s < t of the
-    ascending block, and pairs across blocks never relate."""
+def _classes_from_pairwise(n, orbits, orbit_test, relation, parameters):
+    """Classes of 0..n-1 within `orbits`: for an orbit of two or more points,
+    orbit_test(orbit) decides each pair s < t of the ascending orbit and is
+    dropped before the next orbit is read; pairs across orbits never relate."""
     parent = list(range(n))
 
     def find(a):
@@ -325,13 +327,16 @@ def _classes_from_pairwise(n, blocks, relation, parameters):
         return a
 
     positive = set()
-    for block, test in blocks:
-        for s, t in itertools.combinations(block, 2):
-            if test(s, t):
-                positive.add((s, t))
-                ra, rb = find(s), find(t)
-                if ra != rb:
-                    parent[max(ra, rb)] = min(ra, rb)
+    for orbit in orbits:
+        if len(orbit) > 1:
+            test = orbit_test(orbit)
+            for s, t in itertools.combinations(orbit, 2):
+                if test(s, t):
+                    positive.add((s, t))
+                    ra, rb = find(s), find(t)
+                    if ra != rb:
+                        parent[max(ra, rb)] = min(ra, rb)
+            del test
 
     by_root = {}
     for v in range(n):
@@ -354,17 +359,14 @@ class SphereEquivalenceResult(JsonFields):
     horizon: int
 
 
-def _vertex_spheres(g: Graph, vertices):
-    """(vertex -> [S_v(1), S_v(2), ...], depth row): spheres up to the safe
-    range and the root's distance row on a truncation; no row otherwise."""
-    if g.truncation is None:
-        return {v: list(_spheres(g, v)) for v in vertices}, None
-    depth = g.distances(g.truncation.root)
+def _vertex_spheres(g: Graph, vertices, depth):
+    """vertex -> [S_v(1), S_v(2), ...]; on a truncation, whose root has the
+    distance row `depth`, only up to the safe range."""
     spheres = {}
     for v in vertices:
-        safe = max(g.truncation.radius - depth[v], 0)
+        safe = None if depth is None else max(g.truncation.radius - depth[v], 0)
         spheres[v] = list(itertools.islice(_spheres(g, v), safe))
-    return spheres, depth
+    return spheres
 
 
 def _check_sphere_bounds(n0_max, horizon):
@@ -382,7 +384,7 @@ def _block_index(partition, n):
     return index
 
 
-def _sphere_pair(g: Graph, u, v, spheres, depth, n0_max, horizon, orbit) -> SphereEquivalenceResult:
+def _sphere_pair(g: Graph, u, v, spheres, depth, n0_max, horizon, in_orbit) -> SphereEquivalenceResult:
     su, sv = spheres[u], spheres[v]
     if depth is None:
         safe = max(len(su), len(sv))
@@ -392,7 +394,6 @@ def _sphere_pair(g: Graph, u, v, spheres, depth, n0_max, horizon, orbit) -> Sphe
         horizon = max(safe, 0)
     elif horizon > safe:
         raise ValueError(f"horizon {horizon} exceeds the safe range {safe}")
-    in_orbit = orbit[u] == orbit[v]
     matched_n0 = None
     if in_orbit:
         # largest suffix [agree_from .. horizon] on which the spheres agree,
@@ -425,9 +426,10 @@ def sphere_equivalence(
     g._check_vertex(u)
     g._check_vertex(v)
     _check_sphere_bounds(n0_max, horizon)
-    spheres, depth = _vertex_spheres(g, (u, v))
-    orbit = _block_index(automorphism_group(g).orbits(), g.vertex_count)
-    return _sphere_pair(g, u, v, spheres, depth, n0_max, horizon, orbit)
+    depth = None if g.truncation is None else g.distances(g.truncation.root)
+    spheres = _vertex_spheres(g, (u, v), depth)
+    in_orbit = v in orbit_of((u,), automorphism_group(g).generators)
+    return _sphere_pair(g, u, v, spheres, depth, n0_max, horizon, in_orbit)
 
 
 def sphere_classes(
@@ -435,19 +437,18 @@ def sphere_classes(
     n0_max: int | None = None,
     horizon: int | None = None,
 ) -> EquivalenceClasses:
-    """Classes of `sphere_equivalence`, each vertex's spheres built once."""
+    """Classes of `sphere_equivalence`, each orbit's spheres built when it is
+    read; an explicit horizon is checked only on pairs in one orbit."""
     _check_sphere_bounds(n0_max, horizon)
-    orbit = _block_index(automorphism_group(g).orbits(), g.vertex_count)
-    spheres, depth = _vertex_spheres(g, range(g.vertex_count))
+    depth = None if g.truncation is None else g.distances(g.truncation.root)
 
-    def pair_fn(s, t):
-        return _sphere_pair(g, s, t, spheres, depth, n0_max, horizon, orbit).equivalent
+    def orbit_test(orbit):
+        spheres = _vertex_spheres(g, orbit, depth)
+        return lambda s, t: _sphere_pair(g, s, t, spheres, depth, n0_max, horizon, True).equivalent
 
-    # one block of every vertex, so an explicit horizon is checked against every pair
-    blocks = [(range(g.vertex_count), pair_fn)]
-    return _classes_from_pairwise(
-        g.vertex_count, blocks, "sphere", {"n0_max": n0_max, "horizon": horizon}
-    )
+    orbits = automorphism_group(g).orbits()
+    parameters = {"n0_max": n0_max, "horizon": horizon}
+    return _classes_from_pairwise(g.vertex_count, orbits, orbit_test, "sphere", parameters)
 
 
 # -- suborbit equivalence ---------------------------------------------------
@@ -462,6 +463,8 @@ def _suborbit_rows(g: Graph, colours, group: PermGroup, r, trans, points):
     lies in the suborbit u_p(D_i) of p.  Any phi with phi(s) = t maps
     u_s(D_i) onto u_t(D_i), as phi * u_s = u_t * sigma with sigma fixing r.
     """
+    if len(trans) == group.order():  # Stab(r) = 1: each D_i is one point, no search
+        return [1] * group.degree, {p: list(trans[p].inverse().images) for p in points}
     stabiliser = automorphism_group(g, colours, fixing=(r,))
     if stabiliser.order() * len(trans) != group.order():
         raise InvariantError(f"Stab({r}) of order {stabiliser.order()} breaks orbit-stabiliser")
@@ -502,17 +505,16 @@ def suborbit_classes(g: Graph, budget: int) -> EquivalenceClasses:
 
 
 def _suborbit_classes(g: Graph, colours, group: PermGroup, budget) -> EquivalenceClasses:
-    """Suborbit classes of `group` = Aut(g, colours): one coloured search per
-    orbit of two or more points, at its least point, decides the orbit's pairs."""
+    """Suborbit classes of `group` = Aut(g, colours): rows carried from each
+    orbit's least point decide the orbit's pairs."""
 
-    def blocks():
-        for orbit in group.orbits():
-            if len(orbit) > 1:
-                _, trans = transversal(orbit[0], group.generators, group.degree)
-                sizes, rows = _suborbit_rows(g, colours, group, orbit[0], trans, orbit)
-                yield orbit, lambda s, t: _mismatch_count(sizes, rows[s], rows[t]) <= budget
+    def orbit_test(orbit):
+        _, trans = transversal(orbit[0], group.generators, group.degree)
+        sizes, rows = _suborbit_rows(g, colours, group, orbit[0], trans, orbit)
+        return lambda s, t: _mismatch_count(sizes, rows[s], rows[t]) <= budget
 
-    return _classes_from_pairwise(group.degree, blocks(), "suborbit", {"budget": budget})
+    parameters = {"budget": budget}
+    return _classes_from_pairwise(group.degree, group.orbits(), orbit_test, "suborbit", parameters)
 
 
 class RefinementLevel(JsonFields):

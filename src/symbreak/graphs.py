@@ -11,6 +11,7 @@ computations know the safe horizon.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from collections import deque
 
 from .errors import CapExceededError, GraphFormatError
@@ -46,7 +47,9 @@ class Graph:
                 last = u
         for v, nbrs in enumerate(adj):
             for u in nbrs:
-                if v not in adj[u]:
+                row = adj[u]  # sorted, so v is found by bisection
+                i = bisect_left(row, v)
+                if i == len(row) or row[i] != v:
                     raise GraphFormatError(f"edge {v}-{u} missing its reverse")
         object.__setattr__(self, "adjacency", adj)
         object.__setattr__(self, "labels", tuple(labels) if labels is not None else None)

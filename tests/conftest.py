@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from symbreak import conditions
 from symbreak.autsearch import automorphism_group
 from symbreak.colourings import colouring_stabiliser, random_colouring
 from symbreak.conditions import DscReport
@@ -495,6 +496,27 @@ def dsc_by_full_distances(g: Graph, v0=0, radius=None):
                 else:
                     first_sep[(x, y)] = sep
     return DscReport(v0, radius, "", checked, tuple(violations), tuple(at_horizon), first_sep)
+
+
+def sphere_classes_all_pairs(g: Graph, n0_max=None, horizon=None):
+    """The library's former `sphere_classes`: every vertex's spheres built up
+    front and one block of every vertex, so an explicit horizon is checked
+    against every pair, pairs of different orbits included."""
+    conditions._check_sphere_bounds(n0_max, horizon)
+    orbit = conditions._block_index(automorphism_group(g).orbits(), g.vertex_count)
+    depth = None if g.truncation is None else g.distances(g.truncation.root)
+    spheres = conditions._vertex_spheres(g, range(g.vertex_count), depth)
+
+    def pair_fn(s, t):
+        in_orbit = orbit[s] == orbit[t]
+        return conditions._sphere_pair(
+            g, s, t, spheres, depth, n0_max, horizon, in_orbit
+        ).equivalent
+
+    return conditions._classes_from_pairwise(
+        g.vertex_count, [range(g.vertex_count)], lambda block: pair_fn, "sphere",
+        {"n0_max": n0_max, "horizon": horizon},
+    )
 
 
 def ball_sets(g: Graph, root):

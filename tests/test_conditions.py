@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 import time
@@ -13,6 +14,7 @@ from conftest import (
     plain_and_coloured,
     seeded_random_graphs,
     sphere,
+    sphere_classes_all_pairs,
     suborbit_classes_by_elements,
     suborbit_pairs_by_elements,
     suborbits,
@@ -435,7 +437,7 @@ class TestSphereEquivalence:
         ids=["d3-R4", "grid2-R4"],
     )
     def test_classes_read_the_root_row_once(self, spec, monkeypatch):
-        # the depth row goes to every pair (1,035 pairs on d3 R4); the other
+        # the depth row goes to every pair of every orbit; the other
         # search is the tree test of the automorphism search
         g = generate_family(spec)
         searches = count_searches(monkeypatch)
@@ -452,6 +454,91 @@ class TestSphereEquivalence:
         ]:
             classes = sphere_classes(generate_family(spec))
             assert classes.closure_added == (), spec.kind
+
+
+class TestSphereClassesByOrbit:
+    """Each orbit's spheres are built when the orbit is read and only its
+    pairs are tested; the former all-pairs classes are the oracle."""
+
+    FAMILIES = [
+        FamilySpec(kind, params, radius)
+        for radius in range(5)
+        for kind, params in [
+            ("regular_tree", {"degree": 3}),
+            ("double_ray", {}),
+            ("grid", {"dimension": 2}),
+            ("ladder", {}),
+            ("cartesian_product", {"left": DOUBLE_RAY, "right": DOUBLE_RAY}),
+        ]
+    ]
+
+    def test_match_the_all_pairs_oracle(self, corpus):
+        graphs = list(corpus.items())
+        graphs += [(f"random{i}", g) for i, g in enumerate(seeded_random_graphs(150, 150))]
+        graphs += [(f"{spec.kind} R{spec.radius}", generate_family(spec)) for spec in self.FAMILIES]
+        answered = 0
+        for name, g in graphs:
+            for n0_max, horizon in itertools.product((None, 0, 1, 2), (None, 0, 1, 2, 3)):
+                try:
+                    want = sphere_classes_all_pairs(g, n0_max, horizon)
+                except ValueError as refusal:
+                    # a pair of two orbits had a shorter safe range
+                    assert "exceeds the safe range" in str(refusal)
+                    try:
+                        sphere_classes(g, n0_max, horizon)
+                        answered += 1
+                    except ValueError as error:
+                        assert "exceeds the safe range" in str(error), name
+                    continue
+                got = sphere_classes(g, n0_max, horizon)
+                assert json.dumps(got.to_json_dict()) == json.dumps(want.to_json_dict()), (
+                    name, n0_max, horizon,
+                )
+        assert answered > 0
+
+    @pytest.mark.parametrize(
+        "g, walks",
+        [(path_graph(7), 6), (generate_family(FamilySpec("grid", {"dimension": 2}, 4)), 40)],
+        ids=["P7", "grid2 R4"],
+    )
+    def test_one_walk_per_vertex_of_an_orbit_of_two_or_more(self, g, walks, monkeypatch):
+        # the all-pairs classes walked from every vertex: 7 and 41
+        walked = []
+        walk = conditions._spheres
+        monkeypatch.setattr(conditions, "_spheres", lambda g, v: walked.append(v) or walk(g, v))
+        sphere_classes(g)
+        assert len(walked) == walks
+        orbits = automorphism_group(g).orbits()
+        assert sorted(walked) == sorted(v for orbit in orbits if len(orbit) > 1 for v in orbit)
+
+    def test_a_long_path_in_little_memory(self):
+        # the all-pairs classes took 1.3 s and 103 MiB on P800
+        g = path_graph(800)
+        start = time.perf_counter()
+        classes = sphere_classes(g)
+        assert time.perf_counter() - start < 1.0
+        assert classes.classes == tuple((v,) for v in range(800))
+        tracemalloc.start()
+        try:
+            sphere_classes(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, peak
+
+    def test_an_explicit_horizon_is_checked_on_pairs_in_one_orbit(self):
+        # the path 0-1-2-3 with a leaf 4 on vertex 1: the orbits are {0, 4}
+        # and single points, and only the pair 1, 2 of two orbits has a safe
+        # range below 3
+        g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (1, 4)])
+        assert sphere_classes(g, horizon=3).classes == ((0, 4), (1,), (2,), (3,))
+        with pytest.raises(ValueError, match="safe range 2"):
+            sphere_classes_all_pairs(g, horizon=3)
+        with pytest.raises(ValueError, match="horizon 3 exceeds the safe range 2"):
+            sphere_equivalence(g, 1, 2, horizon=3)
+        ray = generate_family(FamilySpec("double_ray", {}, 4))
+        with pytest.raises(ValueError, match="horizon 4 exceeds the safe range 3"):
+            sphere_classes(ray, horizon=4)
 
 
 def test_pair_queries_on_a_long_path_take_linear_time():
@@ -514,7 +601,7 @@ class TestGammaEquivalence:
         for call in (
             lambda: suborbit_equivalence(cycle_graph(4), 0, 1, 0),
             lambda: suborbit_classes(cycle_graph(4), 0),
-            lambda: gamma_refinement_iterate(path_graph(5), 0),
+            lambda: gamma_refinement_iterate(star_graph(3), 0),
         ):
             with pytest.raises(InvariantError, match="orbit-stabiliser"):
                 call()
@@ -707,14 +794,16 @@ class TestOneSearchPerOrbit:
         [
             (cycle_graph(8), 1),
             (hypercube(3), 1),
-            (path_graph(7), 3),
+            (path_graph(7), 0),
             (D3_R5, 5),
-            (generate_family(FamilySpec("grid", {"dimension": 2}, 12)), 48),
+            (generate_family(FamilySpec("grid", {"dimension": 2}, 12)), 18),
         ],
         ids=["C8", "Q3", "P7", "d3 R5", "grid2 R12"],
     )
     def test_classes_search_the_least_point_of_each_orbit(self, g, searches, monkeypatch):
-        least = [(orbit[0],) for orbit in automorphism_group(g).orbits() if len(orbit) > 1]
+        # an orbit as long as |G| has a trivial point stabiliser, so it needs no search
+        group = automorphism_group(g)
+        least = [(orbit[0],) for orbit in group.orbits() if 1 < len(orbit) < group.order()]
         fixed = recorded_fixing_searches(monkeypatch)
         suborbit_classes(g, 1)
         assert fixed == least

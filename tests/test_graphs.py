@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -349,6 +350,20 @@ class TestSerialization:
     def test_self_loop_rejected(self):
         with pytest.raises(GraphFormatError):
             Graph.from_edges(2, [(0, 0)])
+
+    @pytest.mark.parametrize(
+        "adjacency, edge", [([[1], []], "0-1"), ([[1, 2], [0], [1]], "0-2")]
+    )
+    def test_missing_reverse_edge_rejected(self, adjacency, edge):
+        with pytest.raises(GraphFormatError, match=f"^edge {edge} missing its reverse$"):
+            Graph(adjacency)
+
+    def test_dense_graph_builds_in_time(self):
+        # scanning each reverse row took 0.35-0.45 s on K400
+        start = time.perf_counter()
+        g = complete_graph(400)
+        assert time.perf_counter() - start < 0.2
+        assert g.edge_count == 400 * 399 // 2
 
     def test_family_spec_round_trip(self):
         spec = FamilySpec("grid", {"dimension": 2}, 4)
