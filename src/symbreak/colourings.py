@@ -26,7 +26,7 @@ from .graphs import Graph
 from .groups import BLOCK_BYTES, DEFAULT_ENUMERATION_CAP, PermGroup
 from .jsonfields import JsonFields, Record
 from .perms import Perm
-from .rng import SeededRng
+from .rng import SeededRng, trial_block_bytes
 
 #: Default cap on the number of colourings enumerated exhaustively.
 DEFAULT_COLOUR_CAP = 2**20
@@ -156,11 +156,27 @@ def _prime_order_partitions(aut: PermGroup, enum_cap: int):
     element of prime order (Cauchy) and an element preserves c iff c is
     constant on its cycles, so these rows detect exactly the colourings
     that some non-identity element preserves.
+
+    Each block's rows are merged into the distinct rows found so far as
+    the block arrives, so the rows hold one element block and about twice
+    the distinct rows at once.
     """
     import numpy as np
 
-    found = [_prime_cycle_labels(block) for block in aut.element_blocks(enum_cap)]
-    return _distinct_rows(np.concatenate(found))
+    n = aut.degree
+    prime = _prime_table(n)
+    distinct = np.empty((0, n), dtype=np.intp)
+    for block in aut.element_blocks(enum_cap):
+        distinct = _merge_distinct(distinct, _prime_cycle_labels(block, prime))
+    return distinct
+
+
+def _row_values(rows):
+    """Each row of a C-contiguous 2-d array as one opaque (void) value;
+    numpy orders and compares these values byte by byte."""
+    import numpy as np
+
+    return rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()
 
 
 def _distinct_rows(rows):
@@ -171,9 +187,22 @@ def _distinct_rows(rows):
     if len(rows) < 2 or not rows.shape[1]:  # at most one distinct row
         return rows[:1]
     rows = np.ascontiguousarray(rows)
-    whole = rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1])))
-    _, first = np.unique(whole.ravel(), return_index=True)
+    _, first = np.unique(_row_values(rows), return_index=True)
     return rows[first]
+
+
+def _merge_distinct(distinct, rows):
+    """The distinct rows of two arrays of distinct rows in byte order (as
+    `_distinct_rows` returns them), in byte order: the rows missing from
+    `distinct` are inserted where they sort, and nothing is sorted again."""
+    import numpy as np
+
+    if not len(distinct):
+        return rows
+    old, new = _row_values(distinct), _row_values(rows)
+    at = np.searchsorted(old, new)
+    missing = old[np.minimum(at, len(old) - 1)] != new
+    return np.insert(distinct, at[missing], rows[missing], axis=0)
 
 
 def cycle_labels(images):
@@ -257,25 +286,53 @@ def agreement(images, planes, columns):
     return np.invert(differ, out=differ)
 
 
-def _prime_cycle_labels(images):
-    """Distinct cycle-label rows of the prime-order rows of `images`."""
+def _prime_cycle_labels(images, prime):
+    """Distinct cycle-label rows of the prime-order rows of `images`;
+    ``prime[m]`` says whether m is prime, for m = 0..n (`_prime_table`).
+
+    Every non-trivial cycle of an element of prime order p has length p,
+    so a cheap walk comes first: each row follows the cycle of its first
+    moved point for at most 2 ceil(log2 n) steps, one gathered entry per
+    row per step.  The identity (whose walk starts at the fixed point 0)
+    and every row whose cycle closes at a length that is not prime are
+    dropped; only the rows whose cycle closed at a prime length or is
+    still open are labelled by `cycle_labels` and tested exactly.
+    """
     import numpy as np
 
     count, n = images.shape
+    if not n:  # no point to walk from, and no non-identity element
+        return images[:0]
+    offset = np.arange(count, dtype=np.intp) * n
+    start = (images != np.arange(n)).argmax(axis=1)
+    flat, at = images.ravel(), start
+    closed = np.empty((2 * max(1, (n - 1).bit_length()), count), dtype=bool)
+    for step in closed:
+        at = flat.take(at + offset)
+        np.equal(at, start, out=step)
+    # the first closing step is the cycle's length; an open walk stays a candidate
+    images = images[prime[closed.argmax(axis=0) + 1] | ~closed.any(axis=0)]
+    count = len(images)
     label = cycle_labels(images)
     rows = np.arange(count)[:, None]
     sizes = np.bincount((label + rows * n).ravel(), minlength=count * n)
     cycle_len = sizes.reshape(count, n)[rows, label]
     # the order is the lcm of the cycle lengths: prime iff they are 1 or one prime
-    longest = cycle_len.max(axis=1, initial=0)  # at most n; 0 only when n is 0
+    longest = cycle_len.max(axis=1, initial=0)  # at most n
     uniform = ((cycle_len == 1) | (cycle_len == longest[:, None])).all(axis=1)
-    prime = np.zeros(n + 1, dtype=bool)
-    prime[[p for p in set(longest.tolist()) if _is_prime(p)]] = True
     return _distinct_rows(label[uniform & prime[longest]])
 
 
-def _is_prime(p):
-    return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
+def _prime_table(n):
+    """Boolean array whose entry m, for m = 0..n, says whether m is prime."""
+    import numpy as np
+
+    prime = np.ones(n + 1, dtype=bool)
+    prime[:2] = False
+    for d in range(2, math.isqrt(n) + 1):
+        if prime[d]:
+            prime[d * d :: d] = False
+    return prime
 
 
 def distinguishing_probability_exact(
@@ -360,8 +417,11 @@ def distinguishing_probability_mc(
     Trial t draws its colouring from rng.trial_stream(t), so results do not
     depend on execution order.  The standard error is the binomial
     sqrt(p(1-p)/trials) at the estimated p.  Blocks of trials are drawn at
-    once (``SeededRng.trial_block``); a block's arrays stay within about
-    ``BLOCK_BYTES``.
+    once (``SeededRng.trial_block``), as many as the ``BLOCK_BYTES`` budget
+    holds at the draw's peak (`trial_block_bytes`: about 24 bytes per trial
+    and vertex for the Philox state and words); the chunks of rows checked
+    against a block take what its draws and bit-planes leave of the
+    budget, so a block's arrays stay within about ``BLOCK_BYTES``.
 
     Each block of trials is packed into bit-planes (one uint64 word holds 64
     trials' colourings, one plane per bit of a colour) and checked against
@@ -386,7 +446,7 @@ def distinguishing_probability_mc(
     n = g.vertex_count
     aut = automorphism_group(g)
     successes = 0
-    per_block = max(1, BLOCK_BYTES // (8 * max(n, 1)))  # trials' 64-bit draws
+    per_block = max(1, BLOCK_BYTES // trial_block_bytes(n))
     dtype = np.min_scalar_type(k - 1)  # holds every colour 0..k-1
     if aut.order() <= min(enum_cap, trials * n):
         rows, certify = _prime_order_partitions(aut, enum_cap), False
@@ -402,16 +462,19 @@ def distinguishing_probability_mc(
         size = min(per_block, trials - done)
         block = rng.trial_block(k, done, size, n)
         planes = bit_planes(block.T.astype(dtype, order="C"), k)
-        # a chunk of rows takes two (rows, words) uint64 arrays
-        per_chunk = max(1, BLOCK_BYTES // (16 * planes.shape[2]))
+        # a chunk of rows takes two (rows, words) uint64 arrays and a column of indices
+        spare = BLOCK_BYTES - block.nbytes - planes.nbytes
+        per_chunk = max(1, spare // (16 * planes.shape[2] + 8))
         held = np.zeros(planes.shape[2], dtype=np.uint64)
         for lo in range(0, len(rows), per_chunk):
             held |= np.bitwise_or.reduce(agreement(rows[lo : lo + per_chunk], planes, columns))
         held = unpack_bits(held, size).astype(bool)
         if certify:
-            successes += sum(first_automorphism(g, c) is None for c in block[~held].tolist())
+            # one trial's colours at a time: a list of a block's rows can outgrow its array
+            successes += sum(first_automorphism(g, c.tolist()) is None for c in block[~held])
         else:
             successes += size - int(np.count_nonzero(held))
+        del block, planes  # the next block's draws take the whole budget
     p = successes / trials
     return McEstimate(successes, trials, p, math.sqrt(p * (1 - p) / trials))
 

@@ -327,7 +327,7 @@ class PermGroup:
         at most about ``BLOCK_BYTES`` (one row at least); refuses above the cap.
 
         The deepest levels whose products fit one block are multiplied out
-        once into a tail array, each level by one fancy index; the walk over
+        once into a tail array, each level by one `np.take`; the walk over
         the upper levels gives the prefixes p, and p contributes the rows
         p[tail].
         """
@@ -341,16 +341,18 @@ class PermGroup:
         rows = max(1, BLOCK_BYTES // (8 * max(n, 1)))
         reps = self._coset_reps()
         depth = len(reps)
-        # (a * b).images == a.images[b.images]: a row array indexed by the tail
+        # (a * b).images == a.images[b.images]: a row array indexed by the tail;
+        # `np.take` writes the products in C order, so the reshape copies
+        # nothing, where `heads[:, tail]` did not and its reshape copied them
         tail = np.arange(n, dtype=np.intp)[None, :]
         while depth and len(reps[depth - 1]) * len(tail) <= rows:
             depth -= 1
             level = np.array([u.images for u in reps[depth]], dtype=np.intp)
-            tail = level[:, tail].reshape(len(level) * len(tail), n)
+            tail = np.take(level, tail, axis=1).reshape(len(level) * len(tail), n)
         walk = self._walk(depth=depth)
         while prefixes := list(itertools.islice(walk, rows // len(tail))):
             heads = np.array([p.images for p in prefixes], dtype=np.intp)
-            yield heads[:, tail].reshape(len(prefixes) * len(tail), n)
+            yield np.take(heads, tail, axis=1).reshape(len(prefixes) * len(tail), n)
 
     def orbits(self):
         """All orbits on 0..degree-1, sorted by smallest element; no chain."""

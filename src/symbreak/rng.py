@@ -170,6 +170,13 @@ class SeededRng(Record):
         return SeededRng(self.master_seed, (self.stream_id * (1 << 32) + trial) & _MASK64)
 
 
+def trial_block_bytes(count):
+    """Bytes per row that ``SeededRng.trial_block(..., count)`` holds at
+    its peak: the eight (rows, blocks) uint64 Philox state arrays and the
+    (rows, 4 * blocks) words, blocks = ceil(count / 4), plus its keys."""
+    return 96 * -(-count // 4) + 24
+
+
 def _check_draw(bound, count, size=0):
     # a bound above 2^64 would reject every 64-bit word; `True` and `2.0` are
     # no bound and no count

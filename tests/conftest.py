@@ -191,6 +191,30 @@ def prime_order_labels(group):
     return sorted(rows)
 
 
+def prime_order_partitions_labelling_all(group, cap=DEFAULT_ENUMERATION_CAP):
+    """The library's former `_prime_order_partitions`: every row of every
+    element block labelled by `cycle_labels`, the rows whose cycle lengths
+    are 1 and one prime kept, and all blocks' rows deduplicated at the end
+    by `_distinct_rows`; the oracle, array for array, for the cycle-length
+    prefilter and the merged fold that replaced it."""
+    import numpy as np
+
+    from symbreak.colourings import _distinct_rows, cycle_labels
+
+    found = []
+    for images in group.element_blocks(cap):
+        count, n = images.shape
+        label = cycle_labels(images)
+        rows = np.arange(count)[:, None]
+        sizes = np.bincount((label + rows * n).ravel(), minlength=count * n)
+        cycle_len = sizes.reshape(count, n)[rows, label]
+        longest = cycle_len.max(axis=1, initial=0)
+        uniform = ((cycle_len == 1) | (cycle_len == longest[:, None])).all(axis=1)
+        prime = np.array([m >= 2 and all(m % d for d in range(2, m)) for m in range(n + 1)])
+        found.append(label[uniform & prime[longest]])
+    return _distinct_rows(np.concatenate(found))
+
+
 def mc_one_stage(g: Graph, k, trials, rng):
     """The library's former enumerated Monte Carlo check, in one stage.
 

@@ -13,7 +13,9 @@ from conftest import (
     mc_by_stabilisers,
     mc_one_stage,
     petersen_graph,
+    plain_and_coloured,
     prime_order_labels,
+    prime_order_partitions_labelling_all,
     seeded_random_graphs,
     seeded_random_trees,
     tree_automorphism_by_nested_codes,
@@ -48,7 +50,7 @@ from symbreak.graphs import (
     star_graph,
 )
 from symbreak.perms import Perm
-from symbreak.rng import SeededRng
+from symbreak.rng import SeededRng, trial_block_bytes
 
 ORACLE_GRAPHS = {
     "C8": cycle_graph(8),
@@ -480,8 +482,8 @@ class TestTwoStageCheck:
 
     @pytest.mark.parametrize("budget", [1, 200, 5000])
     def test_small_budget_keeps_counts_and_chunks(self, monkeypatch, budget):
-        # a block holds budget / (8 n) trials' draws, and a chunk of label rows
-        # two (rows, words) uint64 arrays within the budget
+        # a block holds the trials whose draws fit the budget, and a chunk of
+        # label rows two (rows, words) uint64 arrays and a column within it
         shapes = []
         agreement = colourings.agreement
 
@@ -494,9 +496,39 @@ class TestTwoStageCheck:
         monkeypatch.setattr(colourings, "BLOCK_BYTES", budget)
         monkeypatch.setattr(colourings, "agreement", recording)
         assert distinguishing_probability_mc(g, 2, 100, SeededRng(6, 2)).successes == want
-        words = -(-max(1, budget // (8 * 16)) // 64)
+        words = -(-max(1, budget // trial_block_bytes(16)) // 64)
         assert shapes and all(w == words for _, w in shapes)
-        assert all(rows == 1 or 16 * rows * w <= budget for rows, w in shapes)
+        assert all(rows == 1 or rows * (16 * w + 8) <= budget for rows, w in shapes)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize(
+        "g, trials", [(cycle_graph(64), 40_000), (hypercube(5), 20_000)], ids=["C64", "Q5"]
+    )
+    def test_blocks_peak_within_the_budget(self, monkeypatch, g, trials, k):
+        # a trial's draws peak at about 24 bytes per vertex, three times its
+        # colours: blocks sized from the colours alone peaked at 3-6 budgets
+        want = distinguishing_probability_mc(g, k, trials, SeededRng(7))
+        budget = 1 << 20
+        assert trials > 8 * budget // trial_block_bytes(g.vertex_count)  # many blocks
+        monkeypatch.setattr(colourings, "BLOCK_BYTES", budget)
+        partitions, held = colourings._prime_order_partitions, []
+
+        def rows_then_reset(*args):
+            rows = partitions(*args)
+            # from here on the peak is the blocks' above the rows and the group
+            held.append(tracemalloc.get_traced_memory()[0])
+            tracemalloc.reset_peak()
+            return rows
+
+        monkeypatch.setattr(colourings, "_prime_order_partitions", rows_then_reset)
+        tracemalloc.start()
+        try:
+            got = distinguishing_probability_mc(g, k, trials, SeededRng(7))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        assert peak - held[0] <= 1.25 * budget
 
     @pytest.mark.parametrize("seed", [1, 2])
     @pytest.mark.parametrize("name", sorted(BENCH_MC_RUNS))
@@ -563,6 +595,92 @@ class TestDistinctRows:
         assert sorted(map(tuple, labels.tolist())) == want
 
 
+PREFILTER_GRAPHS = {
+    **{f"Q{d}": hypercube(d) for d in range(3, 7)},
+    **{f"K{n}": complete_graph(n) for n in range(3, 9)},
+    # a rotation of C_p has order p, so most outlast the walk and stay open;
+    # C2 is no simple graph, and P2 has its group
+    **{f"C{p}": cycle_graph(p) for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)},
+    **{f"P{n}": path_graph(n) for n in (1, 2, 5, 16)},
+    **{f"S{n}": star_graph(n) for n in (2, 3, 6)},
+    "K33": complete_bipartite(3, 3),
+    "C16": cycle_graph(16),
+    "empty": Graph([]),
+}
+
+
+class TestPrimeCycleLabels:
+    """`_prime_order_partitions` walks each element's first moved point's
+    cycle before `cycle_labels` and merges each block's rows into the
+    distinct rows as it arrives; its array must be the one labelling every
+    element and deduplicating once gives (`prime_order_partitions_labelling_all`)."""
+
+    @staticmethod
+    def check(group, name):
+        got = colourings._prime_order_partitions(group, 10**6)
+        want = prime_order_partitions_labelling_all(group, 10**6)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert np.array_equal(got, want), name
+
+    def test_corpus(self, corpus):
+        for name, g in corpus.items():
+            self.check(automorphism_group(g), name)
+
+    def test_random_graphs_plain_and_coloured(self):
+        graphs = list(enumerate(seeded_random_graphs(33, 100, max_n=10)))
+        for name, g, colours in plain_and_coloured(graphs, 34):
+            self.check(automorphism_group(g, vertex_colours=colours), name)
+
+    @pytest.mark.parametrize("name", sorted(PREFILTER_GRAPHS))
+    def test_families(self, name):
+        self.check(automorphism_group(PREFILTER_GRAPHS[name]), name)
+
+    def test_random_trees(self):
+        for index, g in enumerate(seeded_random_trees(35, 40)):
+            self.check(automorphism_group(g), index)
+
+    def test_many_small_blocks(self, monkeypatch):
+        # blocks of a few rows: the merge meets every row many times over
+        monkeypatch.setattr(groups, "BLOCK_BYTES", 8 * 16 * 5)
+        for name in ("Q4", "K6", "C13", "S6"):
+            self.check(automorphism_group(PREFILTER_GRAPHS[name]), name)
+
+    @staticmethod
+    def labelled(monkeypatch, g):
+        counts = []
+        labels = colourings.cycle_labels
+        monkeypatch.setattr(
+            colourings, "cycle_labels", lambda images: counts.append(len(images)) or labels(images)
+        )
+        colourings._prime_order_partitions(automorphism_group(g), 10**6)
+        return sum(counts)
+
+    def test_walk_drops_rows_of_composite_cycle_length(self, monkeypatch):
+        # 1,409 of Q5's 3,840 elements reach the labelling
+        assert self.labelled(monkeypatch, hypercube(5)) < 3840
+
+    def test_open_walks_are_labelled(self, monkeypatch):
+        # C31: 30 rotations of order 31 stay open after 10 steps, and the 31
+        # reflections close at 2; only the identity is dropped
+        assert self.labelled(monkeypatch, cycle_graph(31)) == 61
+
+    def test_rows_peak_near_one_block_and_the_distinct_rows(self, monkeypatch):
+        # Q5 in 160 element blocks of 24 rows: the rows once kept every
+        # block's distinct rows (0.9 MiB here) until one final sort
+        aut = automorphism_group(hypercube(5))
+        budget = 8192
+        monkeypatch.setattr(groups, "BLOCK_BYTES", budget)
+        assert sum(1 for _ in aut.element_blocks(10**6)) == 160
+        rows = colourings._prime_order_partitions(aut, 10**6)
+        tracemalloc.start()
+        try:
+            colourings._prime_order_partitions(aut, 10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * rows.nbytes + 16 * budget
+
+
 def test_cycle_labels_are_the_cycle_minima():
     rnd = random.Random(5)
     for n in range(40):
@@ -626,6 +744,22 @@ class TestElementBlocks:
             n = g.vertex_count
             assert all(len(b) == 1 or b.nbytes <= max(8 * 7 * 12, 8 * n) for b in blocks), name
             assert [row for b in blocks for row in b.tolist()] == chain_elements(aut), name
+
+    def test_blocks_are_built_without_a_second_copy(self, monkeypatch):
+        # `heads[:, tail]` was not in C order, so its reshape copied each
+        # block once more: Q6's blocks of 1 MiB peaked at 1.77 MiB
+        aut = automorphism_group(hypercube(6))
+        budget = 1 << 20
+        monkeypatch.setattr(groups, "BLOCK_BYTES", budget)
+        list(aut.element_blocks(10**6))  # the chain and numpy's lazy set-up
+        tracemalloc.start()
+        try:
+            for block in aut.element_blocks(10**6):
+                del block
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * budget
 
     def test_cap_below_the_order_raises_as_elements_does(self):
         aut = automorphism_group(hypercube(3))

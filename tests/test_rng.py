@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from symbreak.rng import SeededRng, _philox_words
+from symbreak.rng import SeededRng, _philox_words, trial_block_bytes
 
 SEEDS = [0, 2**64 - 1]
 # stream 2^32 - 1 with trials from 2^32 - 2 on: s * 2^32 + t wraps past 2^64
@@ -90,3 +92,23 @@ def test_philox_words_match_numpy_per_block_count(seed, blocks, keys):
     for row, key in zip(words, keys):
         bg = np.random.Philox(key=np.array([seed, key], dtype=np.uint64))
         assert row.tolist() == bg.random_raw(4 * blocks).tolist()
+
+
+@pytest.mark.parametrize("bound", [2, 3])
+@pytest.mark.parametrize("count", [1, 5, 16, 64])
+def test_trial_block_bytes_is_the_draws_peak_per_row(bound, count):
+    # the Monte Carlo estimator sizes its blocks from this figure; the
+    # difference of two sizes leaves out numpy's ufunc buffers, which stop
+    # growing at 8192 entries
+    rng = SeededRng(3, 1)
+    rng.trial_block(bound, 0, 16, count)  # numpy's lazy set-up is not the draw's
+    peaks = []
+    for size in (4096, 8192):
+        tracemalloc.start()
+        try:
+            rng.trial_block(bound, 0, size, count)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    per_row = (peaks[1] - peaks[0]) / 4096
+    assert 0.9 * trial_block_bytes(count) <= per_row <= trial_block_bytes(count)
