@@ -12,8 +12,7 @@ Refinement re-examines only the cells that can split: after individualizing
 w, the cells with a neighbour of w; after a round, the cells with a
 neighbour in a piece of a cell that split, every piece but its largest.
 A round groups an examined cell's vertices by the sorted tuple of their
-neighbours' cell starts, and run-length codes only each distinct tuple
-into its (start, count) runs, the key that orders the pieces.
+neighbours' cell starts, and the sorted tuples order the pieces.
 The search keeps an explicit stack, so no depth needs the recursion limit
 raised, and returns |Aut| when exhausted: the product over the levels L of
 its left path of the orbit length of left_seq[L] under the generators
@@ -39,15 +38,6 @@ def _initial_partition(n, colours):
     return tuple(tuple(by_colour[c]) for c in sorted(by_colour))
 
 
-def _runs(starts):
-    """The (start, count) runs of a sorted tuple of cell starts, the sorted
-    items of its multiset: the key that orders the pieces of a split cell."""
-    counts = {}
-    for s in starts:
-        counts[s] = counts.get(s, 0) + 1
-    return list(counts.items())
-
-
 def _refine(adj, cells, touched=None):
     """Equitable refinement: split cells by neighbour-cell multisets.
 
@@ -56,15 +46,13 @@ def _refine(adj, cells, touched=None):
     order the cells as their indices do, so signatures sort as by index.
     A round groups an examined cell's vertices, in cell order, by the
     sorted tuple of their neighbours' starts: two vertices share a tuple
-    iff they share a neighbour-cell multiset.  The pieces are ordered by
-    the tuple's `_runs`, the sorted (start, count) items of that multiset,
-    computed once per distinct tuple; sorting the raw tuples would order
-    them differently, (0, 0) before (0, 5) where ((0, 1), (5, 1)) comes
-    before ((0, 2),).  A round re-examines only the cells with a vertex
-    adjacent to `touched`; no other cell can split.  `touched` starts as the given vertices (None:
-    every cell is examined) and then holds, for each cell that split, the
-    vertices of every piece but its first largest one, since the counts
-    into that piece follow from the counts into the others.
+    iff they share a neighbour-cell multiset, and the pieces follow their
+    tuples in sorted order.  A round re-examines only the cells with a
+    vertex adjacent to `touched`; no other cell can split.  `touched`
+    starts as the given vertices (None: every cell is examined) and then
+    holds, for each cell that split, the vertices of every piece but its
+    first largest one, since the counts into that piece follow from the
+    counts into the others.
     """
     by_start = {}
     cell_at = [0] * sum(len(c) for c in cells)
@@ -86,7 +74,7 @@ def _refine(adj, cells, touched=None):
             for v in cell:
                 groups.setdefault(tuple(sorted(map(start_of, adj[v]))), []).append(v)
             if len(groups) > 1:
-                splits.append((start, [tuple(groups[t]) for t in sorted(groups, key=_runs)]))
+                splits.append((start, [tuple(groups[t]) for t in sorted(groups)]))
         if not splits:
             return tuple(by_start[s] for s in sorted(by_start))
         touched = []

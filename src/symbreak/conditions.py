@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import collections.abc
 import functools
+import io
 import itertools
 import math
 import warnings
@@ -63,20 +64,24 @@ class DscReport(Record):
             "checked_pairs": self.checked_pairs,
             "violations": [list(p) for p in self.violations],
             "at_horizon": [list(p) for p in self.at_horizon],
-            "first_separating_n": {
-                f"{x},{y}": n for (x, y), n in sorted(self.first_separating_n.items())
-            },
+            "first_separating_n": {f"{x},{y}": n for (x, y), n in self._separations_by_pair()},
         }
 
     def to_csv(self) -> str:
-        lines = ["x,y,first_separating_n"]
-        for (x, y), n in sorted(self.first_separating_n.items()):
-            lines.append(f"{x},{y},{n}")
-        for x, y in self.violations:
-            lines.append(f"{x},{y},violation")
-        for x, y in self.at_horizon:
-            lines.append(f"{x},{y},at_horizon")
-        return "\n".join(lines) + "\n"
+        out = io.StringIO()
+        out.write("x,y,first_separating_n\n")
+        out.writelines(f"{x},{y},{n}\n" for (x, y), n in self._separations_by_pair())
+        out.writelines(f"{x},{y},violation\n" for x, y in self.violations)
+        out.writelines(f"{x},{y},at_horizon\n" for x, y in self.at_horizon)
+        return out.getvalue()
+
+    def _separations_by_pair(self):
+        """``first_separating_n``'s items by pair: sorted only when one pass
+        over the keys finds them out of order, never on a family truncation."""
+        separations = self.first_separating_n
+        if all(a < b for a, b in itertools.pairwise(separations)):
+            return separations.items()
+        return sorted(separations.items())
 
     def to_text(self) -> str:
         lines = [

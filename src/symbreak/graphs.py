@@ -114,7 +114,7 @@ class Graph:
         return self.vertex_count == 0 or UNREACHABLE not in self.distances(0)
 
     def is_tree(self):
-        return self.is_connected() and self.edge_count == self.vertex_count - 1
+        return self.edge_count == self.vertex_count - 1 and self.is_connected()
 
     def __repr__(self):
         return f"Graph(n={self.vertex_count}, m={self.edge_count})"

@@ -1,6 +1,5 @@
 import itertools
 import random
-from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -89,8 +88,9 @@ def brute_force_automorphisms(g: Graph, colours=None):
 
 
 def refine_every_cell(adj, cells):
-    """The library's former `_refine`: every round recomputes the
-    neighbour-cell multiset of every vertex in every non-singleton cell;
+    """The library's former `_refine`: every round recomputes the sorted
+    tuple of neighbour cell indices of every vertex in every non-singleton
+    cell, and a split cell's pieces follow their tuples in sorted order;
     the oracle for the refinement that re-examines only the cells next to
     a split."""
     n = sum(len(c) for c in cells)
@@ -107,7 +107,7 @@ def refine_every_cell(adj, cells):
                 continue
             groups = {}
             for v in cell:
-                sig = tuple(sorted(Counter(cell_id[u] for u in adj[v]).items()))
+                sig = tuple(sorted(cell_id[u] for u in adj[v]))
                 groups.setdefault(sig, []).append(v)
             if len(groups) == 1:
                 new_cells.append(cell)

@@ -17,6 +17,7 @@ from symbreak.autsearch import (
     automorphism_group,
     first_automorphism,
 )
+from symbreak.conditions import _suborbit_classes
 from symbreak.graphs import (
     FamilySpec,
     Graph,
@@ -444,15 +445,15 @@ def test_refinement_matches_the_every_cell_oracle(corpus):
 
 
 def test_pieces_follow_the_neighbour_cell_counts():
-    """A split cell's pieces are ordered by their sorted (start, count)
-    runs, not by the sorted tuples of neighbour starts.  Cell (3, 4) at
-    start 3 splits: 3 has both neighbours in cell 0, runs ((0, 2),), and 4
-    one in cell 0 and one in cell 5, runs ((0, 1), (5, 1)), so 4 comes
-    first, while the raw tuples (0, 0) < (0, 5) would put 3 first.  Then
-    (0, 1, 2) splits as 2, next to 4 now at start 3, before 0 and 1."""
+    """A split cell's pieces are ordered by the sorted tuples of their
+    neighbours' cell starts.  Cell (3, 4) at start 3 splits: 3 has both
+    neighbours in cell 0, tuple (0, 0), and 4 one in cell 0 and one in cell
+    5, tuple (0, 5), so 3 comes first.  Then (0, 1, 2) splits: 0 and 1 are
+    next to 3, still at start 3, and 2 is next to 4, now at start 4, so 0
+    and 1 come before 2."""
     adj = Graph.from_edges(6, [(0, 3), (1, 3), (2, 4), (4, 5)]).adjacency
     cells = ((0, 1, 2), (3, 4), (5,))
-    assert _refine(adj, cells) == ((2,), (0, 1), (4,), (3,), (5,))
+    assert _refine(adj, cells) == ((0, 1), (2,), (3,), (4,), (5,))
     assert _refine(adj, cells) == refine_every_cell(adj, cells)
 
 
@@ -476,13 +477,9 @@ def search_record(g, colours):
     )
 
 
-PINNED_SEARCH_DIGEST = "a888eec95aec66c4285b7ae987f69065ea0238dc37a397172d296864ab9c2286"
-
-
-def test_search_results_are_pinned(corpus):
-    """A digest of `search_record` over 107 graphs, plain and randomly
-    2-coloured.  It pins the generators and everything built on them, so a
-    change to the search that alters any of them must say so and re-pin."""
+def pinned_searches(corpus):
+    """(graph, colours) for 107 graphs, plain and randomly 2-coloured: the
+    214 searches the digests below are taken over."""
     graphs = (
         list(corpus.values())
         + [hypercube(4), hypercube(5), complete_graph(7), complete_bipartite(3, 5)]
@@ -493,11 +490,63 @@ def test_search_results_are_pinned(corpus):
     )
     assert len(graphs) == 107
     rnd = random.Random(43)
-    digest = hashlib.sha256()
     for g in graphs:
         for colours in (None, tuple(rnd.randrange(2) for _ in range(g.vertex_count))):
-            digest.update(repr(search_record(g, colours)).encode())
-    assert digest.hexdigest() == PINNED_SEARCH_DIGEST
+            yield g, colours
+
+
+def invariant_record(g, colours):
+    """What the group alone decides, whatever generators and base the search
+    finds: order, orbits, motion, whether a first automorphism exists, and
+    the suborbit classes at budget 0."""
+    group = automorphism_group(g, colours)
+    colouring = (0,) * g.vertex_count if colours is None else colours
+    return (
+        group.order(),
+        group.orbits(),
+        group.motion().motion,
+        first_automorphism(g, colours) is None,
+        _suborbit_classes(g, colouring, group, 0).classes,
+    )
+
+
+def digest_of(record, searches):
+    digest = hashlib.sha256()
+    for g, colours in searches:
+        digest.update(repr(record(g, colours)).encode())
+    return digest.hexdigest()
+
+
+PINNED_SEARCH_DIGEST = "2def29fb801fc9cd034b182b13b166f808400deaa6253b82dcc068a4fd9bde7f"
+PINNED_INVARIANT_DIGEST = "60d3c467e86b90a17c3f3b0c4dd1801d91cb63a5809bfdf808e0f2fea35377d4"
+
+
+def test_search_results_are_pinned(corpus):
+    """A digest of `search_record` over the pinned searches.  It pins the
+    generators and everything built on them, so a change to the search that
+    alters any of them must say so and re-pin."""
+    assert digest_of(search_record, pinned_searches(corpus)) == PINNED_SEARCH_DIGEST
+
+
+def test_search_invariants_are_pinned(corpus):
+    """A digest of `invariant_record` over the same searches.  No correct
+    search changes it: re-pinning it means the search found another group."""
+    assert digest_of(invariant_record, pinned_searches(corpus)) == PINNED_INVARIANT_DIGEST
+
+
+def test_only_a_tree_runs_the_connectivity_search(monkeypatch):
+    """A graph whose edge count is no tree's is no tree: `is_tree` asks for
+    no BFS, so a search on Q4, plain or coloured, reads no distance row,
+    and a tree still reads one."""
+    sources = []
+    distances = Graph.distances
+    monkeypatch.setattr(Graph, "distances", lambda g, v: sources.append(v) or distances(g, v))
+    g = hypercube(4)
+    assert automorphism_group(g).order() == 384
+    assert first_automorphism(g, [v % 3 for v in range(16)]) is not None
+    assert sources == []
+    assert automorphism_group(path_graph(5)).order() == 2
+    assert sources == [0]
 
 
 def test_search_lists_the_fixing_generators_once_per_level(monkeypatch):

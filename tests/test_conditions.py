@@ -361,6 +361,35 @@ class TestDsc:
         siblings = [v for v in g.adjacency[1] if v > 1]
         assert report.first_separating_n[tuple(siblings)] == 1
 
+    def test_pairs_print_in_pair_order_whatever_the_numbering(self):
+        """A family truncation generates its separated pairs in pair order,
+        and a graph numbered deepest first does not; both print them sorted."""
+        g = generate_family(FamilySpec("grid", {"dimension": 2}, 4))
+        n = g.vertex_count
+        reversed_numbering = Graph.from_edges(n, [(n - 1 - u, n - 1 - v) for u, v in g.edges()])
+        reports = ((dsc_check(g), True), (dsc_check(reversed_numbering, n - 1), False))
+        for report, generated_sorted in reports:
+            pairs = list(report.first_separating_n)
+            assert (pairs == sorted(pairs)) == generated_sorted
+            rows = [line.split(",") for line in report.to_csv().splitlines()[1:]]
+            assert [(int(x), int(y)) for x, y, _ in rows[: len(pairs)]] == sorted(pairs)
+            keys = list(report.to_json_dict()["first_separating_n"])
+            assert keys == [f"{x},{y}" for x, y in sorted(pairs)]
+
+    def test_csv_holds_no_list_of_lines(self):
+        """d3 R9 prints one line per pair, 392,448 of them, most at the
+        horizon.  The lines are written into one buffer as they are made, so
+        the peak stays near twice the text; a list of the lines took six times."""
+        report = dsc_check(generate_family(FamilySpec("regular_tree", {"degree": 3}, 9)))
+        tracemalloc.start()
+        try:
+            text = report.to_csv()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert text.count("\n") == 1 + report.checked_pairs
+        assert peak < 3 * len(text), (peak, len(text))
+
     def test_report_emissions(self):
         g = generate_family(FamilySpec("double_ray", {}, 3))
         report = dsc_check(g)
