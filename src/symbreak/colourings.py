@@ -157,17 +157,26 @@ def _prime_order_partitions(aut: PermGroup, enum_cap: int):
     constant on its cycles, so these rows detect exactly the colourings
     that some non-identity element preserves.
 
-    Each block's rows are merged into the distinct rows found so far as
-    the block arrives, so the rows hold one element block and about twice
-    the distinct rows at once.
+    The distinct rows found so far are held in runs of distinct rows in
+    byte order, each run at least as long as all the later ones: a block's
+    rows missing from every run become a new run, merged into the run before
+    it for as long as that run is no longer, so each row is copied about
+    log2(blocks) times, not once per block.  The rows hold one element block
+    and about twice the distinct rows at once.
     """
     import numpy as np
 
-    n = aut.degree
-    prime = _prime_table(n)
-    distinct = np.empty((0, n), dtype=np.intp)
+    prime = _prime_table(aut.degree)
+    runs = []
     for block in aut.element_blocks(enum_cap):
-        distinct = _merge_distinct(distinct, _prime_cycle_labels(block, prime))
+        rows = _missing_rows(_prime_cycle_labels(block, prime), *runs)
+        while runs and len(runs[-1]) <= len(rows):
+            rows = _merge_distinct(runs.pop(), rows)
+        runs.append(rows)
+        del rows  # the next block's labels are made without it
+    distinct = np.empty((0, aut.degree), dtype=np.intp)
+    while runs:
+        distinct = _merge_distinct(runs.pop(), distinct)
     return distinct
 
 
@@ -191,18 +200,31 @@ def _distinct_rows(rows):
     return rows[first]
 
 
+def _missing_rows(rows, *found):
+    """The rows of `rows` missing from every array of `found`; all are arrays
+    of distinct rows in byte order (as `_distinct_rows` returns them)."""
+    import numpy as np
+
+    for distinct in found:
+        if len(distinct) and len(rows):
+            old, new = _row_values(distinct), _row_values(rows)
+            at = np.minimum(np.searchsorted(old, new), len(old) - 1)
+            rows = rows[old[at] != new]
+    return rows
+
+
 def _merge_distinct(distinct, rows):
-    """The distinct rows of two arrays of distinct rows in byte order (as
-    `_distinct_rows` returns them), in byte order: the rows missing from
-    `distinct` are inserted where they sort, and nothing is sorted again."""
+    """The rows of two arrays of distinct rows in byte order, none in both,
+    in byte order: each row of `rows` is inserted where it sorts, and
+    nothing is sorted again."""
     import numpy as np
 
     if not len(distinct):
         return rows
-    old, new = _row_values(distinct), _row_values(rows)
-    at = np.searchsorted(old, new)
-    missing = old[np.minimum(at, len(old) - 1)] != new
-    return np.insert(distinct, at[missing], rows[missing], axis=0)
+    if not len(rows):
+        return distinct
+    at = np.searchsorted(_row_values(distinct), _row_values(rows))
+    return np.insert(distinct, at, rows, axis=0)
 
 
 def cycle_labels(images):
@@ -418,10 +440,13 @@ def distinguishing_probability_mc(
     depend on execution order.  The standard error is the binomial
     sqrt(p(1-p)/trials) at the estimated p.  Blocks of trials are drawn at
     once (``SeededRng.trial_block``), as many as the ``BLOCK_BYTES`` budget
-    holds at the draw's peak (`trial_block_bytes`: about 24 bytes per trial
-    and vertex for the Philox state and words); the chunks of rows checked
-    against a block take what its draws and bit-planes leave of the
-    budget, so a block's arrays stay within about ``BLOCK_BYTES``.
+    holds at the draw's peak (`trial_block_bytes`: about 25 bytes per trial
+    and vertex for the Philox state, words and rejection flags while the
+    block fits one Philox tile; beyond a tile the workspace stays at about
+    1.2 MiB and a trial adds only its words, 8 bytes per vertex); the chunks
+    of rows checked against a block take what its draws and bit-planes
+    leave of the budget, so a block's arrays stay within about
+    ``BLOCK_BYTES``.
 
     Each block of trials is packed into bit-planes (one uint64 word holds 64
     trials' colourings, one plane per bit of a colour) and checked against

@@ -429,6 +429,52 @@ BENCH_MC_RUNS = {
     "Q5": (hypercube(5), 3, 4096),
 }
 
+#: Seeded successes computed with the Philox draw before it ran in tiles.
+#: `mc_one_stage` and `uncertified_trials` draw through `trial_block`
+#: themselves, so only pinned counts catch a fault in the draw.
+#: (graph, k) -> successes at seed 7 under a 1 MiB budget (many blocks of
+#: one Philox tile each):
+PINNED_BUDGET_SUCCESSES = {
+    ("C64", 2): 40_000,
+    ("C64", 3): 40_000,
+    ("Q5", 2): 18_346,
+    ("Q5", 3): 19_945,
+}
+#: (BENCH_MC_RUNS name, seed) -> successes at k = 2 (one block of 2-3 tiles):
+PINNED_BENCH_SUCCESSES = {
+    ("C8", 1): 7562,
+    ("C8", 2): 7365,
+    ("Q4", 1): 3503,
+    ("Q4", 2): 3501,
+    ("Q5", 1): 3765,
+    ("Q5", 2): 3734,
+}
+#: (k, seed) -> successes of K10 above the enumeration cap, 200 trials from
+#: stream 4; 20 colours are no power of two, so the draw rejection-samples:
+PINNED_CERTIFIED_SUCCESSES = {(2, 1): 0, (2, 2): 0, (20, 1): 14, (20, 2): 16}
+
+
+class TestPinnedDraws:
+    """Seeded Monte Carlo counts stay those of the untiled draw."""
+
+    @pytest.mark.parametrize("name, k", sorted(PINNED_BUDGET_SUCCESSES))
+    def test_many_blocks(self, monkeypatch, name, k):
+        g, trials = (cycle_graph(64), 40_000) if name == "C64" else (hypercube(5), 20_000)
+        monkeypatch.setattr(colourings, "BLOCK_BYTES", 1 << 20)
+        got = distinguishing_probability_mc(g, k, trials, SeededRng(7)).successes
+        assert got == PINNED_BUDGET_SUCCESSES[name, k]
+
+    @pytest.mark.parametrize("name, seed", sorted(PINNED_BENCH_SUCCESSES))
+    def test_benchmark_runs(self, name, seed):
+        g, stream, trials = BENCH_MC_RUNS[name]
+        got = distinguishing_probability_mc(g, 2, trials, SeededRng(seed, stream)).successes
+        assert got == PINNED_BENCH_SUCCESSES[name, seed]
+
+    @pytest.mark.parametrize("k, seed", sorted(PINNED_CERTIFIED_SUCCESSES))
+    def test_above_the_enumeration_cap(self, k, seed):
+        got = distinguishing_probability_mc(complete_graph(10), k, 200, SeededRng(seed, 4))
+        assert got.successes == PINNED_CERTIFIED_SUCCESSES[k, seed]
+
 
 class TestTwoStageCheck:
     """The enumerated Monte Carlo path checks each block of trials, packed as
@@ -611,8 +657,8 @@ PREFILTER_GRAPHS = {
 
 class TestPrimeCycleLabels:
     """`_prime_order_partitions` walks each element's first moved point's
-    cycle before `cycle_labels` and merges each block's rows into the
-    distinct rows as it arrives; its array must be the one labelling every
+    cycle before `cycle_labels` and merges each block's new rows into runs
+    of the distinct rows found so far; its array must be the one labelling every
     element and deduplicating once gives (`prime_order_partitions_labelling_all`)."""
 
     @staticmethod
@@ -644,6 +690,31 @@ class TestPrimeCycleLabels:
         monkeypatch.setattr(groups, "BLOCK_BYTES", 8 * 16 * 5)
         for name in ("Q4", "K6", "C13", "S6"):
             self.check(automorphism_group(PREFILTER_GRAPHS[name]), name)
+
+    @pytest.mark.parametrize("name", ["Q5", "Q6", "K8", "C31"])
+    def test_many_blocks_and_runs(self, monkeypatch, name):
+        # blocks of 24 rows: the distinct rows stand in many runs, merged
+        # as they grow, and come out as the one-pass deduplication orders them
+        g = PREFILTER_GRAPHS[name]
+        monkeypatch.setattr(groups, "BLOCK_BYTES", 8 * g.vertex_count * 24)
+        self.check(automorphism_group(g), name)
+
+    def test_each_row_is_copied_about_log_blocks_times(self, monkeypatch):
+        # Q6 in 960 blocks: inserting each block's new rows into all the rows
+        # found so far copied 1.4 million rows, for 2,359 distinct rows
+        monkeypatch.setattr(groups, "BLOCK_BYTES", 8 * 64 * 48)
+        aut = automorphism_group(hypercube(6))
+        blocks = sum(1 for _ in aut.element_blocks(10**6))
+        copied, insert = [], np.insert
+
+        def recording(rows, *args, **kwargs):
+            copied.append(len(rows))
+            return insert(rows, *args, **kwargs)
+
+        monkeypatch.setattr(np, "insert", recording)
+        rows = colourings._prime_order_partitions(aut, 10**6)
+        assert blocks >= 900 and len(rows) == 2359
+        assert sum(copied) <= 2 * len(rows) * blocks.bit_length()
 
     @staticmethod
     def labelled(monkeypatch, g):

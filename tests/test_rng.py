@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from symbreak import rng as rng_module
 from symbreak.rng import SeededRng, _philox_words, trial_block_bytes
 
 SEEDS = [0, 2**64 - 1]
@@ -94,21 +95,106 @@ def test_philox_words_match_numpy_per_block_count(seed, blocks, keys):
         assert row.tolist() == bg.random_raw(4 * blocks).tolist()
 
 
-@pytest.mark.parametrize("bound", [2, 3])
-@pytest.mark.parametrize("count", [1, 5, 16, 64])
-def test_trial_block_bytes_is_the_draws_peak_per_row(bound, count):
-    # the Monte Carlo estimator sizes its blocks from this figure; the
-    # difference of two sizes leaves out numpy's ufunc buffers, which stop
-    # growing at 8192 entries
+def draw_peaks(bound, count, sizes):
+    """tracemalloc's peak of each `trial_block` draw, less its result."""
     rng = SeededRng(3, 1)
     rng.trial_block(bound, 0, 16, count)  # numpy's lazy set-up is not the draw's
     peaks = []
-    for size in (4096, 8192):
+    for size in sizes:
         tracemalloc.start()
         try:
-            rng.trial_block(bound, 0, size, count)
-            peaks.append(tracemalloc.get_traced_memory()[1])
+            words = rng.trial_block(bound, 0, size, count)
+            peaks.append(tracemalloc.get_traced_memory()[1] - words.nbytes)
         finally:
             tracemalloc.stop()
-    per_row = (peaks[1] - peaks[0]) / 4096
+    return peaks
+
+
+@pytest.mark.parametrize("bound", [2, 3])
+@pytest.mark.parametrize("count", [1, 5, 16, 64])
+def test_trial_block_bytes_is_the_draws_peak_per_row(monkeypatch, bound, count):
+    # the Monte Carlo estimator sizes its blocks from this figure.  Within one
+    # tile a row holds its share of the Philox state; each row beyond a tile
+    # adds only its result words.  The differences of two sizes leave out
+    # numpy's ufunc buffers, which stop growing at 8192 entries.
+    blocks = -(-count // 4)
+    per_tile = rng_module._TILE_WORDS // blocks
+    beyond = draw_peaks(bound, count, (8 * per_tile, 16 * per_tile))
+    per_row = 8 * count + (beyond[1] - beyond[0]) / (8 * per_tile)
+    assert 0.9 * 8 * count <= per_row <= 8 * count
+    monkeypatch.setattr(rng_module, "_TILE_WORDS", 16384 * blocks)
+    within = draw_peaks(bound, count, (8192, 16384))
+    per_row = 8 * count + (within[1] - within[0]) / 8192
     assert 0.9 * trial_block_bytes(count) <= per_row <= trial_block_bytes(count)
+
+
+@pytest.mark.parametrize("bound", [2, 3])
+@pytest.mark.parametrize("count", [16, 32, 64])
+def test_draw_workspace_does_not_grow_with_the_trials(bound, count):
+    # 4096 trials fill at least one tile; 65536 trials hold 16 or more
+    small, large = draw_peaks(bound, count, (4096, 65536))
+    assert abs(large - small) <= 4096
+    assert large <= 1.25 * 8 * 8 * rng_module._TILE_WORDS  # the eight state arrays of a tile
+
+
+class TestTiles:
+    """The tiled kernel on tiles of a few words, against ``np.random.Philox``
+    word for word and `trial_stream(t).integers_below` row for row."""
+
+    @pytest.fixture(autouse=True)
+    def small_tiles(self, monkeypatch):
+        monkeypatch.setattr(rng_module, "_TILE_WORDS", 8)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("blocks", [1, 2, 3, 5, 9])
+    def test_words_across_tiles_match_numpy(self, seed, blocks):
+        # 8 words a tile: 8, 4, 2 or 1 keys a tile, and from 5 blocks on one
+        # key a tile whose blocks exceed it; 11 keys leave the last tile partial
+        keys = [0, 1, 2**63, 2**64 - 1] + [(3 << 32) + t for t in range(7)]
+        words = _philox_words(seed, np.array(keys, dtype=np.uint64), blocks)
+        assert words.shape == (len(keys), 4 * blocks)
+        for row, key in zip(words, keys):
+            bg = np.random.Philox(key=np.array([seed, key], dtype=np.uint64))
+            assert row.tolist() == bg.random_raw(4 * blocks).tolist()
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("stream_id,start", STREAMS)
+    @pytest.mark.parametrize("bound", [2, 3, 7, 2**63 + 1, 2**64])
+    @pytest.mark.parametrize("count", [1, 3, 6, 9, 21, 40])
+    def test_trial_block_across_tiles(self, seed, stream_id, start, bound, count):
+        rng = SeededRng(seed, stream_id)
+        block = rng.trial_block(bound, start, 13, count)
+        assert block.shape == (13, count)
+        for t in range(13):
+            want = rng.trial_stream(start + t).integers_below(bound, count)
+            assert block[t].tolist() == want
+
+    @pytest.mark.parametrize("bound", [2, 3, 2**63 + 1])
+    def test_rejected_rows_in_later_tiles_are_redrawn(self, bound):
+        # two keys a tile at 9 words: the scalar path redraws exactly the rows
+        # that hold a rejected word, none for bounds 2 and 3 on these keys
+        rng, size, count = SeededRng(3, 4), 40, 9
+        words = _philox_words(3, np.arange(size, dtype=np.uint64) + np.uint64(4 << 32), 3)
+        accepted = (1 << 64) - (1 << 64) % bound
+        bad = (words[:, :count].astype(object) >= accepted).any(axis=1)
+        if bound == 2**63 + 1:
+            assert bad[2:].sum() > size // 4  # rows beyond the first tile
+        calls = []
+        trial_stream = SeededRng.trial_stream
+
+        def recording(self, trial):
+            calls.append(trial)
+            return trial_stream(self, trial)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(SeededRng, "trial_stream", recording)
+            block = rng.trial_block(bound, 0, size, count)
+        assert calls == np.flatnonzero(bad).tolist()
+        for t in range(size):
+            assert block[t].tolist() == rng.trial_stream(t).integers_below(bound, count)
+
+    @pytest.mark.parametrize("size, count", [(0, 0), (0, 5), (3, 0), (12, 0)])
+    def test_empty_draws(self, size, count):
+        block = SeededRng(1, 2).trial_block(3, 0, size, count)
+        assert block.shape == (size, count) and block.dtype == np.uint64
+        assert _philox_words(1, np.arange(size, dtype=np.uint64), 0).shape == (size, 0)
