@@ -61,6 +61,18 @@ from .topology import (
     ultrametric_distance,
 )
 
+
+def _cap(text):
+    """A cap flag's value: an int >= 0, or argparse refuses it (exit 2)."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be an int >= 0, not {text!r}")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="symbreak",
@@ -70,8 +82,8 @@ def build_parser():
     parser.add_argument("--config", help="JSON file with defaults for the flags below")
     parser.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
     parser.add_argument("--trials", type=int, default=10_000, help="Monte Carlo trials")
-    parser.add_argument("--enumeration-cap", type=int, default=DEFAULT_ENUMERATION_CAP)
-    parser.add_argument("--colour-cap", type=int, default=DEFAULT_COLOUR_CAP)
+    parser.add_argument("--enumeration-cap", type=_cap, default=DEFAULT_ENUMERATION_CAP)
+    parser.add_argument("--colour-cap", type=_cap, default=DEFAULT_COLOUR_CAP)
     parser.add_argument("--format", choices=("json", "csv", "text"), default="json")
     parser.add_argument("--output", default=None, help="write the report here instead of stdout")
 

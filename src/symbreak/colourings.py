@@ -157,27 +157,20 @@ def _prime_order_partitions(aut: PermGroup, enum_cap: int):
     constant on its cycles, so these rows detect exactly the colourings
     that some non-identity element preserves.
 
-    The distinct rows found so far are held in runs of distinct rows in
-    byte order, each run at least as long as all the later ones: a block's
-    rows missing from every run become a new run, merged into the run before
-    it for as long as that run is no longer, so each row is copied about
-    log2(blocks) times, not once per block.  The rows hold one element block
-    and about twice the distinct rows at once.
+    Each block's label rows join one set as their bytes, which drops the
+    rows already found; the rows come back in byte order, the order numpy
+    gives void values, as Python orders bytes byte by byte.  The rows hold
+    one element block and the set of distinct rows at once.
     """
     import numpy as np
 
-    prime = _prime_table(aut.degree)
-    runs = []
-    for block in aut.element_blocks(enum_cap):
-        rows = _missing_rows(_prime_cycle_labels(block, prime), *runs)
-        while runs and len(runs[-1]) <= len(rows):
-            rows = _merge_distinct(runs.pop(), rows)
-        runs.append(rows)
-        del rows  # the next block's labels are made without it
-    distinct = np.empty((0, aut.degree), dtype=np.intp)
-    while runs:
-        distinct = _merge_distinct(runs.pop(), distinct)
-    return distinct
+    blocks, n = aut.element_blocks(enum_cap), aut.degree  # refuses above the cap
+    if not n:  # no non-identity element, and no row to view as bytes
+        return np.empty((0, 0), dtype=np.intp)
+    prime, seen = _prime_table(n), set()
+    for block in blocks:
+        seen.update(_row_values(_prime_cycle_labels(block, prime)).tolist())
+    return np.frombuffer(b"".join(sorted(seen)), dtype=np.intp).reshape(len(seen), n)
 
 
 def _row_values(rows):
@@ -186,45 +179,6 @@ def _row_values(rows):
     import numpy as np
 
     return rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()
-
-
-def _distinct_rows(rows):
-    """The distinct rows of a 2-d array, in the byte order of their contents:
-    ``np.unique`` over each row viewed as one opaque (void) value."""
-    import numpy as np
-
-    if len(rows) < 2 or not rows.shape[1]:  # at most one distinct row
-        return rows[:1]
-    rows = np.ascontiguousarray(rows)
-    _, first = np.unique(_row_values(rows), return_index=True)
-    return rows[first]
-
-
-def _missing_rows(rows, *found):
-    """The rows of `rows` missing from every array of `found`; all are arrays
-    of distinct rows in byte order (as `_distinct_rows` returns them)."""
-    import numpy as np
-
-    for distinct in found:
-        if len(distinct) and len(rows):
-            old, new = _row_values(distinct), _row_values(rows)
-            at = np.minimum(np.searchsorted(old, new), len(old) - 1)
-            rows = rows[old[at] != new]
-    return rows
-
-
-def _merge_distinct(distinct, rows):
-    """The rows of two arrays of distinct rows in byte order, none in both,
-    in byte order: each row of `rows` is inserted where it sorts, and
-    nothing is sorted again."""
-    import numpy as np
-
-    if not len(distinct):
-        return rows
-    if not len(rows):
-        return distinct
-    at = np.searchsorted(_row_values(distinct), _row_values(rows))
-    return np.insert(distinct, at, rows, axis=0)
 
 
 def cycle_labels(images):
@@ -309,8 +263,8 @@ def agreement(images, planes, columns):
 
 
 def _prime_cycle_labels(images, prime):
-    """Distinct cycle-label rows of the prime-order rows of `images`;
-    ``prime[m]`` says whether m is prime, for m = 0..n (`_prime_table`).
+    """Cycle-label rows of the prime-order rows of `images`, n >= 1 columns
+    wide; ``prime[m]`` says whether m is prime, for m = 0..n (`_prime_table`).
 
     Every non-trivial cycle of an element of prime order p has length p,
     so a cheap walk comes first: each row follows the cycle of its first
@@ -323,8 +277,6 @@ def _prime_cycle_labels(images, prime):
     import numpy as np
 
     count, n = images.shape
-    if not n:  # no point to walk from, and no non-identity element
-        return images[:0]
     offset = np.arange(count, dtype=np.intp) * n
     start = (images != np.arange(n)).argmax(axis=1)
     flat, at = images.ravel(), start
@@ -342,7 +294,7 @@ def _prime_cycle_labels(images, prime):
     # the order is the lcm of the cycle lengths: prime iff they are 1 or one prime
     longest = cycle_len.max(axis=1, initial=0)  # at most n
     uniform = ((cycle_len == 1) | (cycle_len == longest[:, None])).all(axis=1)
-    return _distinct_rows(label[uniform & prime[longest]])
+    return label[uniform & prime[longest]]
 
 
 def _prime_table(n):

@@ -60,22 +60,22 @@ def _mulhi(const, x, out, s1, s2, s3):
     out += s2  # c_hi * x_hi + (m1 >> 32) + (m2 >> 32)
 
 
-def _philox_tiles(key0, tile_keys, out):
+def _philox_tiles(key0, base, out):
     """Fill `out`, a (rows, count) uint64 array, with raw Philox words a
     tile of rows at a time, yielding each tile's rows (lo, hi) once written.
 
     Row i gets the first `count` words of numpy's ``Philox(key=[key0,
-    key1])``, key1 = ``tile_keys(lo, hi)[i - lo]`` for the tile lo <= i < hi;
-    `tile_keys` returns a fresh uint64 array, which the rounds consume.  numpy bumps the counter before
-    each block, so block b is the Philox4x64-10 image of counter (b+1, 0, 0,
-    0).  Round 1 sees only that counter, shared by every key, and key0: it
-    maps the counter to (key0, 0, hi(m0 (b+1)) ^ key1, lo(m0 (b+1))), so it
-    runs once per call in Python ints, the key entering by one xor.  Round 2
-    then has x0 = key0 everywhere, so its m0 x0 is one Python product and
-    only m1 x2 is vectorised.  The other rounds run in place on four state
-    arrays and four scratch arrays, allocated once per call and shaped
-    (blocks, tile rows), blocks = ceil(count / 4): a tile holds
-    ``_TILE_WORDS`` words of each (a single key when its blocks alone
+    key1])``, key1 = (base + i) mod 2^64; each tile's keys are made as the
+    tile is drawn, and the rounds consume them.  numpy bumps the counter
+    before each block, so block b is the Philox4x64-10 image of counter
+    (b+1, 0, 0, 0).  Round 1 sees only that counter, shared by every key,
+    and key0: it maps the counter to (key0, 0, hi(m0 (b+1)) ^ key1, lo(m0
+    (b+1))), so it runs once per call in Python ints, the key entering by
+    one xor.  Round 2 then has x0 = key0 everywhere, so its m0 x0 is one
+    Python product and only m1 x2 is vectorised.  The other rounds run in
+    place on four state arrays and four scratch arrays, allocated once per
+    call and shaped (blocks, tile rows), blocks = ceil(count / 4): a tile
+    holds ``_TILE_WORDS`` words of each (a single key when its blocks alone
     exceed that), so the rounds' array passes stay in cache, and the keys
     run along the contiguous axis, so a per-key xor broadcasts along it.
     The last round writes its four lanes straight into the tile's rows of
@@ -102,7 +102,8 @@ def _philox_tiles(key0, tile_keys, out):
         x0, x1, x2, x3, h, s1, s2, s3 = (
             a[: blocks * (hi - lo)].reshape(blocks, hi - lo) for a in state
         )
-        k1 = tile_keys(lo, hi)
+        k1 = np.arange(lo, hi, dtype=np.uint64)
+        k1 += np.uint64(base)  # wraps mod 2^64
         np.bitwise_xor(first, k1, out=x2)
         k1 += w1
         # round 2: (hi(m1 x2) ^ k0, lo(m1 x2), hi(m0 key0) ^ x3 ^ k1, lo(m0 key0))
@@ -128,18 +129,6 @@ def _philox_tiles(key0, tile_keys, out):
             x0, h = h, x0
         yield lo, hi
         del k1  # before the next tile's keys are made
-
-
-def _philox_words(key0, key1, blocks):
-    """Raw words of numpy's ``Philox(key=[key0, key1[i]])`` for each i: row i
-    of the (keys, 4 * blocks) result holds its first 4 * blocks words, drawn
-    tile by tile by `_philox_tiles` as ``trial_block``'s are."""
-    import numpy as np
-
-    words = np.empty((len(key1), 4 * blocks), dtype=np.uint64)
-    for _ in _philox_tiles(key0, lambda lo, hi: key1[lo:hi].astype(np.uint64), words):
-        pass
-    return words
 
 
 class SeededRng(Record):
@@ -189,16 +178,10 @@ class SeededRng(Record):
         import numpy as np
 
         _check_draw(bound, count, size)
-        base = np.uint64((self.stream_id * (1 << 32) + start) & _MASK64)
-
-        def tile_keys(lo, hi):
-            keys = np.arange(lo, hi, dtype=np.uint64)
-            keys += base  # wraps mod 2^64
-            return keys
-
+        base = (self.stream_id * (1 << 32) + start) & _MASK64
         words = np.empty((size, count), dtype=np.uint64)
         rejected, redraw = (1 << 64) % bound, []
-        for lo, hi in _philox_tiles(self.master_seed & _MASK64, tile_keys, words):
+        for lo, hi in _philox_tiles(self.master_seed & _MASK64, base, words):
             tile = words[lo:hi]
             if rejected:
                 bad = tile >= np.uint64((1 << 64) - rejected)

@@ -191,15 +191,29 @@ def prime_order_labels(group):
     return sorted(rows)
 
 
+def distinct_rows(rows):
+    """The distinct rows of a 2-d array, in the byte order of their contents:
+    ``np.unique`` over each row viewed as one opaque (void) value."""
+    import numpy as np
+
+    from symbreak.colourings import _row_values
+
+    if len(rows) < 2 or not rows.shape[1]:  # at most one distinct row
+        return rows[:1]
+    rows = np.ascontiguousarray(rows)
+    _, first = np.unique(_row_values(rows), return_index=True)
+    return rows[first]
+
+
 def prime_order_partitions_labelling_all(group, cap=DEFAULT_ENUMERATION_CAP):
     """The library's former `_prime_order_partitions`: every row of every
     element block labelled by `cycle_labels`, the rows whose cycle lengths
     are 1 and one prime kept, and all blocks' rows deduplicated at the end
-    by `_distinct_rows`; the oracle, array for array, for the cycle-length
-    prefilter and the merged fold that replaced it."""
+    by `distinct_rows`; the oracle, array for array, for the cycle-length
+    prefilter and the set of row bytes that replaced it."""
     import numpy as np
 
-    from symbreak.colourings import _distinct_rows, cycle_labels
+    from symbreak.colourings import cycle_labels
 
     found = []
     for images in group.element_blocks(cap):
@@ -212,7 +226,7 @@ def prime_order_partitions_labelling_all(group, cap=DEFAULT_ENUMERATION_CAP):
         uniform = ((cycle_len == 1) | (cycle_len == longest[:, None])).all(axis=1)
         prime = np.array([m >= 2 and all(m % d for d in range(2, m)) for m in range(n + 1)])
         found.append(label[uniform & prime[longest]])
-    return _distinct_rows(np.concatenate(found))
+    return distinct_rows(np.concatenate(found))
 
 
 def mc_one_stage(g: Graph, k, trials, rng):

@@ -452,6 +452,29 @@ def test_cap_exceeded_exits_3(capsys, c4_file):
     assert main(["--colour-cap", "4", "prob-exact", "--graph", c4_file]) == 3
 
 
+@pytest.mark.parametrize("flag, key", [("--enumeration-cap", "enumeration"),
+                                       ("--colour-cap", "colour_exhaustion")])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_negative_caps_exit_2(capsys, tmp_path, c4_file, flag, key, source):
+    # a negative cap once exited 3 as a cap C4 exceeds, or was ignored by
+    # prob-mc; a cap of 0 is a cap, which C4 exceeds (prob-mc then checks
+    # its trials against the generators)
+    path = tmp_path / "run.json"
+    for cap in (-1, 0):
+        path.write_text(json.dumps({"caps": {key: cap}}))
+        caps = [flag, str(cap)] if source == "flag" else ["--config", str(path)]
+        for cmd in ("prob-exact", "prob-mc", "haar"):
+            code = main([*caps, cmd, "--graph", c4_file])
+            captured = capsys.readouterr()
+            if cap < 0:
+                assert code == 2 and captured.out == ""
+                assert [line for line in captured.err.splitlines() if "error:" in line] == [
+                    f"symbreak: error: argument {flag}: must be an int >= 0, not '-1'"
+                ]
+            else:
+                assert code == (0 if cmd == "prob-mc" else 3)
+
+
 def test_haar_honours_the_colour_cap(capsys, c4_file):
     assert main(["--colour-cap", "15", "haar", "--graph", c4_file]) == 3
     assert capsys.readouterr().err == "error: 16 colourings exceed cap 15\n"

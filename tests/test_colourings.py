@@ -9,6 +9,7 @@ import pytest
 
 from conftest import (
     cycles,
+    distinct_rows,
     fix_probability,
     mc_by_stabilisers,
     mc_one_stage,
@@ -620,19 +621,19 @@ class TestBitPlanes:
 
 
 class TestDistinctRows:
-    """The label rows are deduplicated with `np.unique` over a void view of
-    each row; the set must be `np.unique(axis=0)`'s, in one order."""
+    """The oracle's label rows are deduplicated with `np.unique` over a void
+    view of each row; the set must be `np.unique(axis=0)`'s, in one order."""
 
     @pytest.mark.parametrize("shape", [(0, 5), (1, 5), (2, 0), (40, 3), (300, 6)])
     def test_same_rows_as_unique_axis_0(self, shape):
         rows = np.random.default_rng(sum(shape)).integers(0, 3, shape).astype(np.intp)
-        got = colourings._distinct_rows(rows)
+        got = distinct_rows(rows)
         assert sorted(map(tuple, got.tolist())) == sorted(
             map(tuple, np.unique(rows, axis=0).tolist())
         )
         # the order depends on the rows' contents only
         shuffled = rows[np.random.default_rng(1).permutation(len(rows))]
-        assert colourings._distinct_rows(shuffled).tolist() == got.tolist()
+        assert distinct_rows(shuffled).tolist() == got.tolist()
 
     @pytest.mark.parametrize("d", [3, 4, 5])
     def test_hypercube_labels(self, d):
@@ -657,9 +658,9 @@ PREFILTER_GRAPHS = {
 
 class TestPrimeCycleLabels:
     """`_prime_order_partitions` walks each element's first moved point's
-    cycle before `cycle_labels` and merges each block's new rows into runs
-    of the distinct rows found so far; its array must be the one labelling every
-    element and deduplicating once gives (`prime_order_partitions_labelling_all`)."""
+    cycle before `cycle_labels` and gathers every block's rows in one set of
+    row bytes; its array must be the one labelling every element and
+    deduplicating once gives (`prime_order_partitions_labelling_all`)."""
 
     @staticmethod
     def check(group, name):
@@ -686,35 +687,18 @@ class TestPrimeCycleLabels:
             self.check(automorphism_group(g), index)
 
     def test_many_small_blocks(self, monkeypatch):
-        # blocks of a few rows: the merge meets every row many times over
+        # blocks of a few rows: the set meets every row many times over
         monkeypatch.setattr(groups, "BLOCK_BYTES", 8 * 16 * 5)
         for name in ("Q4", "K6", "C13", "S6"):
             self.check(automorphism_group(PREFILTER_GRAPHS[name]), name)
 
     @pytest.mark.parametrize("name", ["Q5", "Q6", "K8", "C31"])
-    def test_many_blocks_and_runs(self, monkeypatch, name):
-        # blocks of 24 rows: the distinct rows stand in many runs, merged
-        # as they grow, and come out as the one-pass deduplication orders them
+    def test_many_blocks_of_24_rows(self, monkeypatch, name):
+        # blocks of 24 rows: a row found in many blocks is kept once, and the
+        # set's rows come out as the one-pass deduplication orders them
         g = PREFILTER_GRAPHS[name]
         monkeypatch.setattr(groups, "BLOCK_BYTES", 8 * g.vertex_count * 24)
         self.check(automorphism_group(g), name)
-
-    def test_each_row_is_copied_about_log_blocks_times(self, monkeypatch):
-        # Q6 in 960 blocks: inserting each block's new rows into all the rows
-        # found so far copied 1.4 million rows, for 2,359 distinct rows
-        monkeypatch.setattr(groups, "BLOCK_BYTES", 8 * 64 * 48)
-        aut = automorphism_group(hypercube(6))
-        blocks = sum(1 for _ in aut.element_blocks(10**6))
-        copied, insert = [], np.insert
-
-        def recording(rows, *args, **kwargs):
-            copied.append(len(rows))
-            return insert(rows, *args, **kwargs)
-
-        monkeypatch.setattr(np, "insert", recording)
-        rows = colourings._prime_order_partitions(aut, 10**6)
-        assert blocks >= 900 and len(rows) == 2359
-        assert sum(copied) <= 2 * len(rows) * blocks.bit_length()
 
     @staticmethod
     def labelled(monkeypatch, g):

@@ -2,8 +2,8 @@
 module importing another's private names, a name it never reads,
 `dataclasses` or `typing`, or setting the recursion limit, no module but
 groups.py reading the stabiliser chain, no parameter left unread, no
-public name without a caller, and every name the bench tracer wraps still
-exists."""
+public name without a caller, no private function without a caller in the
+package, and every name the bench tracer wraps still exists."""
 
 import ast
 import importlib.util
@@ -329,6 +329,34 @@ def test_every_public_name_has_a_caller():
         if used[bare_names][node.name] == names_used(node, bare_names)[node.name]
         and qualified not in UNCALLED_NAMES_ALLOWED
     ]
+    assert found == []
+
+
+def test_every_private_function_has_a_package_caller():
+    """Each `_name` function and method of the package, dunders aside, is
+    named in the package outside its own definition: a helper that only the
+    tests call belongs in the tests."""
+    trees = [
+        ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(Path(symbreak.__file__).parent.glob("*.py"))
+    ]
+    used = {bare_names: sum((names_used(t, bare_names) for t in trees), Counter())
+            for bare_names in (True, False)}
+    methods = {
+        id(method)
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        for method in node.body
+    }
+    found = []
+    for node in (node for tree in trees for node in ast.walk(tree)):
+        name = getattr(node, "name", "")
+        if not isinstance(node, ast.FunctionDef) or name[:1] != "_" or name.endswith("__"):
+            continue
+        bare_names = id(node) not in methods  # a method is called only as an attribute
+        if used[bare_names][name] == names_used(node, bare_names)[name]:
+            found.append(name)
     assert found == []
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from symbreak import rng as rng_module
-from symbreak.rng import SeededRng, _philox_words, trial_block_bytes
+from symbreak.rng import SeededRng, trial_block_bytes
 
 SEEDS = [0, 2**64 - 1]
 # stream 2^32 - 1 with trials from 2^32 - 2 on: s * 2^32 + t wraps past 2^64
@@ -13,17 +13,25 @@ BOUNDS = [2, 3, 7, 2**63 + 1]  # 2^63 + 1 rejects about half of all words
 COUNTS = [1, 3, 4, 5, 17]
 
 
+def philox_words(seed, key, size, blocks):
+    """Row i < size holds the first 4 * blocks raw words of numpy's
+    ``Philox(key=[seed, (key + i) mod 2^64])``: at bound 2^64 no word is
+    rejected or reduced, so stream 0's trial rows are the raw words."""
+    return SeededRng(seed, 0).trial_block(2**64, key, size, 4 * blocks)
+
+
+def numpy_words(seed, key, blocks):
+    return np.random.Philox(key=np.array([seed, key], dtype=np.uint64)).random_raw(4 * blocks)
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("stream_id,start", STREAMS)
 def test_philox_words_match_numpy(seed, stream_id, start):
     rng = SeededRng(seed, stream_id)
-    keys = np.array(
-        [rng.trial_stream(start + t).stream_id for t in range(4)], dtype=np.uint64
-    )
-    words = _philox_words(seed, keys, 5)
+    keys = [rng.trial_stream(start + t).stream_id for t in range(4)]
+    words = philox_words(seed, keys[0], 4, 5)
     for row, key in zip(words, keys):
-        bg = np.random.Philox(key=np.array([seed, key], dtype=np.uint64))
-        assert list(row) == list(bg.random_raw(20))
+        assert list(row) == list(numpy_words(seed, key, 5))
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -43,7 +51,7 @@ def test_trial_block_fallback_is_exercised():
     # bound 2^63 + 1 accepts only words below 2^63 + 1, so most rows of 17
     # words hold a rejected word and are redrawn by the scalar path
     rng = SeededRng(3, 4)
-    words = _philox_words(3, np.arange(64, dtype=np.uint64) + np.uint64(4 << 32), 5)
+    words = philox_words(3, 4 << 32, 64, 5)
     assert (words[:, :17] >= np.uint64(2**63 + 1)).any(axis=1).sum() > 32
     block = rng.trial_block(2**63 + 1, 0, 64, 17)
     assert all(
@@ -84,15 +92,14 @@ def test_draw_count_must_be_an_int(count):
 
 @pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1])
 @pytest.mark.parametrize("blocks", [0, 1, 2, 3, 5])
-@pytest.mark.parametrize("keys", [[7], [0, 1, 2**63, 2**64 - 1]], ids=["one key", "keys"])
-def test_philox_words_match_numpy_per_block_count(seed, blocks, keys):
+@pytest.mark.parametrize("key, size", [(7, 1), (2**64 - 2, 4)], ids=["one key", "keys"])
+def test_philox_words_match_numpy_per_block_count(seed, blocks, key, size):
     # round 1 runs in Python ints, once per block, and round 2's m0 x0 is one
-    # Python product of key0, before the vectorised rounds
-    words = _philox_words(seed, np.array(keys, dtype=np.uint64), blocks)
-    assert words.shape == (len(keys), 4 * blocks)
-    for row, key in zip(words, keys):
-        bg = np.random.Philox(key=np.array([seed, key], dtype=np.uint64))
-        assert row.tolist() == bg.random_raw(4 * blocks).tolist()
+    # Python product of key0, before the vectorised rounds; the keys wrap to 0
+    words = philox_words(seed, key, size, blocks)
+    assert words.shape == (size, 4 * blocks)
+    for i, row in enumerate(words):
+        assert row.tolist() == numpy_words(seed, (key + i) % 2**64, blocks).tolist()
 
 
 def draw_peaks(bound, count, sizes):
@@ -149,13 +156,12 @@ class TestTiles:
     @pytest.mark.parametrize("blocks", [1, 2, 3, 5, 9])
     def test_words_across_tiles_match_numpy(self, seed, blocks):
         # 8 words a tile: 8, 4, 2 or 1 keys a tile, and from 5 blocks on one
-        # key a tile whose blocks exceed it; 11 keys leave the last tile partial
-        keys = [0, 1, 2**63, 2**64 - 1] + [(3 << 32) + t for t in range(7)]
-        words = _philox_words(seed, np.array(keys, dtype=np.uint64), blocks)
-        assert words.shape == (len(keys), 4 * blocks)
-        for row, key in zip(words, keys):
-            bg = np.random.Philox(key=np.array([seed, key], dtype=np.uint64))
-            assert row.tolist() == bg.random_raw(4 * blocks).tolist()
+        # key a tile whose blocks exceed it; 11 keys leave the last tile
+        # partial, and the sixth wraps past 2^64 to key 0
+        words = philox_words(seed, 2**64 - 5, 11, blocks)
+        assert words.shape == (11, 4 * blocks)
+        for i, row in enumerate(words):
+            assert row.tolist() == numpy_words(seed, (i - 5) % 2**64, blocks).tolist()
 
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("stream_id,start", STREAMS)
@@ -174,7 +180,7 @@ class TestTiles:
         # two keys a tile at 9 words: the scalar path redraws exactly the rows
         # that hold a rejected word, none for bounds 2 and 3 on these keys
         rng, size, count = SeededRng(3, 4), 40, 9
-        words = _philox_words(3, np.arange(size, dtype=np.uint64) + np.uint64(4 << 32), 3)
+        words = philox_words(3, 4 << 32, size, 3)
         accepted = (1 << 64) - (1 << 64) % bound
         bad = (words[:, :count].astype(object) >= accepted).any(axis=1)
         if bound == 2**63 + 1:
@@ -197,4 +203,4 @@ class TestTiles:
     def test_empty_draws(self, size, count):
         block = SeededRng(1, 2).trial_block(3, 0, size, count)
         assert block.shape == (size, count) and block.dtype == np.uint64
-        assert _philox_words(1, np.arange(size, dtype=np.uint64), 0).shape == (size, 0)
+        assert philox_words(1, 0, size, 0).shape == (size, 0)
