@@ -368,7 +368,7 @@ def first_automorphism(g: Graph, vertex_colours=None, fixing=()):
     return next(_automorphisms(g, vertex_colours, fixing), None)
 
 
-def automorphism_group(g: Graph, vertex_colours=None, fixing=()) -> PermGroup:
+def automorphism_group(g: Graph, vertex_colours=None, fixing=()) -> SearchGroup:
     """The automorphism group of g, colour-preserving when colours are given,
     and fixing each vertex of the iterable `fixing`.
 
@@ -379,11 +379,32 @@ def automorphism_group(g: Graph, vertex_colours=None, fixing=()) -> PermGroup:
     stabiliser chain.  On a graph that is not a tree it also carries the
     search's left path as its base, so its chain needs no Schreier-Sims.
     """
-    search = _automorphisms(g, vertex_colours, fixing)
+    colours = None if vertex_colours is None else tuple(vertex_colours)
+    fixing = tuple(fixing)
+    search = _automorphisms(g, colours, fixing)
     gens = []
     while True:
         try:
             gens.append(next(search))
         except StopIteration as done:
             order, base = done.value
-            return PermGroup(g.vertex_count, gens, order=order, base=base)
+            return SearchGroup(g, colours, fixing, gens, order, base)
+
+
+class SearchGroup(PermGroup):
+    """Aut(g, colours) ∩ Fix(fixing), as ``automorphism_group`` returns it.
+
+    The group keeps its search's arguments, so each of its pointwise
+    stabilisers is one more search with the points added to `fixing`.
+    """
+
+    def __init__(self, g: Graph, colours, fixing, generators, order, base):
+        super().__init__(g.vertex_count, generators, order=order, base=base)
+        self._graph = g
+        self._colours = colours
+        self._fixing = fixing
+
+    def pointwise_stabiliser(self, points) -> SearchGroup:
+        """The subgroup fixing every given point, each a vertex of the graph:
+        ``automorphism_group`` with the points added to `fixing`."""
+        return automorphism_group(self._graph, self._colours, self._fixing + tuple(points))

@@ -312,17 +312,9 @@ def _generate_regular_tree(degree, radius):
 
 
 def _generate_double_ray(radius):
-    # BFS-lexicographic order: 0, -1, +1, -2, +2, ...
-    labels = [0]
-    for k in range(1, radius + 1):
-        labels.extend([-k, k])
-    index = {lab: i for i, lab in enumerate(labels)}
-    edges = [
-        (index[a], index[a + 1]) for a in range(-radius, radius) if a + 1 in index
-    ]
-    return Graph.from_edges(
-        len(labels), edges, labels=labels, truncation=Truncation(0, radius)
-    )
+    # the one-dimensional grid, its 1-tuple labels unwrapped: 0, -1, 1, -2, 2, ...
+    line = _generate_grid(1, radius)
+    return Graph(line.adjacency, labels=[p for (p,) in line.labels], truncation=line.truncation)
 
 
 def _generate_grid(dimension, radius):

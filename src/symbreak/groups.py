@@ -6,13 +6,12 @@ membership tests, capped element enumeration, orbits, and exact motion
 automorphism search of a graph that is not a tree arrives with its chain:
 the search's generators are a strong generating set relative to its left
 path, so only the transversals are built.  A group given by generators
-alone (a tree's sibling swaps, a pointwise stabiliser) runs a
-deterministic Schreier-Sims.  Subgroups of Aut(G) are Aut(G, c) ∩ Fix(S)
-for a colouring c and a point set S, from one automorphism search
-(``automorphism_group(g, c, fixing=S)``); the one subgroup built here, the
-pointwise stabiliser, serves ``ball_decomposition``, which has only the
-group.  It is read off one Schreier-Sims run with the points as the base
-prefix.
+alone (a tree's sibling swaps, a group built by hand) runs a deterministic
+Schreier-Sims.  No subgroup is built here: every subgroup of Aut(G) is
+Aut(G, c) ∩ Fix(S) for a colouring c and a point set S, from one
+automorphism search (``automorphism_group(g, c, fixing=S)``), and the
+group that search returns gives its pointwise stabilisers by the same
+search.
 
 Elements, element rows and motion share one walk over the chain: the
 products rep_0 * rep_1 * ... * rep_{k-1} of one coset representative per
@@ -28,7 +27,6 @@ the chain: the others see a group through its generators and queries.
 from __future__ import annotations
 
 import itertools
-import math
 
 from .errors import CapExceededError, InvariantError
 from .jsonfields import JsonFields, json_value
@@ -116,11 +114,12 @@ class PermGroup:
     chain built later must agree with it.  A `base`, given with the order,
     says the generators are a strong generating set relative to it: the
     chain is then read off the generators, with no Schreier-Sims.  Without
-    one, Schreier-Sims builds the chain, its base starting with
-    `base_prefix`.
+    one (a tree's sibling swaps, a group built by hand from generators),
+    Schreier-Sims builds the chain.  No subgroup is built here: the group
+    ``automorphism_group`` returns gives its pointwise stabilisers by search.
     """
 
-    def __init__(self, degree, generators, base_prefix=(), order=None, base=None):
+    def __init__(self, degree, generators, order=None, base=None):
         self.degree = degree
         self.generators = tuple(generators)
         for g in self.generators:
@@ -128,7 +127,6 @@ class PermGroup:
                 raise ValueError("generator degree mismatch")
         if base is not None and order is None:
             raise ValueError("a base needs the group order, which checks the chain")
-        self._base_prefix = tuple(base_prefix)
         self._given_base = None if base is None else tuple(base)
         self._order = order
         self._levels = None
@@ -140,7 +138,7 @@ class PermGroup:
         if self._given_base is not None:
             self._levels_from_base()
         else:
-            self._levels = [_Level(b, self.degree) for b in dict.fromkeys(self._base_prefix)]
+            self._levels = []
             for g in self.generators:
                 residue, j = self._strip(g, 0)
                 if not residue.is_identity():
@@ -264,10 +262,6 @@ class PermGroup:
         residue, _ = self._strip(g, 0)
         return residue.is_identity()
 
-    def _check_point(self, s):
-        if type(s) is not int or not 0 <= s < self.degree:  # `True` is no point
-            raise ValueError(f"invalid point {s}")
-
     def _coset_reps(self):
         """Each chain level's coset representatives in walk order: the base
         point's first, then the other orbit points' in increasing order."""
@@ -357,22 +351,6 @@ class PermGroup:
     def orbits(self):
         """All orbits on 0..degree-1, sorted by smallest element; no chain."""
         return _orbit_partition(self.degree, self.generators)
-
-    def pointwise_stabiliser(self, points):
-        """The subgroup fixing every given point, from one Schreier-Sims run
-        over the generators with the points as the base prefix; the levels
-        below the points are the subgroup's chain, so it needs no second run."""
-        points = tuple(dict.fromkeys(points))
-        for s in points:
-            self._check_point(s)
-        if not points:
-            return self
-        chain = PermGroup(self.degree, self.generators, base_prefix=points, order=self._order)
-        chain._ensure_chain()
-        deeper = chain._levels[len(points) :]
-        order = math.prod(len(lv.transversal) for lv in deeper)
-        gens = chain._gens_for_level(len(points))
-        return PermGroup(self.degree, gens, order=order, base=[lv.point for lv in deeper])
 
     # -- motion -------------------------------------------------------------
 

@@ -154,7 +154,9 @@ def ball_decomposition(
     over preimage tuples, under the group's generators, gives each ball's
     key, a representative and the size, with ``members`` None; more than
     `cap` balls raise `CapExceededError`.  Neither depends on the group's
-    stabiliser chain.
+    stabiliser chain.  Above the cap the size is the order of
+    ``group.pointwise_stabiliser(S_level)``: for a group from
+    ``automorphism_group``, one coloured search.
     """
     if not 1 <= level <= len(seq):
         raise ValueError(f"level must be in 1..{len(seq)}")

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ from symbreak.autsearch import automorphism_group
 from symbreak.colourings import colouring_stabiliser, random_colouring
 from symbreak.conditions import DscReport
 from symbreak.graphs import Graph, cartesian_product
-from symbreak.groups import DEFAULT_ENUMERATION_CAP, PermGroup, _orbit_partition, transversal
+from symbreak.groups import DEFAULT_ENUMERATION_CAP, PermGroup, _Level, _orbit_partition, transversal
 from symbreak.perms import Perm
 from symbreak.suites import standard_corpus
 
@@ -356,10 +357,52 @@ def tree_automorphism_by_nested_codes(g: Graph, root, c):
     return Perm(images)
 
 
+def check_point(group, s):
+    """The library's former `PermGroup._check_point`: refuse what is no point
+    of the group, for the oracles that take points."""
+    if type(s) is not int or not 0 <= s < group.degree:  # `True` is no point
+        raise ValueError(f"invalid point {s}")
+
+
+def pointwise_stabiliser(group, points):
+    """The library's former `PermGroup.pointwise_stabiliser`: the subgroup
+    fixing every given point, from one Schreier-Sims run over the group's
+    generators with the points as the base prefix.  The levels below the
+    points are the subgroup's chain, so it needs no second run.  The oracle
+    for the coloured search fixing the points."""
+    points = tuple(dict.fromkeys(points))
+    for s in points:
+        check_point(group, s)
+    if not points:
+        return group
+    chain = PermGroup(group.degree, group.generators)
+    chain._levels = [_Level(b, group.degree) for b in points]
+    for g in chain.generators:
+        residue, j = chain._strip(g, 0)
+        if not residue.is_identity():
+            chain._add_strong_gen(j, residue)
+    chain._schreier_sims()
+    if group._order is not None:
+        assert math.prod(len(lv.transversal) for lv in chain._levels) == group._order
+    deeper = chain._levels[len(points) :]
+    order = math.prod(len(lv.transversal) for lv in deeper)
+    gens = chain._gens_for_level(len(points))
+    return PermGroup(group.degree, gens, order=order, base=[lv.point for lv in deeper])
+
+
+class SchreierSimsGroup(PermGroup):
+    """A group from generators alone whose pointwise stabilisers come from
+    the Schreier-Sims oracle `pointwise_stabiliser`: for the tests that hand
+    `ball_decomposition` a group with no search behind it."""
+
+    def pointwise_stabiliser(self, points):
+        return pointwise_stabiliser(self, points)
+
+
 def stabiliser_generators(group, s):
     """The library's former `PermGroup.stabiliser_generators`: Schreier
     generators for the stabiliser of a point, from the strong generators."""
-    group._check_point(s)
+    check_point(group, s)
     gens = group.strong_generators
     order, trans = transversal(s, gens, group.degree)
     out = []
@@ -377,7 +420,7 @@ def stabiliser_generators(group, s):
 def suborbits(group, s):
     """Orbit partition of all points under the stabiliser of s, by filtering
     the group's elements; the oracle for the coloured search fixing s."""
-    group._check_point(s)
+    check_point(group, s)
     stab = [e for e in group.elements() if e(s) == s]
     return _orbit_partition(group.degree, stab)
 
@@ -399,7 +442,7 @@ def setwise_stabiliser(group, points, cap=DEFAULT_ENUMERATION_CAP):
     element; the oracle for Aut(G, c) with c colouring the set."""
     target = frozenset(points)
     for s in target:
-        group._check_point(s)
+        check_point(group, s)
     kept = [g for g in group.elements(cap) if frozenset(g(p) for p in target) == target]
     return from_elements(group.degree, kept)
 

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import importlib.util
 import json
 import os
@@ -151,6 +152,27 @@ def test_balls_above_the_enumeration_cap_lists_representatives(capsys, c4_file):
     # level 2 fixes C4's closed neighbourhood of 0, so all 8 elements are balls
     assert main(["--enumeration-cap", "7", "balls", "--graph", c4_file, "--level", "2"]) == 3
     assert "8 balls exceed the cap 7" in capsys.readouterr().err
+
+
+# SHA-256 of the `balls` JSON on d3 R3 at an enumeration cap of 1000, below
+# |Aut| = 3072, per level: however Fix(S_level) is computed, the printed
+# keys, representatives and sizes stay these bytes
+D3R3_BALLS_DIGESTS = {
+    1: "8f27870414ec5ff36a876f91e8c3593feaa0594912f3b564765ce8f4f753916a",
+    2: "0517ac3a4deb38f00f720445148de50e7817c02c7e7a211e52f0a3608db23383",
+    3: "6270a15053e6a665a75f1cce590dcf438b1c1a2bc2b06cc93ec9055b32b7b8df",
+}
+
+
+@pytest.mark.parametrize("level, balls, size", [(1, 1, 3072), (2, 6, 512), (3, 48, 64)])
+def test_balls_above_the_enumeration_cap_are_pinned(capsys, level, balls, size):
+    spec = json.dumps({"kind": "regular_tree", "params": {"degree": 3}, "radius": 3})
+    argv = ["--enumeration-cap", "1000", "balls", "--family", spec, "--level", str(level)]
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert (len(result["balls"]), {b["size"] for b in result["balls"]}) == (balls, {size})
+    assert hashlib.sha256(out.encode()).hexdigest() == D3R3_BALLS_DIGESTS[level]
 
 
 def test_dsc_csv_output(capsys):

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -8,6 +9,7 @@ from conftest import (
     from_elements,
     motion_by_enumeration,
     petersen_graph,
+    pointwise_stabiliser,
     seeded_random_graphs,
     seeded_random_trees,
     setwise_stabiliser,
@@ -183,28 +185,22 @@ class TestStabilisers:
             assert automorphism_group(g, fixing=subset).order() == len(pw_expect)
             assert automorphism_group(g, indicator(6, subset)).order() == len(sw_expect)
 
-    def test_pointwise_stabiliser_of_a_tree_runs_one_schreier_sims(self, monkeypatch):
-        # one run with the points as the base prefix; the subgroup's order
-        # is read off its deeper levels, and the group's own chain is never built
-        calls = []
-        schreier_sims = PermGroup._schreier_sims
-
-        def counted(group):
-            calls.append(group)
-            schreier_sims(group)
-
-        monkeypatch.setattr(PermGroup, "_schreier_sims", counted)
+    def test_pointwise_stabiliser_of_a_search_group_is_a_search(self, monkeypatch):
+        # the subgroup is the coloured search with the points fixed, so
+        # neither it nor its order runs a Schreier-Sims or sifts
         trees = [path_graph(7), generate_family(FamilySpec("regular_tree", {"degree": 3}, 3))]
         rnd = random.Random(21)
+        cases = []
         for index, g in enumerate(trees + seeded_random_trees(22, 10, max_n=12)):
             n = g.vertex_count
             elements = automorphism_group(g).element_list()
             for points in ([0], list(range(min(n, 3))), rnd.sample(range(n), rnd.randint(1, n))):
-                aut = automorphism_group(g)
-                calls.clear()
-                order = aut.pointwise_stabiliser(points).order()
-                assert len(calls) == 1 and not aut._chain_ready, (index, points)
-                assert order == sum(all(e(s) == s for s in points) for e in elements), (index, points)
+                count = sum(all(e(s) == s for s in points) for e in elements)
+                cases.append((index, g, points, count))
+        monkeypatch.setattr(PermGroup, "_schreier_sims", refuse)
+        monkeypatch.setattr(PermGroup, "_strip", refuse)
+        for index, g, points, count in cases:
+            assert automorphism_group(g).pointwise_stabiliser(points).order() == count, (index, points)
 
 
 class TestMotion:
@@ -426,7 +422,7 @@ class TestOrbitsByBruteForce:
 POINT_QUERIES = {
     "suborbits": suborbits,
     "stabiliser_generators": stabiliser_generators,
-    "pointwise_stabiliser": PermGroup.pointwise_stabiliser,
+    "pointwise_stabiliser": pointwise_stabiliser,
     "setwise_stabiliser": setwise_stabiliser,
 }
 
@@ -447,6 +443,15 @@ def test_stabilisers_reject_points_outside_the_group(query, point):
     aut = automorphism_group(cycle_graph(6))
     with pytest.raises(ValueError, match=f"invalid point {point}"):
         POINT_QUERIES[query](aut, [0, point])
+
+
+@pytest.mark.parametrize("point", [-1, 6, 99, True, 1.0])
+def test_search_group_stabilisers_reject_what_is_no_vertex(point):
+    # a search group's pointwise stabiliser is a search, which checks each
+    # point as a vertex of the graph
+    aut = automorphism_group(cycle_graph(6))
+    with pytest.raises(ValueError, match=re.escape(f"invalid vertex index {point!r}")):
+        aut.pointwise_stabiliser([0, point])
 
 
 def test_known_order_needs_no_chain():
@@ -520,7 +525,7 @@ class TestHandedOverChain:
             assert report.motion == oracle.motion().motion, index
             for points in ([0], list(range(min(n, 3))), rnd.sample(range(n), rnd.randint(1, n))):
                 stabiliser = group.pointwise_stabiliser(points).order()
-                assert stabiliser == oracle.pointwise_stabiliser(points).order(), (index, points)
+                assert stabiliser == pointwise_stabiliser(oracle, points).order(), (index, points)
                 assert stabiliser == sum(all(e(s) == s for s in points) for e in elements), index
 
     def test_base_is_the_left_path_where_a_generator_moves_first(self, corpus):

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import agreement_level_by_sets, ball_sets, from_cycles
+from conftest import SchreierSimsGroup, agreement_level_by_sets, ball_sets, from_cycles
 from symbreak import topology
 from symbreak.autsearch import automorphism_group
 from symbreak.colourings import bit_planes
@@ -423,6 +423,24 @@ class TestBallDecomposition:
             with pytest.raises(CapExceededError, match="balls exceed the cap"):
                 ball_decomposition(group, seq, len(seq), cap=cap)
 
+    def test_balls_above_the_cap_run_no_schreier_sims(self, monkeypatch):
+        # d3 R5: each level's Fix(S_level) is one coloured search on the
+        # tree, so no level builds a stabiliser chain
+        def refuse(group):
+            raise AssertionError("a chain was built by Schreier-Sims")
+
+        monkeypatch.setattr(PermGroup, "_schreier_sims", refuse)
+        g = generate_family(FamilySpec("regular_tree", {"degree": 3}, 5))
+        group = automorphism_group(g)
+        seq = ExhaustionSequence.balls(g, 0)
+        expected = [(1, 211106232532992), (6, 35184372088832), (48, 4398046511104)]
+        for level, (count, size) in enumerate(expected, start=1):
+            deco = ball_decomposition(group, seq, level)
+            assert deco.ball_count == count, level
+            assert {b.size for b in deco.balls} == {size}, level
+            assert all(b.members is None for b in deco.balls), level
+            assert count * size == group.order(), level
+
     def test_cap_refusal_carries_its_numbers(self):
         g = hypercube(4)
         with pytest.raises(CapExceededError, match="384 balls exceed the cap 5") as info:
@@ -468,8 +486,9 @@ class TestBallDecomposition:
                     assert coset == {m.images for m in b.members}
 
     def test_balls_depend_only_on_the_group(self):
-        # the search's handed-over chain and a Schreier-Sims chain over the
-        # same generators give the same members, representatives and keys
+        # the search group and a group from the same generators alone, whose
+        # chain and pointwise stabilisers come from Schreier-Sims, give the
+        # same members, representatives, keys and refusals
         def outcome(group, seq, level, cap):
             try:
                 return ball_decomposition(group, seq, level, cap).to_json_dict()
@@ -481,7 +500,7 @@ class TestBallDecomposition:
         runs = 0
         for g in graphs:
             group = automorphism_group(g)
-            oracle = PermGroup(g.vertex_count, group.generators)
+            oracle = SchreierSimsGroup(g.vertex_count, group.generators)
             for root in (0, 1):
                 seq = ExhaustionSequence.balls(g, root)
                 for level in range(1, len(seq) + 1):
