@@ -400,7 +400,10 @@ def _run(args):
 
 def _render(args, report, source, options):
     """The text a run prints: JSON with its config, or a `#` config line and
-    then the report's CSV or text.  Only JSON output encodes the whole report."""
+    then the report's CSV or text.  Only JSON output encodes the whole report.
+    An integer too long for the interpreter to print refuses as a cap does."""
+    if args.format == "csv" and not hasattr(report, "to_csv"):
+        raise ValueError(f"csv output not supported for {args.command}")
     config = {
         "command": args.command,
         "graph_source": source,
@@ -410,17 +413,23 @@ def _render(args, report, source, options):
         "output": {"format": args.format, "path": args.output},
         "options": options,
     }
-    if args.format == "json":
-        result = json_value(report)
-        return json.dumps({"config": config, "result": result}, indent=2, default=json_value)
-    header = "# " + json.dumps(config, default=json_value) + "\n"
-    if args.format == "csv":
-        if not hasattr(report, "to_csv"):
-            raise ValueError(f"csv output not supported for {args.command}")
-        return header + report.to_csv().rstrip("\n")
-    if hasattr(report, "to_text"):
-        return header + report.to_text()
-    return header + json.dumps(json_value(report), indent=2, default=json_value)
+    try:
+        if args.format == "json":
+            result = json_value(report)
+            return json.dumps({"config": config, "result": result}, indent=2, default=json_value)
+        header = "# " + json.dumps(config, default=json_value) + "\n"
+        if args.format == "csv":
+            return header + report.to_csv().rstrip("\n")
+        if hasattr(report, "to_text"):
+            return header + report.to_text()
+        return header + json.dumps(json_value(report), indent=2, default=json_value)
+    except ValueError as exc:
+        if "integer string conversion" not in str(exc):
+            raise
+        raise CapExceededError(
+            f"the result holds an integer of more than {sys.get_int_max_str_digits()} "
+            "digits, the interpreter's limit for printing one"
+        ) from exc
 
 
 def main(argv=None) -> int:

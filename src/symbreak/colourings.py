@@ -21,7 +21,7 @@ import math
 from fractions import Fraction
 
 from .autsearch import automorphism_group, first_automorphism
-from .errors import CapExceededError
+from .errors import check_cap
 from .graphs import Graph
 from .groups import BLOCK_BYTES, DEFAULT_ENUMERATION_CAP, PermGroup
 from .jsonfields import JsonFields, Record
@@ -336,16 +336,8 @@ def distinguishing_probability_exact(
 
     n = g.vertex_count
     total = k**n
-    if total > colour_cap:
-        raise CapExceededError(
-            f"{total} colourings exceed cap {colour_cap}", required=total, cap=colour_cap
-        )
-    if total >= 2**53:
-        raise CapExceededError(
-            f"{total} colourings: float64 indices are exact only below 2^53",
-            required=total,
-            cap=2**53 - 1,
-        )
+    check_cap(total, colour_cap, "{required} colourings exceed cap {cap}")
+    check_cap(total, 2**53 - 1, "{required} colourings: float64 indices are exact only below 2^53")
     aut = automorphism_group(g)
     fixed = np.zeros(total, dtype=bool)
     labels = _prime_order_partitions(aut, enum_cap)

@@ -22,11 +22,11 @@ import math
 import warnings
 from fractions import Fraction
 
-from .autsearch import automorphism_group
+from .autsearch import SearchGroup, automorphism_group
 from .colourings import Colouring, colouring_stabiliser
-from .errors import CapExceededError, InvariantError
+from .errors import InvariantError, check_cap
 from .graphs import Graph, GrowthProfile, cartesian_product
-from .groups import PermGroup, orbit_of, transversal
+from .groups import orbit_of, transversal
 from .jsonfields import JsonFields, Record, json_value
 
 # ---------------------------------------------------------------------------
@@ -133,12 +133,7 @@ def dsc_check(g: Graph, v0: int = 0, radius: int | None = None) -> DscReport:
         if dist[v] >= 0:
             by_depth.setdefault(dist[v], []).append(v)
     pairs = sum(len(vs) * (len(vs) - 1) // 2 for vs in by_depth.values())
-    if pairs > DSC_PAIR_CAP:
-        raise CapExceededError(
-            f"{pairs} equidistant pairs exceed the dsc pair cap {DSC_PAIR_CAP}",
-            required=pairs,
-            cap=DSC_PAIR_CAP,
-        )
+    check_cap(pairs, DSC_PAIR_CAP, "{required} equidistant pairs exceed the dsc pair cap {cap}")
 
     inner, horizon = [], []
     for depth, vertices in sorted(by_depth.items()):
@@ -402,10 +397,10 @@ def _sphere_pair(g: Graph, u, v, spheres, depth, n0_max, horizon, in_orbit) -> S
     matched_n0 = None
     if in_orbit:
         # largest suffix [agree_from .. horizon] on which the spheres agree,
-        # scanned from the top; past the end of a list its spheres are empty
-        pairs = list(itertools.zip_longest(su[:horizon], sv[:horizon], fillvalue=frozenset()))
+        # scanned from the top; past its end a list's spheres are empty (no
+        # listed sphere is), so one-sphere slices compare them
         agree_from = 0 if u == v else 1 + next(
-            (n for n in range(len(pairs), 0, -1) if pairs[n - 1][0] != pairs[n - 1][1]), 0
+            (n for n in range(horizon, 0, -1) if su[n - 1 : n] != sv[n - 1 : n]), 0
         )
         if agree_from <= min(horizon if n0_max is None else n0_max, horizon):
             matched_n0 = agree_from
@@ -459,18 +454,18 @@ def sphere_classes(
 # -- suborbit equivalence ---------------------------------------------------
 
 
-def _suborbit_rows(g: Graph, colours, group: PermGroup, r, trans, points):
+def _suborbit_rows(group: SearchGroup, r, trans, points):
     """(|D_0|, |D_1|, ...) and {p: row p} for `points` of the orbit of r.
 
-    The D_i are the suborbits of r in `group` = Aut(g, colours), from one
-    coloured search fixing r that orbit-stabiliser checks.  u_p = trans[p]
+    The D_i are the suborbits of r in `group` = Aut(g, colours), from its
+    pointwise stabiliser Fix(r), which orbit-stabiliser checks.  u_p = trans[p]
     maps r to p and Stab(r) onto Stab(p), so row p labels v with i when v
     lies in the suborbit u_p(D_i) of p.  Any phi with phi(s) = t maps
     u_s(D_i) onto u_t(D_i), as phi * u_s = u_t * sigma with sigma fixing r.
     """
     if len(trans) == group.order():  # Stab(r) = 1: each D_i is one point, no search
         return [1] * group.degree, {p: list(trans[p].inverse().images) for p in points}
-    stabiliser = automorphism_group(g, colours, fixing=(r,))
+    stabiliser = group.pointwise_stabiliser((r,))
     if stabiliser.order() * len(trans) != group.order():
         raise InvariantError(f"Stab({r}) of order {stabiliser.order()} breaks orbit-stabiliser")
     suborbits = stabiliser.orbits()
@@ -499,23 +494,23 @@ def suborbit_equivalence(g: Graph, s: int, t: int, budget: int) -> bool:
     _, trans = transversal(s, group.generators, n)
     if t not in trans:
         return False
-    sizes, rows = _suborbit_rows(g, (0,) * n, group, s, trans, (s, t))
+    sizes, rows = _suborbit_rows(group, s, trans, (s, t))
     return _mismatch_count(sizes, rows[s], rows[t]) <= budget
 
 
 def suborbit_classes(g: Graph, budget: int) -> EquivalenceClasses:
     if budget < 0:
         raise ValueError("budget must be non-negative")
-    return _suborbit_classes(g, (0,) * g.vertex_count, automorphism_group(g), budget)
+    return _suborbit_classes(automorphism_group(g), budget)
 
 
-def _suborbit_classes(g: Graph, colours, group: PermGroup, budget) -> EquivalenceClasses:
+def _suborbit_classes(group: SearchGroup, budget) -> EquivalenceClasses:
     """Suborbit classes of `group` = Aut(g, colours): rows carried from each
     orbit's least point decide the orbit's pairs."""
 
     def orbit_test(orbit):
         _, trans = transversal(orbit[0], group.generators, group.degree)
-        sizes, rows = _suborbit_rows(g, colours, group, orbit[0], trans, orbit)
+        sizes, rows = _suborbit_rows(group, orbit[0], trans, orbit)
         return lambda s, t: _mismatch_count(sizes, rows[s], rows[t]) <= budget
 
     parameters = {"budget": budget}
@@ -557,7 +552,7 @@ def gamma_refinement_iterate(g: Graph, budget: int, max_levels: int = 10) -> Ref
     levels = []
     fixpoint = False
     for _ in range(max_levels):
-        classes = _suborbit_classes(g, colours, group, budget)
+        classes = _suborbit_classes(group, budget)
         levels.append(RefinementLevel(group.order(), classes))
         class_of = _block_index(classes.classes, g.vertex_count)
         colours = tuple(zip(colours, class_of))

@@ -1,4 +1,6 @@
-"""Exceptions shared across the package."""
+"""Exceptions shared across the package, and the one check of a cap."""
+
+import sys
 
 
 class SymbreakError(Exception):
@@ -15,6 +17,23 @@ class CapExceededError(SymbreakError):
         super().__init__(message)
         self.required = required
         self.cap = cap
+
+
+def check_cap(required, cap, message):
+    """Raise `CapExceededError`, carrying both numbers, when `required`
+    exceeds `cap`.  The template `message` gets them in decimal as its
+    ``{required}`` and ``{cap}``; one longer than the interpreter prints
+    (``sys.get_int_max_str_digits()``, L digits) is written ``at least 10^L``."""
+    if required > cap:
+        text = message.format(required=_decimal(required), cap=_decimal(cap))
+        raise CapExceededError(text, required=required, cap=cap)
+
+
+def _decimal(number):
+    try:
+        return str(number)
+    except ValueError:  # more digits than the interpreter converts
+        return f"at least 10^{sys.get_int_max_str_digits()}"
 
 
 class InvariantError(SymbreakError):

@@ -14,7 +14,7 @@ import json
 from bisect import bisect_left
 from collections import deque
 
-from .errors import CapExceededError, GraphFormatError
+from .errors import GraphFormatError, check_cap
 from .jsonfields import JsonFields, Record, json_value
 
 UNREACHABLE = -1
@@ -198,12 +198,8 @@ def cartesian_product(g1: Graph, g2: Graph) -> Graph:
     labels (falling back to factor indices).  Distances add across factors.
     """
     n1, n2 = g1.vertex_count, g2.vertex_count
-    if n1 * n2 > PRODUCT_VERTEX_CAP:
-        raise CapExceededError(
-            f"{n1} x {n2} = {n1 * n2} product vertices exceed the cap {PRODUCT_VERTEX_CAP}",
-            required=n1 * n2,
-            cap=PRODUCT_VERTEX_CAP,
-        )
+    message = f"{n1} x {n2} = {{required}} product vertices exceed the cap {{cap}}"
+    check_cap(n1 * n2, PRODUCT_VERTEX_CAP, message)
     lab1 = g1.labels if g1.labels is not None else tuple(range(n1))
     lab2 = g2.labels if g2.labels is not None else tuple(range(n2))
     labels = [(lab1[i], lab2[j]) for i in range(n1) for j in range(n2)]

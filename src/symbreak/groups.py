@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 
-from .errors import CapExceededError, InvariantError
+from .errors import InvariantError, check_cap
 from .jsonfields import JsonFields, json_value
 from .perms import Perm
 
@@ -299,13 +299,7 @@ class PermGroup:
                 stack.extend((i + 1, g * rep) for rep in reversed(reps[i]))
 
     def _check_cap(self, cap):
-        order = self.order()
-        if order > cap:
-            raise CapExceededError(
-                f"group order {order} exceeds enumeration cap {cap}",
-                required=order,
-                cap=cap,
-            )
+        check_cap(self.order(), cap, "group order {required} exceeds enumeration cap {cap}")
 
     def elements(self, cap=DEFAULT_ENUMERATION_CAP):
         """Yield each group element exactly once; refuses above the cap."""

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .autsearch import automorphism_group
 from .colourings import DEFAULT_COLOUR_CAP, agreement, cycle_labels, unpack_bits
-from .errors import CapExceededError, InvariantError
+from .errors import InvariantError, check_cap
 from .graphs import Graph
 from .groups import BLOCK_BYTES, DEFAULT_ENUMERATION_CAP, PermGroup
 from .jsonfields import JsonFields, Record, json_value
@@ -134,11 +134,6 @@ class BallDecomposition(Record):
         return "\n".join(lines)
 
 
-def _preimage_key(perm: Perm, points) -> tuple:
-    inv = perm.inverse()
-    return tuple(inv(s) for s in points)
-
-
 def ball_decomposition(
     group: PermGroup,
     seq: ExhaustionSequence,
@@ -151,9 +146,9 @@ def ball_decomposition(
     the number of balls equals the stabiliser's index.  Up to `cap`
     elements every ball lists its members in increasing order of their
     images, the first being the representative; above the cap a search
-    over preimage tuples, under the group's generators, gives each ball's
-    key, a representative and the size, with ``members`` None; more than
-    `cap` balls raise `CapExceededError`.  Neither depends on the group's
+    over preimage tuples, moved by the generators' inverse images, gives
+    each ball's key, a representative and the size, with ``members`` None;
+    more than `cap` balls raise `CapExceededError`.  Neither depends on the group's
     stabiliser chain.  Above the cap the size is the order of
     ``group.pointwise_stabiliser(S_level)``: for a group from
     ``automorphism_group``, one coloured search.
@@ -169,27 +164,25 @@ def ball_decomposition(
     if order <= cap:
         groups = {}
         for m in sorted(group.elements(cap), key=lambda m: m.images):
-            groups.setdefault(_preimage_key(m, points), []).append(m)
+            inverse = m.inverse().images
+            groups.setdefault(tuple(map(inverse.__getitem__, points)), []).append(m)
         balls = tuple(Ball(key, ms[0], len(ms), tuple(ms)) for key, ms in sorted(groups.items()))
         return BallDecomposition(level, radius, balls, order)
 
-    # Representatives only: BFS over right cosets acting on preimage tuples.
+    # BFS over right cosets: rep * gen has the preimage tuple gen^-1[key],
+    # so a representative is multiplied out only for a new key.
     size = group.pointwise_stabiliser(points).order()
-    if order // size > cap:
-        raise CapExceededError(
-            f"{order // size} balls exceed the cap {cap}", required=order // size, cap=cap
-        )
+    check_cap(order // size, cap, "{required} balls exceed the cap {cap}")
     start = tuple(points)
     reps = {start: Perm.identity(group.degree)}
+    steps = [(gen, gen.inverse().images) for gen in group.generators]
     queue = [start]
     while queue:
         key = queue.pop()
-        rep = reps[key]
-        for gen in group.generators:
-            new_rep = rep * gen
-            new_key = _preimage_key(new_rep, points)
+        for gen, inverse in steps:
+            new_key = tuple(map(inverse.__getitem__, key))
             if new_key not in reps:
-                reps[new_key] = new_rep
+                reps[new_key] = reps[key] * gen
                 queue.append(new_key)
     if len(reps) * size != order:
         raise InvariantError("coset count times stabiliser order is not the group order")
@@ -284,10 +277,7 @@ def expected_stabiliser_measure(
 
     n = g.vertex_count
     total = 2**n
-    if total > colour_cap:
-        raise CapExceededError(
-            f"{total} colourings exceed cap {colour_cap}", required=total, cap=colour_cap
-        )
+    check_cap(total, colour_cap, "{required} colourings exceed cap {cap}")
     aut = automorphism_group(g)
     order = aut.order()
 

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,20 @@ from symbreak.suites import standard_corpus
 def corpus():
     """The standard small-graph corpus as a name -> Graph dict."""
     return dict(standard_corpus())
+
+
+@pytest.fixture
+def digit_limit():
+    """The interpreter's int-to-str digit limit lowered to its least value,
+    640, for one test; an interpreter without the limit skips the test."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter prints integers of any length")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        yield 640
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def graph_text(g: Graph):

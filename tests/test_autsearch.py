@@ -502,13 +502,12 @@ def invariant_record(g, colours):
     finds: order, orbits, motion, whether a first automorphism exists, and
     the suborbit classes at budget 0."""
     group = automorphism_group(g, colours)
-    colouring = (0,) * g.vertex_count if colours is None else colours
     return (
         group.order(),
         group.orbits(),
         group.motion().motion,
         first_automorphism(g, colours) is None,
-        _suborbit_classes(g, colouring, group, 0).classes,
+        _suborbit_classes(group, 0).classes,
     )
 
 

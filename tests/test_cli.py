@@ -29,6 +29,7 @@ from symbreak.graphs import (
     graph_to_json_dict,
     growth_sequence,
     path_graph,
+    star_graph,
 )
 from symbreak.groups import DEFAULT_ENUMERATION_CAP
 from symbreak.jsonfields import json_value
@@ -394,6 +395,7 @@ def test_bad_json_graph_field_exits_2_with_one_error_line(tmp_path, capsys, fiel
         (["growth", "--graph", "C4", "--epsilon", "0.5"], "eps must lie strictly between 0 and 1/2"),
         (["metric", "--graph", "C4", "--perm-a", "[true, false, 2, 3]", "--perm-b", "[0, 1, 2, 3]"],
          "not a permutation of 0..3"),
+        (["balls", "--graph", "C4", "--level", "0"], "level must be in 1..3"),
     ],
 )
 def test_out_of_range_inputs_exit_2(capsys, c4_file, argv, message):
@@ -763,6 +765,29 @@ def test_text_format_falls_back_to_json(capsys, c4_file):
 def test_csv_format_needs_a_report_with_csv(capsys, c4_file):
     assert main(["--format", "csv", "motion", "--graph", c4_file]) == 2
     assert "csv output not supported for motion" in capsys.readouterr().err
+
+
+def test_a_result_past_the_digit_limit_exits_3(capsys, tmp_path, digit_limit):
+    # P3000's last two points swapped lie at distance 1/2^2998 (903 digits);
+    # K_{1,320} has order 320! (665 digits)
+    path, star = tmp_path / "p3000.txt", tmp_path / "star.txt"
+    path.write_text(graph_text(path_graph(3000)))
+    star.write_text(graph_text(star_graph(320)))
+    swapped = list(range(2998)) + [2999, 2998]
+    metric = ["metric", "--graph", str(path), "--sequence", "prefixes",
+              "--perm-a", json.dumps(list(range(3000))), "--perm-b", json.dumps(swapped)]
+    for argv in (metric, ["autgroup", "--graph", str(star)],
+                 ["--format", "text", "autgroup", "--graph", str(star)]):
+        assert main(argv) == 3, argv
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "error: the result holds an integer of more than 640 digits, "
+            "the interpreter's limit for printing one\n"
+        )
+    # a format the report lacks is still an input error, found before encoding
+    assert main(["--format", "csv", "autgroup", "--graph", str(star)]) == 2
+    assert "csv output not supported for autgroup" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -19,7 +19,7 @@ from conftest import (
     suborbit_pairs_by_elements,
     suborbits,
 )
-from symbreak import conditions
+from symbreak import autsearch, conditions
 
 from symbreak.autsearch import automorphism_group
 from symbreak.colourings import Colouring, random_colouring
@@ -196,6 +196,14 @@ class TestDsc:
         g = generate_family(FamilySpec("double_ray", {}, 3))
         with pytest.raises(ValueError):
             dsc_check(g, v0=1)
+
+    @pytest.mark.parametrize("radius", [2, 4])
+    def test_radius_mismatch_rejected(self, radius):
+        g = generate_family(FamilySpec("double_ray", {}, 3))
+        root = g.truncation.root
+        with pytest.raises(ValueError, match="radius differs from the truncation radius"):
+            dsc_check(g, root, radius)
+        assert dsc_check(g, root, 3) == dsc_check(g, root)
 
     def test_safe_horizon_sound_under_extension(self):
         small = dsc_check(generate_family(FamilySpec("regular_tree", {"degree": 3}, 4)))
@@ -618,7 +626,7 @@ class TestGammaEquivalence:
     def test_a_stabiliser_breaking_orbit_stabiliser_raises(self, monkeypatch):
         # every search fixing a point reports half its order, so the order
         # times the orbit length misses |Aut| and the rows are refused
-        search = conditions.automorphism_group
+        search = autsearch.automorphism_group
 
         def halving(g, colours=None, fixing=()):
             group = search(g, colours, fixing)
@@ -626,7 +634,7 @@ class TestGammaEquivalence:
                 return group
             return PermGroup(group.degree, group.generators, order=group.order() // 2)
 
-        monkeypatch.setattr(conditions, "automorphism_group", halving)
+        monkeypatch.setattr(autsearch, "automorphism_group", halving)
         for call in (
             lambda: suborbit_equivalence(cycle_graph(4), 0, 1, 0),
             lambda: suborbit_classes(cycle_graph(4), 0),
@@ -695,10 +703,10 @@ class TestGammaEquivalence:
                         )
 
 
-def carried_rows(g, colours, group, orbit):
+def carried_rows(group, orbit):
     """The suborbit sizes and label rows of `orbit`, from its least point."""
     _, trans = transversal(orbit[0], group.generators, group.degree)
-    return conditions._suborbit_rows(g, colours, group, orbit[0], trans, orbit)
+    return conditions._suborbit_rows(group, orbit[0], trans, orbit)
 
 
 class TestSuborbitsByColouredSearch:
@@ -720,7 +728,7 @@ class TestSuborbitsByColouredSearch:
         for name, g, colours in plain_and_coloured(list(corpus.items()) + self.GRAPHS, 4245):
             group = automorphism_group(g, colours)
             for orbit in group.orbits():
-                sizes, rows = carried_rows(g, colours, group, orbit)
+                sizes, rows = carried_rows(group, orbit)
                 assert sorted(rows) == list(orbit), name
                 for p in orbit:
                     labelled = {}
@@ -761,7 +769,7 @@ class TestOnePhiPerPair:
                 subs = [automorphism_group(g, colours, fixing=(s,)).orbits() for s in range(n)]
                 counts = {}
                 for orbit in group.orbits():
-                    sizes, rows = carried_rows(g, colours, group, orbit)
+                    sizes, rows = carried_rows(group, orbit)
                     for s, t in itertools.product(orbit, repeat=2):
                         counts[s, t] = conditions._mismatch_count(sizes, rows[s], rows[t])
                 for phi in group.elements():
@@ -799,7 +807,7 @@ class TestOnePhiPerPair:
 def recorded_fixing_searches(monkeypatch):
     """The `fixing` argument of each coloured search that conditions runs
     with a point fixed, in call order."""
-    search = conditions.automorphism_group
+    search = autsearch.automorphism_group
     fixed = []
 
     def recording(g, colours=None, fixing=()):
@@ -807,7 +815,7 @@ def recorded_fixing_searches(monkeypatch):
             fixed.append(tuple(fixing))
         return search(g, colours, fixing)
 
-    monkeypatch.setattr(conditions, "automorphism_group", recording)
+    monkeypatch.setattr(autsearch, "automorphism_group", recording)
     return fixed
 
 

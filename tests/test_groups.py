@@ -66,6 +66,9 @@ def test_contains_rejects_non_member():
     three_cycle = from_cycles(4, [(0, 1, 2)])
     assert not aut.contains(three_cycle)
     assert aut.contains(Perm([3, 2, 1, 0]))
+    # a permutation of another degree is no member, whatever its images
+    assert not aut.contains(Perm.identity(3))
+    assert not aut.contains(Perm([3, 2, 1, 0, 4]))
 
 
 def test_elements_are_distinct_and_complete():

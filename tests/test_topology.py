@@ -353,6 +353,14 @@ class TestBallDecomposition:
                     seen |= members
                 assert len(seen) == order
 
+    def test_levels_outside_the_sequence_are_refused(self):
+        g = cycle_graph(4)
+        group = automorphism_group(g)
+        seq = ExhaustionSequence.balls(g, 0)
+        for level in (0, len(seq) + 1):
+            with pytest.raises(ValueError, match=f"level must be in 1..{len(seq)}"):
+                ball_decomposition(group, seq, level)
+
     def test_final_level_is_singletons(self):
         g = cycle_graph(4)
         group = automorphism_group(g)
